@@ -6,7 +6,7 @@ the seeded random generators behind the benchmark experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,16 +192,35 @@ class NlpProblem:
         B1 = (grad h, 0), B2 = the constraint saddle map, X = Y x R^p_+."""
         p = self.p
         n = self.dim
-        A = MaximalMonotone.product([(self.f, n), (nonneg_cone(p), p)],
-                                    tag="saddle-A")
-        h_eval = self.h.evaluate
+        f_res, h_eval, y_proj = self.f.resolvent, self.h.evaluate, self.Y.project
+
+        # A, B1 and X act blockwise on (x, u): each fills the two blocks of
+        # one output vector rather than splitting and concatenating through
+        # the product operators, whose block metadata and metric projection
+        # the spec keeps
+        def a_res(gamma, y):
+            out = np.empty(n + p)
+            out[:n] = f_res(gamma, y[:n])
+            np.maximum(y[n:], 0.0, out=out[n:])
+            return out
 
         def b1_eval(w):
-            return np.concatenate([h_eval(w[:n]), np.zeros(p)])
+            out = np.zeros(n + p)
+            out[:n] = h_eval(w[:n])
+            return out
 
+        def x_proj(v):
+            out = np.empty(n + p)
+            out[:n] = y_proj(v[:n])
+            np.maximum(v[n:], 0.0, out=out[n:])
+            return out
+
+        A = replace(MaximalMonotone.product([(self.f, n), (nonneg_cone(p), p)],
+                                            tag="saddle-A"), resolvent=a_res)
         B1 = CocoerciveMap(evaluate=b1_eval, beta=self.h.beta, tag="saddle-B1")
-        X = ClosedConvexSet.product([(self.Y, n),
-                                     (ClosedConvexSet.nonneg_orthant(), p)])
+        X = replace(ClosedConvexSet.product([(self.Y, n),
+                                             (ClosedConvexSet.nonneg_orthant(), p)]),
+                    project=x_proj)
         return ProblemSpec(A=A, B1=B1, B2=self.saddle_map(), X=X,
                            dimension=n + p)
 

@@ -424,6 +424,8 @@ def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
             return _run_distributed_cell(cfg, cell, seed)
         return _run_custom_cell(cfg, cell, seed)
     except Exception as exc:  # record the failure, keep the run going
+        # one write per line, so that worker threads do not interleave
+        sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
         params = dict(cell.params)
         params.update(variant)
         return ReportRow(solver=cell.name,

@@ -123,9 +123,11 @@ class Graph:
         return float(vals[1])
 
     def norm_laplacian(self) -> float:
+        """||L|| = lambda_max(L), the largest eigenvalue of the symmetric
+        positive semidefinite Laplacian."""
         if "norm_laplacian" not in self._cache:
             self._cache["norm_laplacian"] = (
-                operator_norm(self.laplacian()) if self.edges else 0.0)
+                float(np.linalg.eigvalsh(self.laplacian())[-1]) if self.edges else 0.0)
         return self._cache["norm_laplacian"]
 
     @classmethod
@@ -176,15 +178,18 @@ class GraphSequence:
 
     @classmethod
     def random(cls, n: int, seed: int) -> "GraphSequence":
-        cache: dict[int, Graph] = {}
+        # only the latest round's graph is kept, so memory stays bounded
+        # however many rounds run; an earlier round is drawn again, equal
+        last: dict[int, Graph] = {}
 
         def at(t: int) -> Graph:
-            if t not in cache:
+            if t not in last:
                 # one child generator per round keeps the sequence
                 # independent of evaluation order
                 rng = np.random.default_rng((seed, t))
-                cache[t] = Graph.random_connected(n, rng)
-            return cache[t]
+                last.clear()
+                last[t] = Graph.random_connected(n, rng)
+            return last[t]
 
         return cls(at=at, n=n)
 

@@ -131,7 +131,7 @@ class SolveReport:
 
     z: np.ndarray
     iterations: int
-    reason: str                    # "tolerance" | "max_iter"
+    reason: str                    # "tolerance" | "max_iter" | "diverged"
     residuals: list[float]
     b1_evals: int = 0
     b2_evals: int = 0
@@ -156,9 +156,15 @@ class _Counters:
         self.b1 = self.b2 = self.res = self.proj = self.back = 0
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector: the same bits as ``np.linalg.norm``, which
+    computes ``sqrt(v.dot(v))`` for 1-D input, without its dispatch cost."""
+    return math.sqrt(v @ v)
+
+
 def _relative_change(z_new: np.ndarray, z: np.ndarray) -> float:
-    num = float(np.linalg.norm(z_new - z))
-    den = float(np.linalg.norm(z))
+    num = _norm(z_new - z)
+    den = _norm(z)
     # the criterion is undefined at the origin; fall back to absolute change
     return num if den < 1e-30 else num / den
 
@@ -182,6 +188,10 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
             iterates.append(np.array(z))
         if rel < cfg.tolerance:
             reason = "tolerance"
+            break
+        if not math.isfinite(rel):
+            # an iterate overflowed or turned NaN; no later step recovers
+            reason = "diverged"
             break
     wall = time.perf_counter() - t0
     return SolveReport(z=z, iterations=iterations, reason=reason,
@@ -290,8 +300,8 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
         x = spec.A.resolvent(gamma, drift)
         counters.res += 1
         cx = check_at(x)
-        rhs = policy.theta * float(np.linalg.norm(z - x))
-        lhs = 0.0 if cx is None else gamma * float(np.linalg.norm(check_z - cx))
+        rhs = policy.theta * _norm(z - x)
+        lhs = 0.0 if cx is None else gamma * _norm(check_z - cx)
         if lhs <= rhs:
             if gamma < 1e-12:
                 warnings.warn(f"accepted line-search step {gamma:.3e} < 1e-12; "

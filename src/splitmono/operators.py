@@ -132,7 +132,7 @@ class ClosedConvexSet:
         lo, hi = _box_bounds(lo, hi)
 
         def proj(v):
-            return np.clip(v, lo, hi)
+            return np.minimum(np.maximum(v, lo), hi)
 
         def member(v, tol=1e-10):
             return bool(np.all(v >= lo - tol) and np.all(v <= hi + tol))
@@ -231,7 +231,7 @@ def normal_cone_box(lo, hi) -> MaximalMonotone:
     """Normal cone of the box [lo, hi]; its resolvent is the projection,
     independent of the step size."""
     lo, hi = _box_bounds(lo, hi)
-    return MaximalMonotone(resolvent=lambda gamma, y: np.clip(y, lo, hi),
+    return MaximalMonotone(resolvent=lambda gamma, y: np.minimum(np.maximum(y, lo), hi),
                            tag="N_box")
 
 
@@ -284,12 +284,18 @@ def affine_gradient(Q, d) -> CocoerciveMap:
 
 @dataclass(frozen=True)
 class SmoothConstraint:
-    """One scalar convex constraint g(x) <= 0 with value and gradient oracles."""
+    """One scalar convex constraint g(x) <= 0 with value and gradient oracles.
+
+    ``value_and_gradient(x)``, when set, returns ``(value(x), gradient(x))``
+    bit for bit in one pass that shares their common work.  Its caller has
+    already checked that x lies in ``domain``, so it checks nothing itself.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     domain: Optional[Callable[[np.ndarray], bool]] = None
     affine_row: Optional[np.ndarray] = None  # set when g(x) = row @ x
+    value_and_gradient: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
 
 def affine_constraints(D) -> list[SmoothConstraint]:
@@ -333,8 +339,15 @@ def entropy_constraint(a, r: float) -> SmoothConstraint:
             raise DomainError("entropy constraint gradient requires x > 0")
         return np.log(x / av)
 
+    def value_and_gradient(x):
+        # x > 0, so value's masked sum runs over every entry: same bits
+        lg = np.log(x / av)
+        return float((x * (lg - 1.0)).sum()) - r, lg
+
+    # a NaN entry makes min() NaN, which fails the test, as it fails x > 0
     return SmoothConstraint(value=value, gradient=gradient,
-                            domain=lambda x: bool(np.all(np.asarray(x) > 0)))
+                            domain=lambda x: bool(np.asarray(x).min() > 0),
+                            value_and_gradient=value_and_gradient)
 
 
 def lagrangian_saddle_map(constraints) -> MonotoneMap:
@@ -344,7 +357,9 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
 
     Monotone and continuous for convex g_i; Lipschitz only when every g_i
     is affine, in which case the map is the skew matrix [[0, D^T], [-D, 0]]
-    built from the stacked coefficient rows.
+    built from the stacked coefficient rows.  Otherwise each call checks
+    every constraint's domain once, then uses its ``value_and_gradient``
+    when it has one.
     """
     cons = list(constraints)
     if not cons:
@@ -356,16 +371,25 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
 
     def evaluate(w):
         w = np.asarray(w, dtype=float)
-        x, u = w[:-p], w[-p:]
-        for c in cons:
+        n = w.shape[0] - p
+        x = w[:n]
+        out = np.empty_like(w)
+        grad_part = out[:n]
+        grad_part[:] = 0.0
+        for i, c in enumerate(cons):
             if c.domain is not None and not c.domain(x):
                 raise DomainError("saddle map evaluated outside dom g")
-        gx = np.array([c.value(x) for c in cons])
-        grad_part = np.zeros_like(x)
-        for ui, c in zip(u, cons):
-            if ui != 0.0:
-                grad_part = grad_part + ui * c.gradient(x)
-        return np.concatenate([grad_part, -gx])
+            ui = w[n + i]
+            if c.value_and_gradient is not None:
+                gi, grad = c.value_and_gradient(x)
+                if ui != 0.0:
+                    grad_part += ui * grad
+            else:
+                gi = c.value(x)
+                if ui != 0.0:
+                    grad_part += ui * c.gradient(x)
+            out[n + i] = -gi
+        return out
 
     lip = None
     matrix = None

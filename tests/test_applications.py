@@ -11,8 +11,9 @@ from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
                             SolveConfig, chi)
 from splitmono.linalg import operator_norm
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
-                                 affine_constraints, prox_abs_deviation,
-                                 quadratic_gradient, scalar_monotone)
+                                 affine_constraints, nonneg_cone,
+                                 prox_abs_deviation, quadratic_gradient,
+                                 scalar_monotone)
 from splitmono.primal_dual import (CorollaryParams, DualBlock,
                                    PrimalDualProblem, solve_corollary)
 
@@ -166,6 +167,32 @@ class TestNlpSolver:
         with pytest.raises(ConfigurationError):
             solve_nlp(prob, ConstantStep(gamma=0.1),
                       SolveConfig(max_iterations=10, tolerance=1e-9))
+
+
+class TestSaddleSpecOracles:
+    """The saddle spec's A, B1 and X fill one output vector; they must equal,
+    bit for bit, the product-space operators they stand in for."""
+
+    @pytest.mark.parametrize("prob", [gen_lin_ineq_qp(20, 3, seed=0),
+                                      gen_entropy_ls(10, -0.4, seed=0)],
+                             ids=["lin-ineq", "entropy"])
+    def test_matches_product_references(self, prob):
+        n, p = prob.dim, prob.p
+        spec = prob.saddle_spec()
+        A_ref = MaximalMonotone.product([(prob.f, n), (nonneg_cone(p), p)])
+        X_ref = ClosedConvexSet.product([(prob.Y, n),
+                                         (ClosedConvexSet.nonneg_orthant(), p)])
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            # points outside the box and with negative multipliers
+            w = 2.0 * rng.standard_normal(n + p)
+            gamma = float(rng.uniform(0.01, 2.0))
+            assert np.array_equal(spec.A.resolvent(gamma, w), A_ref.resolvent(gamma, w))
+            assert np.array_equal(spec.B1.evaluate(w),
+                                  np.concatenate([prob.h.evaluate(w[:n]), np.zeros(p)]))
+            assert np.array_equal(spec.X.project(w), X_ref.project(w))
+        assert [d for _, d in spec.A.blocks] == [n, p] and spec.A.blocks[0][0] is prob.f
+        assert spec.X.metric_project is not None
 
 
 class TestGenerators:

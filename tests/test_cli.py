@@ -176,7 +176,7 @@ r_fractions = -0.2,-0.4,-0.6,-0.8
                        if line.startswith(f"| {solver} "))
             assert f" {mean} " in row
 
-    def test_error_cell_recorded_and_exit_two(self, tmp_path):
+    def test_error_cell_recorded_and_exit_two(self, tmp_path, capsys):
         text = """\
 [experiment]
 kind = distributed
@@ -202,6 +202,12 @@ tau = 5.0
             recs = {r["solver"]: r for r in csv.DictReader(fh)}
         assert recs["consensus"]["status"] == "tolerance"
         assert recs["broken"]["status"] == "error"
+        assert len(recs["broken"]) == len(CSV_COLUMNS)
+        # the failed cell says why on stderr: solver, seed, exception
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("broken, 0, ConfigurationError: round 0: "
+                                 "stepsize condition violated")
 
     def test_seed_override_via_main(self, tmp_path, capsys):
         path = write(tmp_path, LIN_INEQ_SMALL)

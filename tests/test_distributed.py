@@ -6,6 +6,7 @@ from splitmono.distributed import (AgentState, Graph, GraphSequence,
                                    metric_norm, run_distributed,
                                    t_class_consensus_step)
 from splitmono.fbhf import ConfigurationError, SolveConfig
+from splitmono.linalg import operator_norm
 from splitmono.operators import ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec
 from splitmono.fbhf import ConstantStep, solve_fbhf
 
@@ -50,6 +51,25 @@ class TestGraph:
         gs2 = GraphSequence.random(5, seed=3)
         for t in range(6):
             assert gs1.at(t).edges == gs2.at(t).edges
+
+    def test_norm_laplacian_matches_power_iteration(self):
+        rng = np.random.default_rng(4)
+        graphs = [Graph.ring(6), Graph.path(5), Graph.star(7), Graph.path(2)]
+        graphs += [Graph.random_connected(n, rng) for n in (3, 5, 8)]
+        for g in graphs:
+            lam = g.norm_laplacian()
+            assert lam == pytest.approx(operator_norm(g.laplacian()), rel=1e-9)
+        assert Graph(1, ()).norm_laplacian() == 0.0
+
+    def test_random_sequence_keeps_latest_graph_only(self):
+        gs = GraphSequence.random(5, seed=3)
+        g0 = gs.at(0)
+        assert gs.at(0) is g0
+        g1 = gs.at(1)
+        assert gs.at(1) is g1
+        # round 0 is drawn again from its own generator: equal, not cached
+        again = gs.at(0)
+        assert again is not g0 and again.edges == g0.edges
 
     def test_blockwise_apply_matches_matrix(self):
         g = Graph.ring(5)

@@ -238,6 +238,22 @@ class TestSolveFbhf:
                        z0=np.array([1.0, -1.0]))
         assert r.iterations == 5
 
+    def test_non_finite_iterates_stop_as_diverged(self):
+        # ten times the cocoercive bound on the unconstrained least-squares
+        # part grows like 9^k until it overflows; the run stops at the first
+        # non-finite relative change instead of iterating on NaNs
+        prob = gen_lin_ineq_qp(10, 2, seed=0)
+        spec = ProblemSpec(A=MaximalMonotone.zero(), B1=prob.h, B2=None,
+                          X=ClosedConvexSet.whole_space(), dimension=prob.dim)
+        cfg = SolveConfig(max_iterations=50_000, tolerance=1e-9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = solve_fbhf(spec, ConstantStep(gamma=10.0 * prob.beta, unchecked=True),
+                           cfg, z0=np.ones(prob.dim))
+        assert r.reason == "diverged"
+        assert r.iterations < cfg.max_iterations // 10
+        assert not math.isfinite(r.residuals[-1])
+        assert all(math.isfinite(v) for v in r.residuals[:-1])
+
     def test_no_lipschitz_demands_line_search(self):
         prob = gen_entropy_ls(8, -0.4, seed=1)
         spec = prob.saddle_spec()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ class TestNormalConeBox:
         n = 8
         op = normal_cone_box(np.full(n, 0.001), np.ones(n))
         assert np.array_equal(op.resolvent(0.5, np.zeros(n)), np.full(n, 0.001))
+
+    def test_equals_clip_bitwise(self):
+        rng = np.random.default_rng(0)
+        lo = np.array([0.0, -np.inf, 0.001, -1.0, 0.5])
+        hi = np.array([1.0, 2.0, np.inf, 1.0, 0.5])
+        op = normal_cone_box(lo, hi)
+        box = ClosedConvexSet.box(lo, hi)
+        for _ in range(50):
+            y = 3.0 * rng.standard_normal(5)
+            assert np.array_equal(op.resolvent(1.0, y), np.clip(y, lo, hi))
+            assert np.array_equal(box.project(y), np.clip(y, lo, hi))
+            assert np.array_equal(box.metric_project(np.eye(5), y), np.clip(y, lo, hi))
 
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
@@ -129,6 +143,17 @@ class TestEntropyConstraint:
         with pytest.raises(ValueError):
             entropy_constraint(np.ones(2), -3.0)
 
+    def test_fused_oracle_matches_value_and_gradient_bitwise(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 5, 20):
+            a = rng.uniform(0.5, 2.0, n)
+            con = entropy_constraint(a, -0.3 * float(np.sum(a)))
+            for _ in range(20):
+                x = rng.uniform(1e-4, 3.0, n)
+                val, grad = con.value_and_gradient(x)
+                assert val == con.value(x)
+                assert np.array_equal(grad, con.gradient(x))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         con = entropy_constraint(rng.uniform(0.5, 2.0, size=6), -0.8)
@@ -181,6 +206,26 @@ class TestLagrangianSaddleMap:
             w2 = np.concatenate([x2, u2])
             gap = float((smap.evaluate(w1) - smap.evaluate(w2)) @ (w1 - w2))
             assert gap >= -1e-8
+
+    def test_fused_and_separate_oracles_match_reference_bitwise(self):
+        # the same two constraints with and without the fused oracle, against
+        # the map assembled from value and gradient calls
+        rng = np.random.default_rng(2)
+        n = 6
+        fused = [entropy_constraint(np.ones(n), -2.0),
+                 entropy_constraint(np.full(n, 0.5), -1.0)]
+        plain = [replace(c, value_and_gradient=None) for c in fused]
+        f_map, p_map = lagrangian_saddle_map(fused), lagrangian_saddle_map(plain)
+        for u in ([0.0, 0.0], [1.5, 0.0], [0.0, 2.0], [0.3, 0.7]):
+            x = rng.uniform(0.01, 2.0, n)
+            grad_part = np.zeros(n)
+            for ui, c in zip(u, fused):
+                if ui != 0.0:
+                    grad_part = grad_part + ui * c.gradient(x)
+            ref = np.concatenate([grad_part, [-c.value(x) for c in fused]])
+            w = np.concatenate([x, u])
+            assert np.array_equal(f_map.evaluate(w), ref)
+            assert np.array_equal(p_map.evaluate(w), ref)
 
     def test_domain_violation(self):
         con = entropy_constraint(np.ones(3), -1.0)
