@@ -20,6 +20,7 @@ from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         quadratic_gradient)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, StepPolicy,
                    _Counters, _run, solve_fbhf, solve_tseng_fbf)
+from .primal_dual import _check_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +112,19 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
             f"ERM stepsize condition violated: lhs = {lhs:.12g} must be < "
             f"1/max(sigma) = {rhs:.12g}")
     M = erm_relaxation_bound(sig, a_norms)
-    if lam is None:
-        lam = 0.99 / M
-    if not 0.0 < lam < 1.0 / M - CONDITION_MARGIN:
-        raise ConfigurationError(
-            f"relaxation lambda = {lam:.6g} outside ]0, 1/M[ = ]0, {1.0 / M:.6g}[")
+    lam = _check_lambda(0.99 / M if lam is None else lam, M)
 
     layout = p.layout
     G = p.a @ p.a.T                    # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
     sig_tail = np.asarray(sig[1:])
     counters = _Counters()
+    proxes = [counters.count("res", prox) for prox in p.proxes]
     m = p.m
 
     def dual_prox(i: int, sigma: float, w: float) -> float:
         # Moreau: prox of the conjugate loss from the loss prox
-        return w - sigma * p.proxes[i](1.0 / sigma, w / sigma)
+        return w - sigma * proxes[i](1.0 / sigma, w / sigma)
 
     def step(zvec):
         x = layout.block(zvec, 0)
@@ -138,7 +136,6 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
             mix = float(G[i, :i] @ v[:i]) + float(G[i, i:] @ u[i:])
             w = u[i] + sig[i + 1] * (ax[i] - sig[0] * mix)
             v[i] = dual_prox(i, sig[i + 1], w)
-            counters.res += 1
         new_x = x - lam * (p.a.T @ v)
         dv = v - u
         new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))

@@ -329,6 +329,7 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     m = n * block_dim
     layout = BlockLayout.from_dims([m, m])
     counters = _Counters()
+    proxes = [counters.count("res", prox) for prox in proxes]
     trace: list[float] = []
     k_state = {"k": 0}
 
@@ -340,7 +341,6 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
         Xk = zvec[:m].reshape(n, block_dim)
         Wk = zvec[m:].reshape(n, block_dim)
         Xn, Wn = _round(Xk, Wk, Wk, proxes, g, gamma, tau)
-        counters.res += n
         trace.append(_spread(Xn))
         return np.concatenate([Xn.ravel(), Wn.ravel()])
 

@@ -14,6 +14,8 @@ stepsize and Armijo-backtracking form.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -127,7 +129,17 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run with exact per-oracle evaluation counts."""
+    """Outcome of one solver run.
+
+    The evaluation counters are counted where each oracle is called: every
+    solver wraps its oracles once per solve, so a count is the number of
+    calls the iteration made.  ``resolvent_evals`` counts the solver's
+    backward oracle: J_{gamma A} for the main iteration and its baselines,
+    J_{P^{-1}A} for the preconditioned and variable-metric solvers, and the
+    primal, dual or per-sample/per-agent proxes of the primal-dual, ERM and
+    distributed solvers.  ``backtracks`` counts rejected line-search
+    candidates.
+    """
 
     z: np.ndarray
     iterations: int
@@ -150,10 +162,43 @@ class SolveReport:
 
 
 class _Counters:
-    __slots__ = ("b1", "b2", "res", "proj", "back")
+    """Oracle calls of one solve, counted where each oracle is called."""
+
+    __slots__ = ("oracles", "backtracks")
 
     def __init__(self):
-        self.b1 = self.b2 = self.res = self.proj = self.back = 0
+        self.oracles = {"b1": [], "b2": [], "res": [], "proj": []}
+        self.backtracks = 0
+
+    def count(self, name: str, fn: Callable) -> Callable:
+        """``fn`` wrapped so that each call is counted under ``name``.
+
+        An ``lru_cache`` of size 0 stores nothing and hashes no argument: it
+        calls ``fn`` every time and counts the calls, as misses, in C, which
+        costs the hot oracles about half of what a Python wrapper would."""
+        counted = functools.lru_cache(maxsize=0)(fn)
+        self.oracles[name].append(counted)
+        return counted
+
+    def calls(self, name: str) -> int:
+        return sum(fn.cache_info().misses for fn in self.oracles[name])
+
+    def wrap(self, op, attr: str, name: str):
+        """Copy of the oracle carrier ``op`` whose ``attr`` oracle counts its
+        calls under ``name``; an absent ``op`` (None) stays absent."""
+        if op is None:
+            return None
+        return dataclasses.replace(op, **{attr: self.count(name, getattr(op, attr))})
+
+
+def _counted(spec: ProblemSpec, counters: _Counters) -> ProblemSpec:
+    """``spec`` with A's resolvent, B1, B2 and the projection onto X each
+    counting its own calls."""
+    w = counters.wrap
+    return dataclasses.replace(spec, A=w(spec.A, "resolvent", "res"),
+                               B1=w(spec.B1, "evaluate", "b1"),
+                               B2=w(spec.B2, "evaluate", "b2"),
+                               X=w(spec.X, "project", "proj"))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -194,10 +239,11 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
             reason = "diverged"
             break
     wall = time.perf_counter() - t0
+    calls = counters.calls
     return SolveReport(z=z, iterations=iterations, reason=reason,
-                       residuals=residuals, b1_evals=counters.b1,
-                       b2_evals=counters.b2, resolvent_evals=counters.res,
-                       projections=counters.proj, backtracks=counters.back,
+                       residuals=residuals, b1_evals=calls("b1"),
+                       b2_evals=calls("b2"), resolvent_evals=calls("res"),
+                       projections=calls("proj"), backtracks=counters.backtracks,
                        wall_time=wall, iterates=iterates, gammas=gammas,
                        layout=layout)
 
@@ -215,58 +261,50 @@ def _default_start(spec: ProblemSpec, z0) -> np.ndarray:
 # single steps
 
 
+def _forward(spec: ProblemSpec,
+             z: np.ndarray) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(B2 z, (B1 + B2) z), with None for an absent term."""
+    b1z = None if spec.B1 is None else spec.B1.evaluate(z)
+    b2z = None if spec.B2 is None else spec.B2.evaluate(z)
+    if b1z is None:
+        return b2z, b2z
+    return b2z, b1z if b2z is None else b1z + b2z
+
+
+def _absent(x: np.ndarray) -> None:
+    """The value of an absent operator term."""
+    return None
+
+
+def _backward(spec: ProblemSpec, z: np.ndarray, gamma: float,
+              bz: Optional[np.ndarray]) -> np.ndarray:
+    """J_{gamma A}(z - gamma bz), the backward step after the forward value bz."""
+    return spec.A.resolvent(gamma, z if bz is None else z - gamma * bz)
+
+
+def _fbhf_iteration(spec: ProblemSpec, z: np.ndarray, policy,
+                    counters: Optional[_Counters]) -> tuple[float, np.ndarray, np.ndarray]:
+    """One main iteration at the constant step ``policy`` (a float) or with
+    the ``LineSearch`` policy; returns (gamma, x, z+)."""
+    b2z, bz = _forward(spec, z)
+    b2 = _absent if spec.B2 is None else spec.B2.evaluate
+    if isinstance(policy, LineSearch):
+        gamma, x, b2x = _backtrack(spec, z, policy, bz, b2z, b2, counters)
+    else:
+        gamma = policy
+        x = _backward(spec, z, gamma, bz)
+        b2x = b2(x)
+    return gamma, x, spec.X.project(x if b2z is None else x + gamma * (b2z - b2x))
+
+
 def fbhf_step(spec: ProblemSpec, z: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """One iteration: backward step on A after a full forward step, then the
     half forward correction on B2 and the projection.  Evaluates B1 exactly
     once and B2 exactly twice (when present)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    b1z = spec.B1.evaluate(z) if spec.B1 is not None else None
-    b2z = spec.B2.evaluate(z) if spec.B2 is not None else None
-    if b1z is not None and b2z is not None:
-        drift = z - gamma * (b1z + b2z)
-    elif b1z is not None:
-        drift = z - gamma * b1z
-    elif b2z is not None:
-        drift = z - gamma * b2z
-    else:
-        drift = z
-    x = spec.A.resolvent(gamma, drift)
-    if b2z is not None:
-        b2x = spec.B2.evaluate(x)
-        z_next = spec.X.project(x + gamma * (b2z - b2x))
-    else:
-        z_next = spec.X.project(x)
+    _, x, z_next = _fbhf_iteration(spec, z, gamma, None)
     return x, z_next
-
-
-def _fbf_step(spec: ProblemSpec, z: np.ndarray, gamma: float,
-              counters: _Counters) -> np.ndarray:
-    """One Tseng forward-backward-forward step; B = B1 + B2 evaluated twice."""
-
-    def b_at(w):
-        parts = []
-        if spec.B1 is not None:
-            parts.append(spec.B1.evaluate(w))
-            counters.b1 += 1
-        if spec.B2 is not None:
-            parts.append(spec.B2.evaluate(w))
-            counters.b2 += 1
-        if not parts:
-            return None
-        return parts[0] + parts[1] if len(parts) == 2 else parts[0]
-
-    bz = b_at(z)
-    drift = z if bz is None else z - gamma * bz
-    x = spec.A.resolvent(gamma, drift)
-    counters.res += 1
-    if bz is None:
-        z_next = spec.X.project(x)
-    else:
-        bx = b_at(x)
-        z_next = spec.X.project(x + gamma * (bz - bx))
-    counters.proj += 1
-    return z_next
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +334,7 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
     lhs = rhs = 0.0
     for j in range(1, policy.max_backtracks + 1):
         gamma = anchor * policy.sigma ** j
-        drift = z if drift_z is None else z - gamma * drift_z
-        x = spec.A.resolvent(gamma, drift)
-        counters.res += 1
+        x = _backward(spec, z, gamma, drift_z)
         cx = check_at(x)
         rhs = policy.theta * _norm(z - x)
         lhs = 0.0 if cx is None else gamma * _norm(check_z - cx)
@@ -307,7 +343,8 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
                 warnings.warn(f"accepted line-search step {gamma:.3e} < 1e-12; "
                               "B2 may not be uniformly continuous here", stacklevel=2)
             return gamma, x, cx
-        counters.back += 1
+        # a rejected candidate is a line-search event, not an oracle call
+        counters.backtracks += 1
     raise LineSearchError(gamma, lhs / rhs if rhs > 0 else math.inf,
                           policy.max_backtracks)
 
@@ -316,21 +353,10 @@ def line_search_gamma(spec: ProblemSpec, z: np.ndarray,
                       policy: LineSearch) -> tuple[float, np.ndarray]:
     """Backtracking step selection for the main iteration: the condition
     tests B2 only, and B1 z is computed once and reused by every candidate."""
-    counters = _Counters()
     z = np.asarray(z, dtype=float)
-    b1z = spec.B1.evaluate(z) if spec.B1 is not None else None
-    b2z = spec.B2.evaluate(z) if spec.B2 is not None else None
-    if b1z is not None and b2z is not None:
-        drift_z = b1z + b2z
-    elif b1z is not None:
-        drift_z = b1z
-    else:
-        drift_z = b2z
-
-    def check_at(x):
-        return spec.B2.evaluate(x) if spec.B2 is not None else None
-
-    gamma, x, _ = _backtrack(spec, z, policy, drift_z, b2z, check_at, counters)
+    b2z, bz = _forward(spec, z)
+    gamma, x, _ = _backtrack(spec, z, policy, bz, b2z,
+                             _absent if spec.B2 is None else spec.B2.evaluate, _Counters())
     return gamma, x
 
 
@@ -362,57 +388,30 @@ def solve_fbhf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
                z0=None) -> SolveReport:
     """Run the main splitting iteration until the relative-change stop."""
     z_start = _default_start(spec, z0)
-    counters = _Counters()
-    gammas: list[float] = []
-
     if isinstance(policy, ConstantStep):
-        beta, L = spec.beta, spec.lipschitz
+        L = spec.lipschitz
         if spec.B1 is None and (spec.B2 is None or L == 0.0):
             bound = math.inf
         else:
-            bound = chi(beta, L) if L is not None else None
-        gamma = _constant_gamma(spec, policy, bound, "chi")
-
-        def step(z):
-            if spec.B1 is not None:
-                counters.b1 += 1
-            if spec.B2 is not None:
-                counters.b2 += 2
-            counters.res += 1
-            counters.proj += 1
-            gammas.append(gamma)
-            _, z_next = fbhf_step(spec, z, gamma)
-            return z_next
-
-    elif isinstance(policy, LineSearch):
-        def step(z):
-            if spec.B1 is not None:
-                counters.b1 += 1
-            b1z = spec.B1.evaluate(z) if spec.B1 is not None else None
-            if spec.B2 is not None:
-                counters.b2 += 1
-            b2z = spec.B2.evaluate(z) if spec.B2 is not None else None
-            if b1z is not None and b2z is not None:
-                drift_z = b1z + b2z
-            elif b1z is not None:
-                drift_z = b1z
-            else:
-                drift_z = b2z
-
-            def check_at(x):
-                if spec.B2 is None:
-                    return None
-                counters.b2 += 1
-                return spec.B2.evaluate(x)
-
-            gamma, x, b2x = _backtrack(spec, z, policy, drift_z, b2z, check_at, counters)
-            gammas.append(gamma)
-            counters.proj += 1
-            if b2z is None:
-                return spec.X.project(x)
-            return spec.X.project(x + gamma * (b2z - b2x))
-    else:
+            bound = chi(spec.beta, L) if L is not None else None
+        policy = _constant_gamma(spec, policy, bound, "chi")
+    elif not isinstance(policy, LineSearch):
         raise ConfigurationError(f"unknown step policy {policy!r}")
+    return _iterate_fbhf(spec, policy, cfg, z_start)
+
+
+def _iterate_fbhf(spec: ProblemSpec, policy, cfg: SolveConfig,
+                  z_start: np.ndarray) -> SolveReport:
+    """Run the main iteration at an already validated constant step
+    ``policy`` (a float) or with the ``LineSearch`` policy."""
+    counters = _Counters()
+    spec = _counted(spec, counters)
+    gammas: list[float] = []
+
+    def step(z):
+        gamma, _, z_next = _fbhf_iteration(spec, z, policy, counters)
+        gammas.append(gamma)
+        return z_next
 
     return _run(step, z_start, cfg, counters, gammas)
 
@@ -425,56 +424,30 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
     variant re-evaluates the whole of B at every backtracking candidate.
     """
     z_start = _default_start(spec, z0)
+    if isinstance(policy, ConstantStep):
+        inv_beta = 0.0 if math.isinf(spec.beta) else 1.0 / spec.beta
+        total = inv_beta + (spec.lipschitz or 0.0)
+        bound = math.inf if total == 0.0 else 1.0 / total
+        policy = _constant_gamma(spec, policy, bound, "Tseng")
+    elif not isinstance(policy, LineSearch):
+        raise ConfigurationError(f"unknown step policy {policy!r}")
     counters = _Counters()
+    spec = _counted(spec, counters)
     gammas: list[float] = []
 
-    if isinstance(policy, ConstantStep):
-        if spec.B2 is not None and spec.B2.lipschitz is None:
-            raise ConfigurationError(
-                "B2 carries no Lipschitz constant; use the line-search variant")
-        inv_beta = 0.0 if math.isinf(spec.beta) else 1.0 / spec.beta
-        L = spec.lipschitz or 0.0
-        total = inv_beta + L
-        bound = math.inf if total == 0.0 else 1.0 / total
-        gamma = _constant_gamma(spec, policy, bound, "Tseng")
+    def b_at(w):
+        return _forward(spec, w)[1]
 
-        def step(z):
-            gammas.append(gamma)
-            return _fbf_step(spec, z, gamma, counters)
-
-    elif isinstance(policy, LineSearch):
-        def step(z):
-            parts_z = []
-            if spec.B1 is not None:
-                parts_z.append(spec.B1.evaluate(z))
-                counters.b1 += 1
-            if spec.B2 is not None:
-                parts_z.append(spec.B2.evaluate(z))
-                counters.b2 += 1
-            bz = None
-            if parts_z:
-                bz = parts_z[0] + parts_z[1] if len(parts_z) == 2 else parts_z[0]
-
-            def check_at(x):
-                parts = []
-                if spec.B1 is not None:
-                    parts.append(spec.B1.evaluate(x))
-                    counters.b1 += 1
-                if spec.B2 is not None:
-                    parts.append(spec.B2.evaluate(x))
-                    counters.b2 += 1
-                if not parts:
-                    return None
-                return parts[0] + parts[1] if len(parts) == 2 else parts[0]
-
-            gamma, x, bx = _backtrack(spec, z, policy, bz, bz, check_at, counters)
-            gammas.append(gamma)
-            counters.proj += 1
-            if bz is None:
-                return spec.X.project(x)
-            return spec.X.project(x + gamma * (bz - bx))
-    else:
-        raise ConfigurationError(f"unknown step policy {policy!r}")
+    def step(z):
+        bz = b_at(z)
+        if isinstance(policy, LineSearch):
+            gamma, x, bx = _backtrack(spec, z, policy, bz, bz, b_at, counters)
+        else:
+            gamma = policy
+            x = _backward(spec, z, gamma, bz)
+            bx = b_at(x)
+        gammas.append(gamma)
+        return spec.X.project(x if bz is None else x + gamma * (bz - bx))
 
     return _run(step, z_start, cfg, counters, gammas)
 
@@ -494,12 +467,10 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
             f"gamma={gamma:.6g} outside the open interval ]0, {2.0 * spec.beta:.6g}[")
     z_start = _default_start(spec, z0)
     counters = _Counters()
+    spec = _counted(spec, counters)
 
     def step(z):
-        counters.b1 += 1
-        counters.res += 1
-        b1z = spec.B1.evaluate(z)
-        return spec.A.resolvent(gamma, z - gamma * b1z)
+        return spec.A.resolvent(gamma, z - gamma * spec.B1.evaluate(z))
 
     return _run(step, z_start, cfg, counters)
 
@@ -514,17 +485,5 @@ def phi_z_profile(spec: ProblemSpec, z, gamma_grid) -> list[float]:
     grid = [float(g) for g in gamma_grid]
     if not grid or any(g <= 0 for g in grid):
         raise ValueError("gamma grid must be nonempty and positive")
-    parts = []
-    if spec.B1 is not None:
-        parts.append(spec.B1.evaluate(z))
-    if spec.B2 is not None:
-        parts.append(spec.B2.evaluate(z))
-    drift_z = None
-    if parts:
-        drift_z = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-    out = []
-    for g in grid:
-        drift = z if drift_z is None else z - g * drift_z
-        x = spec.A.resolvent(g, drift)
-        out.append(float(np.linalg.norm(z - x)) / g)
-    return out
+    _, bz = _forward(spec, z)
+    return [_norm(z - _backward(spec, z, g, bz)) / g for g in grid]

@@ -22,7 +22,7 @@ from .linalg import (CONDITION_MARGIN, as_matrix, as_vector, operator_norm,
                      spd_solver, split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _default_start, _run, fbhf_step)
+                   _counted, _default_start, _forward, _iterate_fbhf, _run)
 
 
 @dataclass
@@ -212,6 +212,23 @@ def _metric_projector(spec: ProblemSpec, U: np.ndarray):
     return lambda v: spec.X.metric_project(U, v)
 
 
+def _counted_backward(spec: ProblemSpec, counters: _Counters):
+    """The counted step shared by the preconditioned iterations:
+    ``backward(pre, z)`` returns x = J_{P^{-1}A}(z - P^{-1}(B1 + B2) z) and
+    B2 z - B2 x (None when B2 is absent).  The resolvent counted is the call
+    to ``resolvent_via_P``, looked up at call time."""
+    A = spec.A
+    resolvent = counters.count("res", lambda pre, z: resolvent_via_P(A, pre, z))
+    spec = _counted(spec, counters)
+
+    def backward(pre, z):
+        b2z, bz = _forward(spec, z)
+        x = resolvent(pre, z if bz is None else z - pre.solve_P(bz))
+        return x, None if b2z is None else b2z - spec.B2.evaluate(x)
+
+    return backward
+
+
 def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
                        z0=None) -> SolveReport:
     """Preconditioned iteration
@@ -236,47 +253,20 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     _check_metric_condition(pre, spec.beta, strict=True)
 
     z_start = _default_start(spec, z0)
-    counters = _Counters()
-
     gamma = pre.scalar_step()
     if gamma is not None:
-        def step(z):
-            if spec.B1 is not None:
-                counters.b1 += 1
-            if spec.B2 is not None:
-                counters.b2 += 2
-            counters.res += 1
-            counters.proj += 1
-            _, z_next = fbhf_step(spec, z, gamma)
-            return z_next
+        # the metric condition above is the chi bound for this gamma
+        return _iterate_fbhf(spec, gamma, cfg, z_start)
 
-        return _run(step, z_start, cfg, counters)
-
-    project = _metric_projector(spec, pre.U)
+    counters = _Counters()
+    project = counters.count("proj", _metric_projector(spec, pre.U))
+    backward = _counted_backward(spec, counters)
 
     def step(z):
-        parts = []
-        if spec.B1 is not None:
-            parts.append(spec.B1.evaluate(z))
-            counters.b1 += 1
-        b2z = None
-        if spec.B2 is not None:
-            b2z = spec.B2.evaluate(z)
-            counters.b2 += 1
-            parts.append(b2z)
-        if parts:
-            w = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-            drift = z - pre.solve_P(w)
-        else:
-            drift = z
-        x = resolvent_via_P(spec.A, pre, drift)
-        counters.res += 1
+        x, b2_diff = backward(pre, z)
         corr = -(pre.S @ (z - x))
-        if b2z is not None:
-            b2x = spec.B2.evaluate(x)
-            counters.b2 += 1
-            corr = b2z - b2x + corr
-        counters.proj += 1
+        if b2_diff is not None:
+            corr = b2_diff + corr
         return project(x + pre.solve_U(corr))
 
     return _run(step, z_start, cfg, counters)
@@ -361,6 +351,7 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
 
     z_start = _default_start(spec, z0)
     counters = _Counters()
+    backward = _counted_backward(spec, counters)
     k_state = {"k": 0}
 
     def step(z):
@@ -377,27 +368,10 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
         lam = sched.lambda_at(k, pre)
         k_state["k"] = k + 1
 
-        parts = []
-        if spec.B1 is not None:
-            parts.append(spec.B1.evaluate(z))
-            counters.b1 += 1
-        b2z = None
-        if spec.B2 is not None:
-            b2z = spec.B2.evaluate(z)
-            counters.b2 += 1
-            parts.append(b2z)
-        if parts:
-            w = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-            drift = z - pre.solve_P(w)
-        else:
-            drift = z
-        x = resolvent_via_P(spec.A, pre, drift)
-        counters.res += 1
+        x, b2_diff = backward(pre, z)
         corr = pre.P @ (x - z)
-        if b2z is not None:
-            b2x = spec.B2.evaluate(x)
-            counters.b2 += 1
-            corr = corr + (b2z - b2x)
+        if b2_diff is not None:
+            corr = corr + b2_diff
         return z + lam * corr
 
     return _run(step, z_start, cfg, counters)

@@ -15,7 +15,7 @@ included for head-to-head comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -313,6 +313,16 @@ def _check_lambda(lam: float, M: float) -> float:
 # solvers
 
 
+def _counted(pdp: PrimalDualProblem, counters: _Counters) -> PrimalDualProblem:
+    """``pdp`` with C1, C2, the primal resolvent and every dual block's
+    resolvent each counting its own calls."""
+    w = counters.wrap
+    return replace(pdp, A=w(pdp.A, "resolvent", "res"), C1=w(pdp.C1, "evaluate", "b1"),
+                   C2=w(pdp.C2, "evaluate", "b2"),
+                   blocks=tuple(replace(blk, B=w(blk.B, "resolvent", "res"))
+                                for blk in pdp.blocks))
+
+
 def _start_point(pdp: PrimalDualProblem, start) -> np.ndarray:
     layout = pdp.layout
     if start is None:
@@ -341,6 +351,7 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     m = pdp.m
     sigmas = [1.0 / c for c in bp.diag_scalars]
     counters = _Counters()
+    pdp = _counted(pdp, counters)
 
     def step(zvec):
         x = layout.block(zvec, 0)
@@ -349,17 +360,14 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
         forward = np.zeros_like(x)
         if pdp.C1 is not None:
             forward = forward + pdp.C1.evaluate(x)
-            counters.b1 += 1
         c2x = None
         if pdp.C2 is not None:
             c2x = pdp.C2.evaluate(x)
-            counters.b2 += 1
             forward = forward + c2x
         for blk, u in zip(pdp.blocks, us):
             forward = forward + blk.L.T @ u
 
         y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
-        counters.res += 1
         xy = x - y
 
         vs: list[np.ndarray] = []
@@ -379,12 +387,10 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
             if blk.r is not None:
                 w = w - sigmas[i] * blk.r
             vs.append(blk.dual_resolvent(sigmas[i], w))
-            counters.res += 1
 
         corr0 = bp.diag_scalars[0] * (y - x)
         if c2x is not None:
             corr0 = corr0 + (c2x - pdp.C2.evaluate(y))
-            counters.b2 += 1
         for blk, u, v in zip(pdp.blocks, us, vs):
             corr0 = corr0 + blk.L.T @ (u - v)
         new_x = x + lam * corr0
@@ -448,6 +454,7 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
 
     layout = pdp.layout
     counters = _Counters()
+    pdp = _counted(pdp, counters)
 
     def step(zvec):
         x = layout.block(zvec, 0)
@@ -455,11 +462,9 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         forward = np.zeros_like(x)
         if pdp.C1 is not None:
             forward = forward + pdp.C1.evaluate(x)
-            counters.b1 += 1
         for blk, u in zip(pdp.blocks, us):
             forward = forward + blk.L.T @ u
         new_x = pdp.primal_resolvent(tau, x - tau * forward)
-        counters.res += 1
         refl = 2.0 * new_x - x
         new_us = []
         for s, blk, u in zip(sig, pdp.blocks, us):
@@ -470,7 +475,6 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
             if blk.r is not None:
                 inner = inner - blk.r
             new_us.append(blk.dual_resolvent(s, u + s * inner))
-            counters.res += 1
         return layout.concat([new_x] + new_us)
 
     return _run(step, _start_point(pdp, start), cfg, counters, layout=layout)

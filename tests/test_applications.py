@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from splitmono.applications import (ErmProblem, NlpProblem, erm_condition,
-                                    erm_uniform_sigma_bound, gen_entropy_ls,
-                                    gen_erm_hinge, gen_lin_ineq_qp,
+                                    erm_relaxation_bound, erm_uniform_sigma_bound,
+                                    gen_entropy_ls, gen_erm_hinge, gen_lin_ineq_qp,
                                     solve_erm_incremental, solve_nlp)
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
                             SolveConfig, chi)
@@ -40,6 +40,17 @@ class TestErmCondition:
         with pytest.raises(ConfigurationError, match="stepsize condition"):
             solve_erm_incremental(prob, [bound], None, cfg)
         r = solve_erm_incremental(prob, [0.99 * bound], None, cfg)
+        assert r.iterations == 10
+
+    def test_solver_enforces_relaxation_range(self):
+        prob = gen_erm_hinge(4, 9, seed=0)
+        sigma = 0.99 * erm_uniform_sigma_bound(9)
+        M = erm_relaxation_bound([sigma] * 10, np.linalg.norm(prob.a, axis=1))
+        cfg = SolveConfig(max_iterations=10, tolerance=1e-9)
+        for lam in (1.0 / M, 0.0):
+            with pytest.raises(ConfigurationError, match="relaxation lambda"):
+                solve_erm_incremental(prob, [sigma], lam, cfg)
+        r = solve_erm_incremental(prob, [sigma], 0.99 / M, cfg)
         assert r.iterations == 10
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitmono.fbhf import (ConfigurationError, ConstantStep, SolveConfig,
+from splitmono.fbhf import (ConfigurationError, ConstantStep, SolveConfig, fbhf_step,
                             solve_fbhf, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, ProblemSpec, normal_cone_box)
@@ -151,6 +151,25 @@ class TestSolvePrecondFbhf:
         r2 = solve_fbhf(spec, ConstantStep(gamma=gamma), cfg, z0)
         for a, b_ in zip(r1.iterates, r2.iterates):
             assert np.array_equal(a, b_)
+
+    def test_scalar_precond_needs_no_lipschitz_constant_of_b2(self):
+        # nonlinear B2 without a declared Lipschitz constant: the metric
+        # condition with the user's K stands in for the chi bound, so the
+        # delegation to the main iteration must not ask for B2.lipschitz
+        spec = ProblemSpec(A=normal_cone_box(-np.ones(3), np.ones(3)),
+                           B1=shift_map(np.array([0.5, -2.0, 0.25])),
+                           B2=MonotoneMap(evaluate=np.arctan),
+                           X=ClosedConvexSet.box(-np.ones(3), np.ones(3)),
+                           dimension=3)
+        gamma = 0.5
+        pre = Preconditioner.from_matrix(np.eye(3) / gamma, lipschitz_K=1.0)
+        cfg = SolveConfig(max_iterations=30, tolerance=1e-300, keep_iterates=True)
+        z = np.array([0.3, 0.9, -0.7])
+        r = solve_precond_fbhf(spec, pre, cfg, z)
+        assert len(r.iterates) == 31
+        for got in r.iterates[1:]:
+            _, z = fbhf_step(spec, z, gamma)
+            assert np.array_equal(got, z)
 
     def test_condition_equality_boundary_rejected(self):
         # beta = inf and K = rho exactly: the strict inequality K^2 < rho^2 fails
