@@ -19,7 +19,7 @@ from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         lagrangian_saddle_map, normal_cone_box, nonneg_cone,
                         quadratic_gradient)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, StepPolicy,
-                   _Counters, _run, solve_fbhf, solve_tseng_fbf)
+                   _Counters, _default_start, _run, solve_fbhf, solve_tseng_fbf)
 from .primal_dual import _check_lambda
 
 
@@ -115,6 +115,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     lam = _check_lambda(0.99 / M if lam is None else lam, M)
 
     layout = p.layout
+    z0 = _default_start(layout.dim, None if start is None else as_vector(start))
     G = p.a @ p.a.T                    # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
     sig_tail = np.asarray(sig[1:])
@@ -141,7 +142,6 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
         new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))
         return layout.concat([new_x, new_u])
 
-    z0 = np.zeros(layout.dim) if start is None else as_vector(start).copy()
     return _run(step, z0, cfg, counters, layout=layout)
 
 

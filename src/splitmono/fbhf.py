@@ -248,11 +248,12 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
                        layout=layout)
 
 
-def _default_start(spec: ProblemSpec, z0) -> np.ndarray:
+def _default_start(dim: int, z0) -> np.ndarray:
+    """``z0`` checked to be a vector of length ``dim``; zeros when absent."""
     if z0 is None:
-        return np.zeros(spec.dimension)
+        return np.zeros(dim)
     z = np.asarray(z0, dtype=float)
-    if z.shape != (spec.dimension,):
+    if z.shape != (dim,):
         raise ValueError("starting point has the wrong dimension")
     return z
 
@@ -387,7 +388,7 @@ def _constant_gamma(spec: ProblemSpec, policy: ConstantStep,
 def solve_fbhf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
                z0=None) -> SolveReport:
     """Run the main splitting iteration until the relative-change stop."""
-    z_start = _default_start(spec, z0)
+    z_start = _default_start(spec.dimension, z0)
     if isinstance(policy, ConstantStep):
         L = spec.lipschitz
         if spec.B1 is None and (spec.B2 is None or L == 0.0):
@@ -423,7 +424,7 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
     The constant policy requires gamma < 1/(1/beta + L); the line-search
     variant re-evaluates the whole of B at every backtracking candidate.
     """
-    z_start = _default_start(spec, z0)
+    z_start = _default_start(spec.dimension, z0)
     if isinstance(policy, ConstantStep):
         inv_beta = 0.0 if math.isinf(spec.beta) else 1.0 / spec.beta
         total = inv_beta + (spec.lipschitz or 0.0)
@@ -465,7 +466,7 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
     if not 0.0 < gamma < 2.0 * spec.beta:
         raise ConfigurationError(
             f"gamma={gamma:.6g} outside the open interval ]0, {2.0 * spec.beta:.6g}[")
-    z_start = _default_start(spec, z0)
+    z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     spec = _counted(spec, counters)
 

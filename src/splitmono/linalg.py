@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by every solver module.
 
 Vectors are 1-D ``numpy.float64`` arrays, matrices 2-D.  Spectral
-quantities come from power iteration with a deterministic start vector so
-repeated runs produce identical numbers.
+quantities come from LAPACK through ``numpy.linalg``: direct, backward-stable
+methods whose accuracy does not depend on the gaps in the spectrum.
 """
 
 from __future__ import annotations
@@ -11,20 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 20000
-
 # Strict inequalities from convergence conditions are enforced with this
-# extra margin on top of norms computed at DEFAULT_TOL.
+# extra relative margin.  It covers the rounding in the LAPACK constants,
+# a few multiples of n * machine epsilon (about 4e-14 at n = 200), so a
+# condition that holds only within rounding is rejected.
 CONDITION_MARGIN = 1e-12
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (last estimate {estimate:.17g})")
-        self.estimate = estimate
 
 
 def as_vector(x) -> np.ndarray:
@@ -88,93 +79,24 @@ class BlockLayout:
         return out
 
 
-def _start_vector(B: np.ndarray) -> np.ndarray:
-    """Deterministic power-iteration start: normalized all-ones, first
-    entry perturbed by 1 if the all-ones vector lies in the kernel."""
-    n = B.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    if np.linalg.norm(B @ v) == 0.0:
-        v = np.ones(n)
-        v[0] += 1.0
-        v /= np.linalg.norm(v)
-        if np.linalg.norm(B @ v) == 0.0:
-            raise ValueError("start vector lies in the kernel twice; matrix is (numerically) zero")
-    return v
-
-
-def _power_iterate(B: np.ndarray, v: np.ndarray, tol: float,
-                   max_iter: int) -> tuple[float, bool]:
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= 0.1 * tol * max(abs(lam_new), 1e-300):
-            return lam_new, True
-        lam = lam_new
-    return lam, False
-
-
-def _power_top_eig(B: np.ndarray, tol: float, max_iter: int, what: str) -> float:
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
-
-    The all-ones start can be exactly orthogonal to the dominant
-    eigenvector on structured matrices, letting the Rayleigh quotient
-    stagnate on a lower eigenvalue.  A deterministic family of perturbed
-    starts guards against that: short probes detect a larger eigenvalue
-    and trigger a full rerun from the winning start.
-    """
-    n = B.shape[0]
-    lam, ok = _power_iterate(B, _start_vector(B), tol, max_iter)
-    if not ok:
-        raise PowerIterationError(f"power iteration for {what} did not converge", lam)
-    scale = max(abs(lam), 1e-300)
-    for k in range(min(n, 8)):
-        start = np.ones(n)
-        start[k] += 1.0
-        start /= np.linalg.norm(start)
-        probe, _ = _power_iterate(B, start, tol, 25)
-        if probe > lam + 10.0 * tol * scale:
-            lam2, ok = _power_iterate(B, start, tol, max_iter)
-            if not ok:
-                raise PowerIterationError(
-                    f"power iteration for {what} did not converge", lam2)
-            lam = max(lam, lam2)
-            scale = max(abs(lam), 1e-300)
-    return lam
-
-
-def operator_norm(M, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Spectral norm of ``M`` via power iteration on ``M.T @ M``."""
+def operator_norm(M) -> float:
+    """Spectral norm of ``M``: its largest singular value, from LAPACK's SVD."""
     A = as_matrix(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("operator_norm requires a nonzero matrix")
-    G = A.T @ A
-    lam = _power_top_eig(G, tol, max_iter, "operator norm")
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(A, 2))
 
 
-def symmetric_min_eig(M, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
-
-    Uses power iteration on the shifted matrix ``c*I - M`` with
-    ``c = ||M|| + 1``, whose dominant eigenvalue is ``c - lambda_min``.
-    """
+def symmetric_min_eig(M) -> float:
+    """Smallest eigenvalue of a symmetric matrix, from LAPACK's symmetric
+    eigensolver (which reads one triangle, hence the symmetry check)."""
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
-    c = operator_norm(A, tol, max_iter) + 1.0
-    B = c * np.eye(A.shape[0]) - A
-    lam = _power_top_eig(B, tol, max_iter, "smallest eigenvalue")
-    return float(c - lam)
+    return float(np.linalg.eigvalsh(A)[0])
 
 
 def split_symmetric_skew(P) -> tuple[np.ndarray, np.ndarray]:

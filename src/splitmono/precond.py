@@ -44,17 +44,19 @@ class Preconditioner:
     _solve_U: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_matrix(cls, P, b2_matrix=None, lipschitz_K: Optional[float] = None,
-                    tol: float = 1e-10) -> "Preconditioner":
+    def from_matrix(cls, P, b2_matrix=None,
+                    lipschitz_K: Optional[float] = None) -> "Preconditioner":
+        """Split ``P = U + S`` and take rho = lambda_min(U), ||U|| and K
+        (from ``b2_matrix - S``, the user's bound, or ``S``) from LAPACK."""
         Pm = as_matrix(P)
         if Pm.shape[0] != Pm.shape[1]:
             raise ValueError("preconditioner must be square")
         U, S = split_symmetric_skew(Pm)
-        rho = symmetric_min_eig(U, tol)
-        norm_U = operator_norm(U, tol)
+        rho = symmetric_min_eig(U)
+        norm_U = operator_norm(U)
         if b2_matrix is not None:
             C = as_matrix(b2_matrix) - S
-            K = operator_norm(C, tol) if np.any(C) else 0.0
+            K = operator_norm(C) if np.any(C) else 0.0
             source = "b2_matrix"
         elif lipschitz_K is not None:
             if lipschitz_K < 0:
@@ -62,7 +64,7 @@ class Preconditioner:
             K = float(lipschitz_K)
             source = "user"
         else:
-            K = operator_norm(S, tol) if np.any(S) else 0.0
+            K = operator_norm(S) if np.any(S) else 0.0
             source = "skew_only"
         return cls(P=Pm, U=U, S=S, rho=rho, K=K, norm_U=norm_U, k_source=source)
 
@@ -252,7 +254,7 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
                 "preconditioner was built without the B2 matrix; K is wrong")
     _check_metric_condition(pre, spec.beta, strict=True)
 
-    z_start = _default_start(spec, z0)
+    z_start = _default_start(spec.dimension, z0)
     gamma = pre.scalar_step()
     if gamma is not None:
         # the metric condition above is the chi bound for this gamma
@@ -349,7 +351,7 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     if spec.B2 is not None and spec.B2.domain is not None:
         raise ConfigurationError("the no-inversion iteration requires dom B2 = H")
 
-    z_start = _default_start(spec, z0)
+    z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     backward = _counted_backward(spec, counters)
     k_state = {"k": 0}

@@ -23,7 +23,8 @@ import numpy as np
 from .linalg import (CONDITION_MARGIN, BlockLayout, as_matrix, as_vector,
                      operator_norm, symmetric_min_eig)
 from .operators import CocoerciveMap, MaximalMonotone, MonotoneMap
-from .fbhf import ConfigurationError, SolveConfig, SolveReport, _Counters, _run
+from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
+                   _default_start, _run)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,11 @@ def build_upsilon_sigma_delta(bp: BlockPreconditioner, L_mats):
     for i in range(1, m + 1):
         for j in range(i):
             blk = bp.block(i, j)
+            # P_ij maps G_j into G_i, with G_0 = H the domain of L_i
+            expected = Ls[i - 1].shape if j == 0 else (Ls[i - 1].shape[0], Ls[j - 1].shape[0])
+            if blk is not None and np.shape(blk) != expected:
+                raise ValueError(f"off-diagonal block {(i, j)} must have shape "
+                                 f"{expected}, got {np.shape(blk)}")
             nrm = operator_norm(blk) if blk is not None and np.any(blk) else 0.0
             ups[i, j] = ups[j, i] = nrm / 2.0
             if j == 0:
@@ -323,22 +329,13 @@ def _counted(pdp: PrimalDualProblem, counters: _Counters) -> PrimalDualProblem:
                                 for blk in pdp.blocks))
 
 
-def _start_point(pdp: PrimalDualProblem, start) -> np.ndarray:
-    layout = pdp.layout
-    if start is None:
-        return np.zeros(layout.dim)
-    s = np.asarray(start, dtype=float)
-    if s.shape != (layout.dim,):
-        raise ValueError("starting point has the wrong product dimension")
-    return s.copy()
-
-
 def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                            lam: Optional[float], cfg: SolveConfig,
                            start=None) -> SolveReport:
     """Gauss-Seidel sweep: primal resolvent, then the dual resolvents in
     order i = 1..m (each consuming the freshly updated earlier blocks),
-    then the m+1 relaxed correction updates."""
+    then the m+1 relaxed correction updates.  The product-space metric
+    condition and the relaxation range are checked first."""
     if bp.m != pdp.m:
         raise ConfigurationError("preconditioner block count does not match the problem")
     check = check_pd_conditions(bp, [blk.L for blk in pdp.blocks],
@@ -346,7 +343,13 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     if not check.ok:
         raise ConfigurationError(f"block preconditioner rejected: {check.detail}")
     lam = _check_lambda(0.99 / check.M if lam is None else lam, check.M)
+    return _sweep(pdp, bp, lam, cfg, start)
 
+
+def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
+           cfg: SolveConfig, start) -> SolveReport:
+    """The block-triangular iteration itself, for a pairing whose conditions
+    and relaxation ``lam`` the caller has already checked."""
     layout = pdp.layout
     m = pdp.m
     sigmas = [1.0 / c for c in bp.diag_scalars]
@@ -409,24 +412,26 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
 
         return layout.concat([new_x] + new_us)
 
-    return _run(step, _start_point(pdp, start), cfg, counters, layout=layout)
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
 def solve_corollary(pdp: PrimalDualProblem, params: CorollaryParams,
                     cfg: SolveConfig, start=None) -> SolveReport:
     """Scalar-diagonal scheme with reflection weight theta.
 
-    Delegates to the block-triangular sweep with P_ii = Id/sigma_i and
-    P_i0 = -(1+theta) L_i, which reproduces it iterate for iterate; the
-    stepsize condition is validated on the Omega matrix first.
+    Runs the block-triangular sweep with P_ii = Id/sigma_i and
+    P_i0 = -(1+theta) L_i, which reproduces it iterate for iterate.  The
+    stepsize condition is validated on the Omega matrix only: for this
+    pattern Omega = Delta - Upsilon, ||Sigma|| = (1-theta)/2 sqrt(sum ||L_i||^2)
+    and both relaxation bounds M agree, so ``check_pd_conditions`` would
+    reach the same verdict.
     """
     if len(params.sigmas) != pdp.m + 1:
         raise ConfigurationError("need exactly m+1 stepsizes")
-    rho, M = params.validate(pdp)
-    lam = 0.99 / M if params.lam is None else params.lam
-    _check_lambda(lam, M)
+    _, M = params.validate(pdp)
+    lam = _check_lambda(0.99 / M if params.lam is None else params.lam, M)
     bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
-    return solve_block_triangular(pdp, bp, lam, cfg, start)
+    return _sweep(pdp, bp, lam, cfg, start)
 
 
 def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
@@ -477,7 +482,7 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
             new_us.append(blk.dual_resolvent(s, u + s * inner))
         return layout.concat([new_x] + new_us)
 
-    return _run(step, _start_point(pdp, start), cfg, counters, layout=layout)
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
 def kkt_residual(pdp: PrimalDualProblem, x, us) -> float:

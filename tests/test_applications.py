@@ -14,8 +14,9 @@ from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
                                  affine_constraints, nonneg_cone,
                                  prox_abs_deviation, quadratic_gradient,
                                  scalar_monotone)
-from splitmono.primal_dual import (CorollaryParams, DualBlock,
-                                   PrimalDualProblem, solve_corollary)
+from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
+                                   PrimalDualProblem, check_pd_conditions,
+                                   solve_block_triangular, solve_corollary)
 
 
 def ls_policy(**kw):
@@ -90,6 +91,42 @@ class TestErmSolver:
                                                   lam=lam), cfg)
         for za, zb in zip(r1.iterates, r2.iterates):
             assert np.linalg.norm(za - zb) <= 1e-10
+
+    def test_start_of_wrong_length_rejected(self):
+        prob = gen_erm_hinge(4, 6, 0)
+        sigma = 0.5 * erm_uniform_sigma_bound(prob.m)
+        cfg = SolveConfig(max_iterations=5, tolerance=1e-9)
+        for n in (prob.d + prob.m - 1, prob.d + prob.m + 1):
+            with pytest.raises(ValueError, match="starting point has the wrong dimension"):
+                solve_erm_incremental(prob, [sigma], None, cfg, start=np.zeros(n))
+
+    def test_incremental_is_the_block_triangular_sweep(self):
+        # P_ii = Id/sigma, P_i0 = -a_i^T and P_ij = sigma_0 a_i a_j^T turn the
+        # general sweep into the incremental one: block i reads the fresh
+        # duals v_1..v_{i-1} through the interior blocks
+        prob = gen_erm_hinge(4, 6, 0)
+        d, m = prob.d, prob.m
+        pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None,
+                                blocks=tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
+                                                       L=prob.a[i][None, :])
+                                             for i in range(m)),
+                                dim=d)
+        cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
+        for frac in (0.3, 0.6, 0.9):
+            sigma = frac * erm_uniform_sigma_bound(m)
+            off = {(i, 0): -prob.a[i - 1][None, :] for i in range(1, m + 1)}
+            off.update({(i, j): sigma * np.array([[prob.a[i - 1] @ prob.a[j - 1]]])
+                        for i in range(2, m + 1) for j in range(1, i)})
+            bp = BlockPreconditioner(diag_scalars=(1.0 / sigma,) * (m + 1), off_diag=off)
+            check = check_pd_conditions(bp, [b.L for b in pdp.blocks], 0.0, math.inf)
+            assert check.ok
+            M = erm_relaxation_bound([sigma] * (m + 1), np.linalg.norm(prob.a, axis=1))
+            lam = 0.99 / max(M, check.M)
+            r1 = solve_erm_incremental(prob, [sigma], lam, cfg)
+            r2 = solve_block_triangular(pdp, bp, lam, cfg)
+            assert len(r1.iterates) == len(r2.iterates) == 201
+            for za, zb in zip(r1.iterates, r2.iterates):
+                assert np.max(np.abs(za - zb)) <= 1e-12
 
     def test_hinge_objective_matches_cross_solver_oracle(self):
         # desk-size variant; the full d=20, m=50 case runs in the acceptance suite

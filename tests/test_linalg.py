@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from splitmono.linalg import (BlockLayout, PowerIterationError, operator_norm,
-                              solve_spd, split_symmetric_skew, symmetric_min_eig)
+from splitmono.linalg import (BlockLayout, operator_norm, solve_spd, split_symmetric_skew,
+                              symmetric_min_eig)
 
 
 class TestOperatorNorm:
@@ -24,7 +24,7 @@ class TestOperatorNorm:
     def test_dominates_random_directions(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 9))
-        sigma = operator_norm(M, tol=1e-10)
+        sigma = operator_norm(M)
         for _ in range(100):
             x = rng.standard_normal(9)
             x /= np.linalg.norm(x)
@@ -36,12 +36,6 @@ class TestOperatorNorm:
             M = rng.standard_normal((5, 4))
             ref = np.linalg.svd(M, compute_uv=False)[0]
             assert operator_norm(M) == pytest.approx(ref, rel=1e-9)
-
-    def test_non_convergence_carries_estimate(self):
-        M = np.diag([1.0, 0.999999])  # tiny spectral gap
-        with pytest.raises(PowerIterationError) as err:
-            operator_norm(M, tol=1e-15, max_iter=2)
-        assert err.value.estimate > 0
 
 
 class TestSymmetricMinEig:
@@ -64,10 +58,18 @@ class TestSymmetricMinEig:
         rng = np.random.default_rng(7)
         G = rng.standard_normal((5, 5))
         M = (G + G.T) / 2
-        lam = symmetric_min_eig(M, tol=1e-10)
+        lam = symmetric_min_eig(M)
         for _ in range(100):
             x = rng.standard_normal(5)
             assert lam <= (x @ M @ x) / (x @ x) + 1e-9
+
+    def test_clustered_bottom_spectrum(self):
+        # the smallest eigenvalues of H'H/4 + 2I crowd together near 2, where
+        # an iterative method converges at the ratio of neighbouring ones
+        H = np.random.default_rng(0).standard_normal((100, 100)) / 10
+        M = H.T @ H / 4 + 2 * np.eye(100)
+        ref = np.linalg.eigvalsh(M)[0]
+        assert symmetric_min_eig(M) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSplitSymmetricSkew:

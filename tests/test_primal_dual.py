@@ -102,6 +102,21 @@ class TestComparisonMatrices:
         omega = params.omega(pdp.norms_L())
         assert np.allclose(dlt - ups, omega, atol=1e-10)
 
+    def test_misshaped_off_diagonal_block_rejected(self):
+        L1, L2 = np.ones((3, 5)), np.ones((2, 5))
+        cases = [({(1, 0): np.ones((1, 5))}, [L1], r"\(1, 0\).*\(3, 5\).*\(1, 5\)"),
+                 ({(2, 1): np.ones((3, 2))}, [L1, L2], r"\(2, 1\).*\(2, 3\).*\(3, 2\)")]
+        for off, Ls, msg in cases:
+            bp = BlockPreconditioner(diag_scalars=(10.0,) * (len(Ls) + 1), off_diag=off)
+            with pytest.raises(ValueError, match=msg):
+                build_upsilon_sigma_delta(bp, Ls)
+            pdp = PrimalDualProblem(A=soft_threshold(0.1), C1=None, C2=None,
+                                    blocks=tuple(DualBlock(B=nonpos_cone(), L=L) for L in Ls),
+                                    dim=5)
+            with pytest.raises(ValueError, match=msg):
+                solve_block_triangular(pdp, bp, None,
+                                       SolveConfig(max_iterations=50, tolerance=1e-300))
+
 
 class TestConditions:
     def test_trivial_identity_case(self):
@@ -144,6 +159,47 @@ class TestConditions:
                 - math.sqrt(((eta * eta - 1.0) / eta ** 2) ** 2
                             + 4.0 * alpha * alpha * sigma * sigma))
             assert rho == pytest.approx(closed, rel=1e-9)
+
+    def test_clustered_omega_spectrum(self):
+        # the two smallest eigenvalues of Omega are 1.7635 and 1.7738
+        params = CorollaryParams(theta=-0.5016681495016835,
+                                 sigmas=(0.010070785432754496, 0.5634853329875733,
+                                         0.19332662307850448, 0.2441876643772199,
+                                         0.564331806056783))
+        rho, _ = params.constants([2.3219522798527064, 3.5521511968066375,
+                                   2.55156942498802, 3.0217626862691707])
+        assert rho == pytest.approx(1.763549662606195, abs=1e-12)
+
+    def test_validate_agrees_with_block_check_on_pattern(self):
+        # solve_corollary runs the sweep on CorollaryParams.validate alone;
+        # the general check on the same pattern must reach the same verdict
+        rng = np.random.default_rng(8)
+        identity = MaximalMonotone(resolvent=lambda g, y: y)
+        verdicts = []
+        for _ in range(500):
+            m, dim = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            blocks = tuple(DualBlock(B=identity,
+                                     L=rng.standard_normal((int(rng.integers(1, 4)), dim)))
+                           for _ in range(m))
+            pdp = PrimalDualProblem(
+                A=identity, C1=CocoerciveMap(evaluate=lambda x: x, beta=rng.uniform(0.5, 5.0)),
+                C2=MonotoneMap(evaluate=lambda x: 0.0 * x, lipschitz=rng.uniform(0.0, 0.5)),
+                blocks=blocks, dim=dim)
+            params = CorollaryParams(theta=rng.uniform(-1.0, 1.0),
+                                     sigmas=tuple(rng.uniform(0.01, 0.6, m + 1)))
+            bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
+            check = check_pd_conditions(bp, [b.L for b in blocks], pdp.delta, pdp.beta)
+            rho, M = params.constants(pdp.norms_L())
+            assert abs(rho - check.rho) <= 1e-12 * max(1.0, abs(rho))
+            assert M == pytest.approx(check.M, rel=1e-12)
+            try:
+                params.validate(pdp)
+                accepted = True
+            except ConfigurationError:
+                accepted = False
+            assert accepted == check.ok
+            verdicts.append(accepted)
+        assert any(verdicts) and not all(verdicts)
 
     def test_rho_equals_reference_at_eta_one(self):
         alpha, sigma = 2.0, 0.4
