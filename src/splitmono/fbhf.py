@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -312,6 +313,11 @@ def fbhf_step(spec: ProblemSpec, z: np.ndarray, gamma: float) -> tuple[np.ndarra
 # line search
 
 
+# A line-search candidate this close to z, in machine epsilons relative to
+# ||z||, is a fixed point to working precision (see ``_backtrack``).
+FIXED_POINT_ULPS = 16.0
+
+
 def _ls_anchor(spec: ProblemSpec, policy: LineSearch) -> float:
     if math.isinf(spec.beta):
         if policy.gamma_init is None:
@@ -329,6 +335,13 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
     (largest) candidate satisfying the Armijo-type condition
 
         gamma * ||check(z) - check(x_z(gamma))|| <= theta * ||z - x_z(gamma)||.
+
+    When every candidate fails, z may be a fixed point to working
+    precision: both sides of the condition are then rounding noise.  The
+    last (smallest) candidate is accepted if ||z - x|| <= FIXED_POINT_ULPS *
+    eps * ||z||, that is within 16 machine epsilons relative to ||z||;
+    otherwise LineSearchError is raised.  ||z|| is computed only then, so a
+    search that accepts a candidate pays nothing for this test.
     """
     anchor = _ls_anchor(spec, policy)
     gamma = anchor
@@ -346,6 +359,10 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
             return gamma, x, cx
         # a rejected candidate is a line-search event, not an oracle call
         counters.backtracks += 1
+    if rhs <= policy.theta * FIXED_POINT_ULPS * sys.float_info.epsilon * _norm(z):
+        # the last candidate is accepted after all, so it was no backtrack
+        counters.backtracks -= 1
+        return gamma, x, cx
     raise LineSearchError(gamma, lhs / rhs if rhs > 0 else math.inf,
                           policy.max_backtracks)
 

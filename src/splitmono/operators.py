@@ -442,9 +442,14 @@ def prox_hinge(b: float) -> Callable[[float, float], float]:
 
 
 def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") -> MaximalMonotone:
-    """Wrap a scalar prox oracle as a 1-D MaximalMonotone."""
+    """Wrap a scalar prox oracle as a 1-D MaximalMonotone.
+
+    A 1-element vector, the input of every per-sample dual resolvent, takes
+    a fast path that returns the same bits as the general one."""
 
     def res(gamma, y):
+        if type(y) is np.ndarray and y.shape == (1,):
+            return np.array([prox(gamma, float(y[0]))])
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.array([prox(gamma, float(t)) for t in y])
 

@@ -349,68 +349,64 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
 def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
            cfg: SolveConfig, start) -> SolveReport:
     """The block-triangular iteration itself, for a pairing whose conditions
-    and relaxation ``lam`` the caller has already checked."""
+    and relaxation ``lam`` the caller has already checked.
+
+    The dual blocks are stacked once per solve: K = [L_1; ...; L_m], the
+    P_i0 (zero rows where absent), and per-row vectors of P_ii = 1/sigma_i,
+    sigma_i and r_i.  An iteration is then a few GEMVs with K and P_.0 plus
+    a sequential pass that applies each row's nonzero interior blocks P_ij
+    to the fresh duals v_1..v_{i-1} and calls the i-th dual resolvent."""
     layout = pdp.layout
-    m = pdp.m
+    d = pdp.dim
+    rows = [slice(a - d, b - d) for a, b in zip(layout.offsets[1:], layout.offsets[2:])]
+    dims = [blk.dim for blk in pdp.blocks]
     sigmas = [1.0 / c for c in bp.diag_scalars]
+    c, sig = np.repeat(bp.diag_scalars[1:], dims), np.repeat(sigmas[1:], dims)
+    r = np.concatenate([np.zeros(blk.dim) if blk.r is None else blk.r for blk in pdp.blocks])
+    K = np.vstack([blk.L for blk in pdp.blocks])
+    P0 = np.vstack([np.zeros_like(blk.L) if (P := bp.block(i, 0)) is None else P
+                    for i, blk in enumerate(pdp.blocks, start=1)])
+    KP0 = K + P0
+    interior = [[(rows[j - 1], P) for j in range(1, i)
+                 if (P := bp.block(i, j)) is not None and np.any(P)]
+                for i in range(1, pdp.m + 1)]
     counters = _Counters()
     pdp = _counted(pdp, counters)
+    C1, C2 = pdp.C1, pdp.C2
+    d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
+    sweep = [(sl, s, blk.dual_resolvent, row)
+             for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
 
     def step(zvec):
-        x = layout.block(zvec, 0)
-        us = [layout.block(zvec, i) for i in range(1, m + 1)]
-
-        forward = np.zeros_like(x)
-        if pdp.C1 is not None:
-            forward = forward + pdp.C1.evaluate(x)
-        c2x = None
-        if pdp.C2 is not None:
-            c2x = pdp.C2.evaluate(x)
-            forward = forward + c2x
-        for blk, u in zip(pdp.blocks, us):
-            forward = forward + blk.L.T @ u
-
+        x, u = zvec[:d], zvec[d:]
+        forward = K.T @ u
+        if C1 is not None:
+            forward += C1.evaluate(x)
+        if C2 is not None:
+            c2x = C2.evaluate(x)
+            forward += c2x
         y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
         xy = x - y
 
-        vs: list[np.ndarray] = []
-        for i, (blk, u) in enumerate(zip(pdp.blocks, us), start=1):
-            inner = -(blk.L @ x)
-            div = blk.d_inv_at(u)
-            if div is not None:
-                inner = inner + div
-            Pi0 = bp.block(i, 0)
-            if Pi0 is not None:
-                inner = inner - Pi0 @ xy
-            for j in range(1, i):
-                Pij = bp.block(i, j)
-                if Pij is not None:
-                    inner = inner - Pij @ (us[j - 1] - vs[j - 1])
-            w = u - sigmas[i] * inner
-            if blk.r is not None:
-                w = w - sigmas[i] * blk.r
-            vs.append(blk.dual_resolvent(sigmas[i], w))
+        t = K @ x + P0 @ xy - r
+        for sl, D_inv in d_inv:
+            t[sl] -= D_inv(u[sl])
+        w = u + sig * t
+        v = np.empty_like(u)
+        q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
+        for sl, s, dual_resolvent, row in sweep:
+            if row:
+                q[sl] = sum(P @ (u[slj] - v[slj]) for slj, P in row)
+                w[sl] += s * q[sl]
+            v[sl] = dual_resolvent(s, w[sl])
 
-        corr0 = bp.diag_scalars[0] * (y - x)
-        if c2x is not None:
-            corr0 = corr0 + (c2x - pdp.C2.evaluate(y))
-        for blk, u, v in zip(pdp.blocks, us, vs):
-            corr0 = corr0 + blk.L.T @ (u - v)
-        new_x = x + lam * corr0
-
-        new_us = []
-        for i, (blk, u) in enumerate(zip(pdp.blocks, us), start=1):
-            corr = bp.diag_scalars[i] * (vs[i - 1] - u) - blk.L @ xy
-            Pi0 = bp.block(i, 0)
-            if Pi0 is not None:
-                corr = corr + Pi0 @ (y - x)
-            for j in range(1, i):
-                Pij = bp.block(i, j)
-                if Pij is not None:
-                    corr = corr + Pij @ (vs[j - 1] - us[j - 1])
-            new_us.append(u + lam * corr)
-
-        return layout.concat([new_x] + new_us)
+        new_z = np.empty_like(zvec)
+        corr0 = bp.diag_scalars[0] * (y - x) + K.T @ (u - v)
+        if C2 is not None:
+            corr0 += c2x - C2.evaluate(y)
+        new_z[:d] = x + lam * corr0
+        new_z[d:] = u + lam * (c * (v - u) - KP0 @ xy - q)
+        return new_z
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 

@@ -52,7 +52,7 @@ class TestGraph:
         for t in range(6):
             assert gs1.at(t).edges == gs2.at(t).edges
 
-    def test_norm_laplacian_matches_power_iteration(self):
+    def test_norm_laplacian_matches_svd_norm(self):
         rng = np.random.default_rng(4)
         graphs = [Graph.ring(6), Graph.path(5), Graph.star(7), Graph.path(2)]
         graphs += [Graph.random_connected(n, rng) for n in (3, 5, 8)]

@@ -143,6 +143,20 @@ class TestLineSearch:
             line_search_gamma(spec, np.array([3.0, 2.0]), policy)
         assert err.value.gamma > 0 and err.value.ratio > 1
 
+    def test_fixed_point_to_rounding_stops_without_raising(self):
+        # near z* = (0, 1) the candidates' z - x and B z - B x are rounding
+        # noise that can fail every Armijo test; the search then accepts its
+        # smallest step, and the run settles on a floating-point fixed point
+        spec = ProblemSpec(A=MaximalMonotone(resolvent=lambda g, y: y),
+                           B1=shift_map(np.ones(2)), B2=skew_map(SKEW2),
+                           X=ClosedConvexSet.whole_space(), dimension=2)
+        cfg = SolveConfig(max_iterations=1000, tolerance=1e-300)
+        r = solve_tseng_fbf(spec, LineSearch(epsilon=0.5, theta=0.3), cfg,
+                            z0=np.ones(2))
+        assert r.reason == "tolerance" and r.residuals[-1] == 0.0
+        assert np.allclose(r.z, [0.0, 1.0], rtol=0.0, atol=1e-15)
+        assert r.resolvent_evals == r.iterations + r.backtracks
+
     def test_beta_infinite_needs_anchor(self):
         spec = ProblemSpec(A=nonneg_cone(2), B1=None, B2=skew_map(SKEW2),
                           X=ClosedConvexSet.nonneg_orthant(), dimension=2)

@@ -309,3 +309,20 @@ class TestScalarProxes:
                 obj = lambda t: gamma * max(0.0, 1.0 - b * t) + 0.5 * (t - w) ** 2
                 grid = t_star + np.linspace(-0.5, 0.5, 101)
                 assert obj(t_star) <= min(obj(t) for t in grid) + 1e-9
+
+    def test_scalar_monotone_fast_path_matches_general_path(self):
+        # a 1-element vector skips atleast_1d and the list comprehension;
+        # every input must give the general path's bits and shape
+        prox = prox_hinge(-1.5)
+        res = scalar_monotone(prox).resolvent
+
+        def general(gamma, y):
+            y = np.atleast_1d(np.asarray(y, dtype=float))
+            return np.array([prox(gamma, float(t)) for t in y])
+
+        for y in (np.array([0.3]), np.array([-0.0]), np.array([2]), 0.3, -4.0,
+                  np.array(0.3), [0.3], [0.3, -2.0, 5.0], np.array([0.3, -2.0, 5.0])):
+            got, want = res(0.7, y), general(0.7, y)
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from splitmono.fbhf import ConfigurationError, SolveConfig
+from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
+                            _default_start, _run)
 from splitmono.linalg import symmetric_min_eig
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, quadratic_gradient)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
-                                   check_pd_conditions, kkt_residual, rho_v,
-                                   solve_block_triangular, solve_condat_vu,
-                                   solve_corollary)
+                                   _counted, _sweep, check_pd_conditions,
+                                   kkt_residual, rho_v, solve_block_triangular,
+                                   solve_condat_vu, solve_corollary)
 
 
 def nonpos_cone() -> MaximalMonotone:
@@ -53,6 +54,92 @@ def lasso_instance(seed=0, dim=6, rows=4):
     blk = DualBlock(B=soft_threshold(0.5), L=L1, r=r1)
     return PrimalDualProblem(A=soft_threshold(0.1), C1=C1, C2=None,
                              blocks=(blk,), dim=dim)
+
+
+def coupled_instance(seed=5):
+    """Every term the sweep handles: C1, a skew C2, three dual blocks of 3, 2
+    and 1 rows, nonzero r_i on two of them and a finite nu with D^{-1} on the
+    first; with a preconditioner that has every P_i0 and every interior P_ij."""
+    rng = np.random.default_rng(seed)
+    dim, dims, nu = 4, (3, 2, 1), 2.0
+    S = rng.standard_normal((dim, dim))
+    C1 = quadratic_gradient(rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim),
+                            rng.standard_normal(dim))
+    Ls = [rng.standard_normal((k, dim)) for k in dims]
+    blocks = (DualBlock(B=soft_threshold(0.5), L=Ls[0], r=0.1 * rng.standard_normal(3),
+                        D_inv=lambda u: u / nu, nu=nu),
+              DualBlock(B=nonneg_prox(), L=Ls[1], r=0.1 * rng.standard_normal(2)),
+              DualBlock(B=soft_threshold(0.2), L=Ls[2]))
+    pdp = PrimalDualProblem(A=soft_threshold(0.1), C1=C1,
+                            C2=MonotoneMap.from_matrix(0.5 * (S - S.T)),
+                            blocks=blocks, dim=dim)
+    off = {(i, 0): -0.5 * L + 0.1 * rng.standard_normal(L.shape)
+           for i, L in enumerate(Ls, start=1)}
+    off.update({(i, j): 0.3 * rng.standard_normal((dims[i - 1], dims[j - 1]))
+                for i in range(2, 4) for j in range(1, i)})
+    bp = BlockPreconditioner(diag_scalars=(40.0, 30.0, 30.0, 30.0), off_diag=off)
+    return pdp, bp
+
+
+def reference_sweep(pdp, bp, lam, cfg, start):
+    """The block-triangular sweep transcribed block by block, as in the
+    Gauss-Seidel description: one matrix product per coupling."""
+    layout = pdp.layout
+    m = pdp.m
+    sigmas = [1.0 / c for c in bp.diag_scalars]
+    counters = _Counters()
+    pdp = _counted(pdp, counters)
+
+    def step(zvec):
+        x = layout.block(zvec, 0)
+        us = [layout.block(zvec, i) for i in range(1, m + 1)]
+        forward = np.zeros_like(x)
+        if pdp.C1 is not None:
+            forward = forward + pdp.C1.evaluate(x)
+        c2x = None
+        if pdp.C2 is not None:
+            c2x = pdp.C2.evaluate(x)
+            forward = forward + c2x
+        for blk, u in zip(pdp.blocks, us):
+            forward = forward + blk.L.T @ u
+        y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
+        xy = x - y
+        vs = []
+        for i, (blk, u) in enumerate(zip(pdp.blocks, us), start=1):
+            inner = -(blk.L @ x)
+            div = blk.d_inv_at(u)
+            if div is not None:
+                inner = inner + div
+            Pi0 = bp.block(i, 0)
+            if Pi0 is not None:
+                inner = inner - Pi0 @ xy
+            for j in range(1, i):
+                Pij = bp.block(i, j)
+                if Pij is not None:
+                    inner = inner - Pij @ (us[j - 1] - vs[j - 1])
+            w = u - sigmas[i] * inner
+            if blk.r is not None:
+                w = w - sigmas[i] * blk.r
+            vs.append(blk.dual_resolvent(sigmas[i], w))
+        corr0 = bp.diag_scalars[0] * (y - x)
+        if c2x is not None:
+            corr0 = corr0 + (c2x - pdp.C2.evaluate(y))
+        for blk, u, v in zip(pdp.blocks, us, vs):
+            corr0 = corr0 + blk.L.T @ (u - v)
+        new_us = []
+        for i, (blk, u) in enumerate(zip(pdp.blocks, us), start=1):
+            corr = bp.diag_scalars[i] * (vs[i - 1] - u) - blk.L @ xy
+            Pi0 = bp.block(i, 0)
+            if Pi0 is not None:
+                corr = corr + Pi0 @ (y - x)
+            for j in range(1, i):
+                Pij = bp.block(i, j)
+                if Pij is not None:
+                    corr = corr + Pij @ (vs[j - 1] - us[j - 1])
+            new_us.append(u + lam * corr)
+        return layout.concat([x + lam * corr0] + new_us)
+
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
 def feasible_sigma(pdp, theta):
@@ -265,6 +352,24 @@ class TestBlockTriangularSolver:
         assert len(r1.iterates) == len(r2.iterates)
         for a, b in zip(r1.iterates, r2.iterates):
             assert np.array_equal(a, b)
+
+    def test_sweep_matches_blockwise_reference(self):
+        pdp, bp = coupled_instance()
+        check = check_pd_conditions(bp, [b.L for b in pdp.blocks], pdp.delta, pdp.beta)
+        assert check.ok
+        lam = 0.99 / check.M
+        start = np.random.default_rng(6).standard_normal(pdp.layout.dim)
+        cfg = SolveConfig(max_iterations=300, tolerance=1e-300, keep_iterates=True)
+        r = _sweep(pdp, bp, lam, cfg, start)
+        ref = reference_sweep(pdp, bp, lam, cfg, start)
+        assert len(r.iterates) == len(ref.iterates) == 301
+        for a, b in zip(r.iterates, ref.iterates):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        # the run moves every block, so no coupling is idle
+        for i in range(pdp.m + 1):
+            assert np.linalg.norm(r.block(i) - pdp.layout.block(start, i)) > 1e-3
+        assert (r.b1_evals, r.b2_evals, r.resolvent_evals) == \
+            (ref.b1_evals, ref.b2_evals, ref.resolvent_evals) == (300, 600, 1200)
 
     def test_rejects_failing_condition(self):
         pdp = lasso_instance(seed=4)
