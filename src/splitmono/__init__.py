@@ -30,8 +30,6 @@ from .applications import (ErmProblem, NlpProblem, erm_condition,
                            erm_uniform_sigma_bound, gen_entropy_ls,
                            gen_erm_hinge, gen_lin_ineq_qp,
                            solve_erm_incremental, solve_nlp)
-from .distributed import (AgentState, Graph, GraphSequence, consensus_error,
-                          consensus_step, run_distributed,
-                          t_class_consensus_step)
+from .distributed import Graph, GraphSequence, run_distributed
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
     for key, val in cfg.dims.items():
         if key in ("n", "p", "d", "m", "agents", "block") and val < 1:
             diags.append(f"{key} must be >= 1 (got {val})")
-    if cfg.kind == "lin-ineq" or cfg.kind == "entropy" or cfg.kind == "custom":
+    if cfg.kind in ("lin-ineq", "entropy"):
         if cfg.dims.get("n", 2) % 2 != 0:
             diags.append(f"n must be even (got {cfg.dims.get('n')})")
     if cfg.kind == "entropy":
@@ -301,7 +301,7 @@ def _run_nlp_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict,
 
     if cell.algorithm == "fbhf":
         delta = params.setdefault("delta", 3.99)
-        gamma = delta * beta / (1.0 + math.sqrt(1.0 + 16.0 * beta * beta * L * L))
+        gamma = delta / 4.0 * chi(beta, L)
         policy = ConstantStep(gamma=gamma, unchecked=unsafe)
         report = applications.solve_nlp(prob, policy, solve_cfg)
     elif cell.algorithm == "tseng":

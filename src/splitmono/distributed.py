@@ -10,13 +10,6 @@ gamma tau lambda_max(L_t) < 1.  Every connected Laplacian has range 1^perp,
 so w stays there, and the fixed point (consensual x*, w_i* = -grad f_i(x*))
 is the same for every graph: the rounds share it however the graph changes.
 
-``consensus_step`` is the fixed-graph update on the dual y itself, and
-``t_class_consensus_step`` applies to that (x, y) state the transform
-
-    Q_t = Id - mu_t P_t (Id - S_t),      P_t = [[Id/gamma, -L_t], [-L_t, Id/tau]],
-
-with 0 < mu_t <= ||P_t||^{-1}.  Their fixed points need L_t y* = -grad f(x*),
-which moves with L_t, so over a changing graph they settle into a cycle.
 All communication happens through Laplacian products, which read only
 neighbor blocks; rounds are synchronous.
 """
@@ -194,60 +187,13 @@ class GraphSequence:
         return cls(at=at, n=n)
 
 
-@dataclass
-class AgentState:
-    """Local view of one agent: primal and dual blocks plus the cost prox."""
-
-    x: np.ndarray
-    y: np.ndarray
-    prox: Callable[[float, np.ndarray], np.ndarray]
-
-
-def _stack(states) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([np.atleast_1d(np.asarray(s.x, dtype=float)) for s in states])
-    Y = np.stack([np.atleast_1d(np.asarray(s.y, dtype=float)) for s in states])
-    return X, Y
-
-
-def _check_steps(graph: Graph, gamma: float, tau: float) -> None:
-    if gamma <= 0 or tau <= 0:
-        raise ConfigurationError("gamma and tau must be positive")
-    nrm = graph.norm_laplacian()
-    if 1.0 / (gamma * tau) <= nrm * nrm * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"stepsize condition violated: 1/(gamma tau) = {1.0 / (gamma * tau):.6g} "
-            f"must exceed ||L||^2 = {nrm * nrm:.6g}")
-
-
-def _round(X, V, LV, proxes, graph: Graph, gamma: float,
+def _round(X, W, proxes, graph: Graph, gamma: float,
            tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled proximal steps against the dual term LV, then the ascent of
-    V through L applied to the reflected primal."""
-    Xn = np.stack([np.atleast_1d(proxes[i](gamma, X[i] - gamma * LV[i]))
+    """Decoupled proximal steps against the dual term W, then the ascent of
+    W through L applied to the reflected primal."""
+    Xn = np.stack([np.atleast_1d(proxes[i](gamma, X[i] - gamma * W[i]))
                    for i in range(graph.n)])
-    return Xn, V + tau * graph.laplacian_apply(2.0 * Xn - X)
-
-
-def _q_update(X, Y, proxes, graph: Graph, gamma: float, tau: float,
-              mu: float) -> tuple[np.ndarray, np.ndarray]:
-    SX, SY = _round(X, Y, graph.laplacian_apply(Y), proxes, graph, gamma, tau)
-    DX = X - SX
-    DY = Y - SY
-    PX = DX / gamma - graph.laplacian_apply(DY)
-    PY = -graph.laplacian_apply(DX) + DY / tau
-    return X - mu * PX, Y - mu * PY
-
-
-def consensus_step(states, graph: Graph, gamma: float, tau: float) -> list[AgentState]:
-    """One synchronous round of the fixed-graph primal-dual update:
-    decoupled proximal steps against the dual Laplacian term, then the dual
-    ascent through L applied to the reflected primal."""
-    _check_steps(graph, gamma, tau)
-    X, Y = _stack(states)
-    Xn, Yn = _round(X, Y, graph.laplacian_apply(Y), [s.prox for s in states],
-                    graph, gamma, tau)
-    return [AgentState(x=Xn[i], y=Yn[i], prox=states[i].prox)
-            for i in range(graph.n)]
+    return Xn, W + tau * graph.laplacian_apply(2.0 * Xn - X)
 
 
 def metric_norm(graph: Graph, gamma: float, tau: float) -> float:
@@ -265,31 +211,10 @@ def metric_norm(graph: Graph, gamma: float, tau: float) -> float:
     return graph._cache[key]
 
 
-def t_class_consensus_step(states, graph: Graph, gamma: float, tau: float,
-                           mu: float) -> list[AgentState]:
-    """One application of Q_t = Id - mu P_t (Id - S_t) to the stacked state.
-
-    Multiplication by P_t only involves Laplacian products, so the round
-    stays neighbor-local; fixed points of S_t are preserved.
-    """
-    _check_steps(graph, gamma, tau)
-    bound = 1.0 / metric_norm(graph, gamma, tau)
-    if not 0.0 < mu <= bound * (1.0 + 1e-12):
-        raise ConfigurationError(f"mu must lie in ]0, {bound:.6g}] (got {mu:.6g})")
-    X, Y = _stack(states)
-    Xn, Yn = _q_update(X, Y, [s.prox for s in states], graph, gamma, tau, mu)
-    return [AgentState(x=Xn[i], y=Yn[i], prox=states[i].prox)
-            for i in range(graph.n)]
-
-
 def _spread(X: np.ndarray) -> float:
     n = X.shape[0]
     return max((float(np.linalg.norm(X[i] - X[j]))
                 for i in range(n) for j in range(i + 1, n)), default=0.0)
-
-
-def consensus_error(states) -> float:
-    return _spread(_stack(states)[0])
 
 
 def _check_round(graph: Graph, gamma: float, tau: float, k: int) -> None:
@@ -340,7 +265,7 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
         _check_round(g, gamma, tau, k)
         Xk = zvec[:m].reshape(n, block_dim)
         Wk = zvec[m:].reshape(n, block_dim)
-        Xn, Wn = _round(Xk, Wk, Wk, proxes, g, gamma, tau)
+        Xn, Wn = _round(Xk, Wk, proxes, g, gamma, tau)
         trace.append(_spread(Xn))
         return np.concatenate([Xn.ravel(), Wn.ravel()])
 

@@ -273,15 +273,6 @@ def quadratic_gradient(A_mat, b) -> CocoerciveMap:
     return CocoerciveMap(evaluate=grad, beta=beta, tag="0.5||Ax-b||^2", value=val)
 
 
-def affine_gradient(Q, d) -> CocoerciveMap:
-    """Gradient x -> Q x - d of a convex quadratic with Q symmetric PSD."""
-    Qm = as_matrix(Q)
-    dv = as_vector(d)
-    beta = 1.0 / operator_norm(Qm)
-    return CocoerciveMap(evaluate=lambda x: Qm @ x - dv, beta=beta, tag="quad",
-                         value=lambda x: 0.5 * float(x @ (Qm @ x)) - float(dv @ x))
-
-
 @dataclass(frozen=True)
 class SmoothConstraint:
     """One scalar convex constraint g(x) <= 0 with value and gradient oracles.

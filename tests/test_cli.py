@@ -78,6 +78,21 @@ sigma_factor = 1.0
         _, diags = validate_config(write(tmp_path, text))
         assert any("'p'" in d for d in diags)
 
+    def test_odd_n_rejected_only_where_the_instance_needs_it(self, tmp_path):
+        # lin-ineq and entropy draw an (n/2) x n matrix; custom an n x n one
+        text = LIN_INEQ_SMALL.replace("n = 20", "n = 21")
+        _, diags = validate_config(write(tmp_path, text))
+        assert any("n must be even" in d for d in diags)
+        text = LIN_INEQ_SMALL.replace("kind = lin-ineq", "kind = custom").replace(
+            "n = 20", "n = 41").replace("p = 2\n", "").replace(
+            "tolerance = 1e-6", "tolerance = 1e-9")
+        cfg, diags = validate_config(write(tmp_path, text))
+        assert diags == []
+        assert run_experiment(cfg, tmp_path / "out") == 0
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            recs = {r["solver"]: r for r in csv.DictReader(fh)}
+        assert recs["fbhf"]["status"] == "tolerance"
+
     def test_incompatible_solver_for_kind(self, tmp_path):
         text = LIN_INEQ_SMALL + "\n[solver erm]\n"
         _, diags = validate_config(write(tmp_path, text))

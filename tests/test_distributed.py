@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from splitmono.distributed import (AgentState, Graph, GraphSequence,
-                                   consensus_error, consensus_step,
-                                   metric_norm, run_distributed,
-                                   t_class_consensus_step)
+from splitmono.distributed import Graph, GraphSequence, run_distributed
 from splitmono.fbhf import ConfigurationError, SolveConfig
 from splitmono.linalg import operator_norm
 from splitmono.operators import ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec
@@ -98,109 +95,23 @@ class TestLocality:
         assert np.array_equal(out[0], out_alt[0])
         assert np.array_equal(out[1], out_alt[1])
 
-    def test_consensus_step_locality_bitwise(self):
+    def test_one_round_locality_bitwise(self):
         g = Graph.path(5)
         rng = np.random.default_rng(2)
         centers = rng.standard_normal((5, 1))
-        gamma = tau = 0.1
-
-        def states_from(X, Y):
-            return [AgentState(x=X[i], y=Y[i], prox=quad_prox(centers[i]))
-                    for i in range(5)]
-
+        proxes = [quad_prox(c) for c in centers]
         X = rng.standard_normal((5, 1))
-        Y = rng.standard_normal((5, 1))
-        X_alt, Y_alt = X.copy(), Y.copy()
+        X_alt = X.copy()
         X_alt[4] = 7.0
-        Y_alt[4] = -3.0
-        a = consensus_step(states_from(X, Y), g, gamma, tau)
-        b = consensus_step(states_from(X_alt, Y_alt), g, gamma, tau)
+        cfg = SolveConfig(max_iterations=1, tolerance=1e-300)
+        a, _ = run_distributed(proxes, GraphSequence.fixed(g), 0.1, 0.1, cfg, x0=X)
+        b, _ = run_distributed(proxes, GraphSequence.fixed(g), 0.1, 0.1, cfg,
+                               x0=X_alt)
+        assert a.iterations == b.iterations == 1
         # agent 4 is two hops from agent 0; one round cannot reach x_0, and
-        # the dual of agent 0 sees only neighbor primals
-        assert np.array_equal(a[0].x, b[0].x)
-        assert np.array_equal(a[0].y, b[0].y)
-
-
-class TestConsensusStep:
-    def test_two_agents_reach_average(self):
-        g = Graph.path(2)
-        c = [1.0, 3.0]
-        states = [AgentState(x=np.zeros(1), y=np.zeros(1), prox=quad_prox(c[i]))
-                  for i in range(2)]
-        for _ in range(4000):
-            states = consensus_step(states, g, 0.4, 0.4)
-        assert abs(states[0].x[0] - 2.0) <= 1e-8
-        assert abs(states[1].x[0] - 2.0) <= 1e-8
-
-    def test_consensual_stationary_state_is_fixed(self):
-        g = Graph.ring(4)
-        c = 1.0
-        states = [AgentState(x=np.array([c]), y=np.zeros(1), prox=quad_prox(c))
-                  for _ in range(4)]
-        nxt = consensus_step(states, g, 0.2, 0.2)
-        for s, t in zip(states, nxt):
-            assert np.allclose(s.x, t.x, atol=1e-15)
-            assert np.allclose(s.y, t.y, atol=1e-15)
-
-    def test_path_and_star_share_the_limit(self):
-        rng = np.random.default_rng(5)
-        centers = rng.standard_normal((5, 1))
-        target = centralized_mean(centers)
-        for g in (Graph.path(5), Graph.star(5)):
-            states = [AgentState(x=np.zeros(1), y=np.zeros(1),
-                                 prox=quad_prox(centers[i])) for i in range(5)]
-            for _ in range(20000):
-                states = consensus_step(states, g, 0.1, 0.1)
-            for s in states:
-                assert np.linalg.norm(s.x - target) <= 1e-6
-
-    def test_stepsize_condition_rejected(self):
-        g = Graph.ring(4)
-        states = [AgentState(x=np.zeros(1), y=np.zeros(1), prox=quad_prox(0.0))
-                  for _ in range(4)]
-        with pytest.raises(ConfigurationError, match="stepsize condition"):
-            consensus_step(states, g, 1.0, 1.0)
-
-
-class TestTClassStep:
-    def test_mu_range_enforced(self):
-        g = Graph.path(3)
-        states = [AgentState(x=np.zeros(1), y=np.zeros(1), prox=quad_prox(0.0))
-                  for _ in range(3)]
-        bad = 1.5 / metric_norm(g, 0.2, 0.2)
-        with pytest.raises(ConfigurationError, match="mu"):
-            t_class_consensus_step(states, g, 0.2, 0.2, bad)
-
-    def test_fixed_points_shared_with_plain_step(self):
-        g = Graph.ring(4)
-        rng = np.random.default_rng(7)
-        centers = rng.standard_normal((4, 1))
-        states = [AgentState(x=np.zeros(1), y=np.zeros(1),
-                             prox=quad_prox(centers[i])) for i in range(4)]
-        for _ in range(30000):
-            states = consensus_step(states, g, 0.2, 0.2)
-        mu = 0.99 / metric_norm(g, 0.2, 0.2)
-        moved = t_class_consensus_step(states, g, 0.2, 0.2, mu)
-        for s, t in zip(states, moved):
-            assert np.linalg.norm(s.x - t.x) <= 1e-10
-            assert np.linalg.norm(s.y - t.y) <= 1e-10
-
-    def test_fixed_graph_limit_matches_plain_iteration(self):
-        g = Graph.path(3)
-        rng = np.random.default_rng(9)
-        centers = rng.standard_normal((3, 1))
-        proxes = [quad_prox(centers[i]) for i in range(3)]
-        gs = GraphSequence.fixed(g)
-        report, trace = run_distributed(proxes, gs, 0.2, 0.2,
-                                        SolveConfig(max_iterations=200_000,
-                                                    tolerance=1e-12))
-        states = [AgentState(x=np.zeros(1), y=np.zeros(1), prox=proxes[i])
-                  for i in range(3)]
-        for _ in range(50000):
-            states = consensus_step(states, g, 0.2, 0.2)
-        X = report.block(0).reshape(3, 1)
-        for i in range(3):
-            assert np.linalg.norm(X[i] - states[i].x) <= 1e-6
+        # the dual block of agent 0 sees only neighbor primals
+        assert np.array_equal(a.block(0)[0], b.block(0)[0])
+        assert np.array_equal(a.block(1)[0], b.block(1)[0])
 
 
 class TestRunDistributed:
@@ -213,14 +124,20 @@ class TestRunDistributed:
         assert abs(report.block(0)[0] - 2.5) <= 1e-9
         assert trace[-1] == 0.0
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_fixed_graph_consensus_matches_centralized(self, n):
+    @pytest.mark.parametrize("n, make", [
+        pytest.param(2, Graph.ring, id="2"),
+        pytest.param(3, Graph.ring, id="3"),
+        pytest.param(5, Graph.ring, id="5"),
+        pytest.param(5, Graph.path, id="path-5"),
+        pytest.param(5, Graph.star, id="star-5"),
+    ])
+    def test_fixed_graph_consensus_matches_centralized(self, n, make):
         rng = np.random.default_rng(10 + n)
         centers = rng.standard_normal((n, 1))
         proxes = [quad_prox(centers[i]) for i in range(n)]
         target = centralized_mean(centers)
         deg = 2.0 * max(1, n - 1)
-        report, trace = run_distributed(proxes, GraphSequence.fixed(Graph.ring(n)),
+        report, trace = run_distributed(proxes, GraphSequence.fixed(make(n)),
                                         0.9 / deg, 0.9 / deg,
                                         SolveConfig(max_iterations=100_000,
                                                     tolerance=1e-11))
@@ -228,6 +145,19 @@ class TestRunDistributed:
         assert trace[-1] < 1e-6
         for i in range(n):
             assert np.linalg.norm(X[i] - target) <= 1e-6
+
+    def test_consensual_start_is_fixed_point(self):
+        c = 1.0
+        proxes = [quad_prox(c) for _ in range(4)]
+        x0 = np.full(4, c)
+        report, trace = run_distributed(proxes, GraphSequence.fixed(Graph.ring(4)),
+                                        0.2, 0.2,
+                                        SolveConfig(max_iterations=100,
+                                                    tolerance=1e-13),
+                                        x0=x0)
+        assert report.reason == "tolerance" and report.iterations == 1
+        assert np.array_equal(report.z, np.concatenate([x0, np.zeros(4)]))
+        assert trace == [0.0]
 
     def test_two_agents_any_sequence_converges(self):
         # on two vertices every connected graph is the single edge, so the
@@ -244,28 +174,6 @@ class TestRunDistributed:
             X = report.block(0).reshape(2, 1)
             assert trace[-1] < 1e-6
             assert np.linalg.norm(X[0] - target) <= 1e-6
-
-    def test_alternating_cycle_amplitude_scales_with_stepsize(self):
-        # the per-round transform Q_t needs the dual target L_t y* =
-        # -grad f(x*), which differs between genuinely time-varying graphs,
-        # so iterating it settles into a cycle whose consensus error shrinks
-        # linearly with the stepsizes instead of vanishing
-        rng = np.random.default_rng(13)
-        n = 3
-        centers = rng.standard_normal((n, 1))
-        proxes = [quad_prox(centers[i]) for i in range(n)]
-        gs = GraphSequence.alternating(Graph.path(n), Graph.star(n))
-        plateaus = []
-        for s, iters in ((0.1, 20_000), (0.01, 100_000)):
-            states = [AgentState(x=np.zeros(1), y=np.zeros(1), prox=p)
-                      for p in proxes]
-            for k in range(iters):
-                g = gs.at(k)
-                states = t_class_consensus_step(states, g, s, s,
-                                                0.99 / metric_norm(g, s, s))
-            plateaus.append(consensus_error(states))
-        assert plateaus[0] > 1e-3          # the cycle is real, not noise
-        assert plateaus[1] <= 0.25 * plateaus[0]
 
     def test_alternating_dual_block_is_graph_independent_certificate(self):
         # w = L y has the same fixed point on every graph, w_i = c_i - x*
@@ -284,14 +192,19 @@ class TestRunDistributed:
 
     def test_round_stepsize_condition_checked_per_graph(self):
         # gamma tau = 0.2326 is below 1/lambda_max(path(5)) (about 0.276)
-        # and above 1/lambda_max(star(5)) = 0.2; star(5) is round 1's graph
+        # and above 1/lambda_max(star(5)) = 0.2; star(5) is round 1's graph.
+        # gamma tau = 1 on ring(4) (lambda_max = 4) fails in round 0.
         centers = np.random.default_rng(5).standard_normal((5, 1))
-        proxes = [quad_prox(c) for c in centers]
-        gs = GraphSequence.alternating(Graph.path(5), Graph.star(5))
-        s = np.sqrt(0.2326)
-        with pytest.raises(ConfigurationError, match="round 1"):
-            run_distributed(proxes, gs, s, s,
-                            SolveConfig(max_iterations=10, tolerance=1e-300))
+        cases = [
+            (GraphSequence.alternating(Graph.path(5), Graph.star(5)),
+             np.sqrt(0.2326), "round 1"),
+            (GraphSequence.fixed(Graph.ring(4)), 1.0, "round 0"),
+        ]
+        for gs, s, where in cases:
+            proxes = [quad_prox(c) for c in centers[:gs.n]]
+            with pytest.raises(ConfigurationError, match=where):
+                run_distributed(proxes, gs, s, s,
+                                SolveConfig(max_iterations=10, tolerance=1e-300))
 
     def test_distance_to_limit_nonincreasing(self):
         rng = np.random.default_rng(21)
