@@ -8,6 +8,7 @@ methods whose accuracy does not depend on the gaps in the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -16,6 +17,15 @@ import numpy as np
 # a few multiples of n * machine epsilon (about 4e-14 at n = 200), so a
 # condition that holds only within rounding is rejected.
 CONDITION_MARGIN = 1e-12
+
+# A matrix applied on every iteration is inverted once and applied as a
+# matrix-vector product only up to this condition number.  A stored inverse
+# is not backward stable: the residual of ``M^{-1} b`` grows like
+# kappa(M) * u * ||M|| ||x|| (u = 2^-53; Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 14), where a backward-stable solve keeps it at
+# about u * ||M|| ||x||.  Up to kappa = 1e8 the inverse keeps at least half
+# of the digits a solve would; above it every call solves.
+MAX_INVERSE_CONDITION = 1e8
 
 
 def as_vector(x) -> np.ndarray:
@@ -116,24 +126,39 @@ def split_symmetric_skew(P) -> tuple[np.ndarray, np.ndarray]:
     return U, S
 
 
-def spd_solver(U):
-    """Factor a symmetric positive definite matrix once and return a solver
-    ``b -> U^{-1} b`` that reuses the Cholesky factor."""
+def cholesky_factor(U) -> np.ndarray:
+    """Lower Cholesky factor L of a symmetric positive definite matrix,
+    ``U = L L^T``; raises ValueError when U is not positive definite."""
     A = as_matrix(U)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     try:
-        L = np.linalg.cholesky(A)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("not positive definite") from exc
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(L, np.asarray(b, dtype=float))
-        return np.linalg.solve(L.T, y)
 
-    return solve
+def spd_inverse(U) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix from its Cholesky
+    factor, ``U^{-1} = L^{-T} L^{-1}``."""
+    L_inv = np.linalg.inv(cholesky_factor(U))
+    return L_inv.T @ L_inv
 
 
 def solve_spd(U, b) -> np.ndarray:
     """Solve ``U x = b`` for symmetric positive definite ``U`` by Cholesky."""
-    return spd_solver(U)(as_vector(b))
+    L = cholesky_factor(U)
+    return np.linalg.solve(L.T, np.linalg.solve(L, as_vector(b)))
+
+
+def conditioned_inverse(M: np.ndarray) -> Optional[np.ndarray]:
+    """``M^{-1}`` when ``kappa_1(M) = ||M||_1 ||M^{-1}||_1`` is at most
+    MAX_INVERSE_CONDITION, else None (also for a singular M): the caller
+    then solves against M on every call.  kappa_1 costs O(n^2) once the
+    inverse exists."""
+    try:
+        M_inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return None
+    kappa = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
+    return M_inv if kappa <= MAX_INVERSE_CONDITION else None

@@ -47,9 +47,19 @@ class MaximalMonotone:
 
     @classmethod
     def from_matrix(cls, M, tag: str = "linear") -> "MaximalMonotone":
+        """Linear operator ``x -> M x``.  Its resolvent solves against
+        ``Id + gamma M`` on every call.  A diagonal M divides by the
+        diagonal of ``Id + gamma M`` instead, which is what the LU solve
+        computes on a diagonal matrix, bit for bit."""
         A = as_matrix(M)
         if A.shape[0] != A.shape[1]:
             raise ValueError("linear operator must be square")
+        diag = np.diagonal(A)
+        if not np.any(A - np.diag(diag)):
+            def res_diag(gamma, y):
+                return y / (1.0 + gamma * diag)
+
+            return cls(resolvent=res_diag, tag=tag, matrix=A)
         eye = np.eye(A.shape[0])
 
         def res(gamma, y):

@@ -7,6 +7,16 @@ what makes block-triangular ``P`` (Gauss-Seidel sweeps) admissible.  The
 module also provides the transform that turns an averaged-type operator in
 the ``U`` metric into one in the standard metric, and the variable-metric
 iteration built on it that never inverts ``U``.
+
+A preconditioner is one fixed linear operator per solve, so each linear map
+an iteration applies is factored once, on first use, and then costs one
+matrix-vector product per call: ``U^{-1}`` (from the Cholesky factor of U,
+on the first ``solve_U``), ``P^{-1}`` (first ``solve_P``) and, for a linear
+A with matrix ``M_A``, the resolvent matrix ``(P + M_A)^{-1} P`` (first
+``resolvent_via_P`` with that A).  Each inverse is gated on its condition
+number, ``||U|| / rho`` for U and ``||M||_1 ||M^{-1}||_1`` for the others:
+above ``linalg.MAX_INVERSE_CONDITION`` every call solves against the matrix
+instead, because a stored inverse loses about log10(kappa) digits.
 """
 
 from __future__ import annotations
@@ -14,12 +24,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (CONDITION_MARGIN, as_matrix, as_vector, operator_norm,
-                     spd_solver, split_symmetric_skew, symmetric_min_eig)
+from .linalg import (CONDITION_MARGIN, MAX_INVERSE_CONDITION, as_matrix, as_vector,
+                     conditioned_inverse, operator_norm, spd_inverse,
+                     split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
                    _counted, _default_start, _forward, _iterate_fbhf, _run)
@@ -32,6 +44,11 @@ class Preconditioner:
     ``K`` is the Lipschitz constant of ``B2 - S`` for the problem the
     preconditioner will be used on; ``k_source`` records how it was obtained
     ("b2_matrix", "user", or "skew_only" when B2 is absent).
+
+    The inverses behind ``solve_U``, ``solve_P`` and ``resolvent_via_P`` are
+    built on first use (see the module docstring).  ``solve_U`` and
+    ``solve_P`` are plain methods, so a caller may rebind them on an
+    instance to wrap them.
     """
 
     P: np.ndarray
@@ -41,7 +58,11 @@ class Preconditioner:
     K: float
     norm_U: float
     k_source: str = "skew_only"
-    _solve_U: Optional[Callable] = field(default=None, repr=False, compare=False)
+    # (M_A, R) for the last linear A passed to resolvent_via_P, matched by
+    # identity so that a second A on this preconditioner never reads the
+    # first one's R
+    _resolvent_slot: Optional[tuple] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @classmethod
     def from_matrix(cls, P, b2_matrix=None,
@@ -72,19 +93,29 @@ class Preconditioner:
     def dim(self) -> int:
         return self.P.shape[0]
 
+    @cached_property
+    def _U_inverse(self) -> Optional[np.ndarray]:
+        # kappa_2(U) = ||U|| / lambda_min(U) is known without the inverse
+        if self.rho <= 0:
+            raise ConfigurationError("U is not positive definite (rho <= 0)")
+        if self.norm_U / self.rho > MAX_INVERSE_CONDITION:
+            return None
+        return spd_inverse(self.U)
+
+    @cached_property
+    def _P_inverse(self) -> Optional[np.ndarray]:
+        return conditioned_inverse(self.P)
+
     def solve_U(self, b: np.ndarray) -> np.ndarray:
-        if self._solve_U is None:
-            if self.rho <= 0:
-                raise ConfigurationError("U is not positive definite (rho <= 0)")
-            self._solve_U = spd_solver(self.U)
-        return self._solve_U(b)
+        U_inv = self._U_inverse
+        return np.linalg.solve(self.U, b) if U_inv is None else U_inv @ b
 
     def solve_P(self, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.P, b)
+        P_inv = self._P_inverse
+        return np.linalg.solve(self.P, b) if P_inv is None else P_inv @ b
 
-    def scalar_step(self) -> Optional[float]:
-        """Return gamma with P = Id/gamma when the preconditioner is that
-        exact scalar multiple, else None."""
+    @cached_property
+    def _scalar_step(self) -> Optional[float]:
         if np.any(self.S):
             return None
         c = self.P[0, 0]
@@ -94,15 +125,21 @@ class Preconditioner:
             return None
         return 1.0 / c
 
+    def scalar_step(self) -> Optional[float]:
+        """Return gamma with P = Id/gamma when the preconditioner is that
+        exact scalar multiple, else None."""
+        return self._scalar_step
+
 
 def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     """Compute ``J_{P^{-1}A}(z)``, the point x with ``P(z - x) in A x``.
 
-    Routes: linear A (matrix ``M_A``) goes through the identity
-    ``J_{U^{-1}(A+S)}(z + U^{-1} S z)``; block-separable A with a
-    block-lower-triangular P and scalar diagonal blocks is solved by
-    forward substitution (each block resolvent consumes only previously
-    computed blocks).
+    Routes: linear A (matrix ``M_A``) gives ``x = (P + M_A)^{-1} P z``,
+    applied as one cached matrix ``R`` (the identity
+    ``U(z + U^{-1} S z) = P z`` folds the former U-solve into it);
+    block-separable A with a block-lower-triangular P and scalar diagonal
+    blocks is solved by forward substitution (each block resolvent consumes
+    only previously computed blocks).
     """
     zv = as_vector(z)
     if pre.rho <= 0:
@@ -110,15 +147,24 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     gamma = pre.scalar_step()
     if gamma is not None:
         return A.resolvent(gamma, zv)
-    if A.matrix is not None:
-        M_A = A.matrix
-        w = zv + pre.solve_U(pre.S @ zv)
-        return np.linalg.solve(pre.U + pre.S + M_A, pre.U @ w)
+    M_A = A.matrix
+    if M_A is not None:
+        slot = pre._resolvent_slot
+        if slot is None or slot[0] is not M_A:
+            slot = pre._resolvent_slot = (M_A, _linear_resolvent(pre.P, M_A))
+        R = slot[1]
+        return np.linalg.solve(pre.P + M_A, pre.P @ zv) if R is None else R @ zv
     if A.blocks is not None:
         return _forward_substitution(A, pre, zv)
     raise ConfigurationError(
         "no composite resolvent: A must be linear (matrix) or block-separable "
         "with a block-triangular preconditioner")
+
+
+def _linear_resolvent(P: np.ndarray, M_A: np.ndarray) -> Optional[np.ndarray]:
+    """``R = (P + M_A)^{-1} P``, or None when P + M_A fails the condition gate."""
+    PA_inv = conditioned_inverse(P + M_A)
+    return None if PA_inv is None else PA_inv @ P
 
 
 def _forward_substitution(A: MaximalMonotone, pre: Preconditioner,

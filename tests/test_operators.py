@@ -73,6 +73,17 @@ class TestFirmNonexpansiveness:
                 assert lhs <= rhs + 1e-10
 
 
+class TestLinearResolvent:
+    def test_diagonal_matrix_matches_solve_bitwise(self):
+        d = np.random.default_rng(4).uniform(0.5, 1.5, 7)
+        A = MaximalMonotone.from_matrix(np.diag(d))
+        rng = np.random.default_rng(5)
+        for gamma in (0.25, 0.37, 0.37, 0.37, 2.0):
+            y = rng.standard_normal(7)
+            assert np.array_equal(A.resolvent(gamma, y),
+                                  np.linalg.solve(np.eye(7) + gamma * np.diag(d), y))
+
+
 class TestProxConjugate:
     def test_single_point_indicator(self):
         # f = indicator of {psi}: prox of f* is y - gamma * psi

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from splitmono import precond
 from splitmono.fbhf import (ConfigurationError, ConstantStep, SolveConfig, fbhf_step,
                             solve_fbhf, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
-                                 MonotoneMap, ProblemSpec, normal_cone_box)
+                                 MonotoneMap, ProblemSpec, normal_cone_box,
+                                 quadratic_gradient)
 from splitmono.precond import (MetricSchedule, Preconditioner, resolvent_via_P,
                                solve_precond_fbhf, solve_variable_metric,
                                t_class_transform)
@@ -107,6 +110,154 @@ class TestResolventViaP:
         pre = Preconditioner.from_matrix(P)
         with pytest.raises(ConfigurationError, match="triangular"):
             resolvent_via_P(blockA, pre, np.zeros(4))
+
+
+# The linear route and U-solve as they were before the cached factors: a
+# Cholesky factor followed by two general solves per U-solve, and a dense
+# solve against U + S + M_A per resolvent.  Kept as the reference the cached
+# factors are pinned to.
+
+def two_solve_spd(U):
+    L = np.linalg.cholesky(U)
+    return lambda b: np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
+def two_solve_resolvent(A, pre, z):
+    w = z + pre.solve_U(pre.S @ z)
+    return np.linalg.solve(pre.U + pre.S + A.matrix, pre.U @ w)
+
+
+def two_solve_pre(pre):
+    ref = dataclasses.replace(pre)
+    ref.solve_U = two_solve_spd(pre.U)
+    ref.solve_P = lambda b: np.linalg.solve(pre.P, b)
+    return ref
+
+
+def dense_metric_instance(n, seed):
+    """Dense three-operator instance with a non-self-adjoint P = U + S,
+    drawn like the benchmark's metric workload."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(n)
+    A = MaximalMonotone.from_matrix(np.diag(rng.uniform(0.5, 1.5, n)))
+    B1 = quadratic_gradient(rng.standard_normal((n // 2, n)) * scale,
+                            rng.standard_normal(n // 2))
+    skew = rng.standard_normal((n, n)) * scale
+    b2 = 0.2 * (skew - skew.T) / 2.0
+    spec = ProblemSpec(A=A, B1=B1, B2=MonotoneMap.from_matrix(b2),
+                       X=ClosedConvexSet.whole_space(), dimension=n)
+    H = rng.standard_normal((n, n)) * scale
+    U = np.diag(np.concatenate([[1.5], np.linspace(2.5, 3.5, n - 1)])) + 0.1 * (H + H.T) / 2.0
+    Sp = rng.standard_normal((n, n)) * scale
+    return spec, Preconditioner.from_matrix(U + 0.05 * (Sp - Sp.T) / 2.0, b2_matrix=b2)
+
+
+class TestCachedFactors:
+    @pytest.mark.parametrize("solver", ["precond", "variable-metric"])
+    def test_matches_two_solve_reference(self, monkeypatch, solver):
+        spec, pre = dense_metric_instance(200, 0)
+        z0 = np.random.default_rng(1).standard_normal(200)
+        cfg = SolveConfig(max_iterations=100_000, tolerance=1e-9, keep_iterates=True)
+
+        def run(p):
+            if solver == "precond":
+                return solve_precond_fbhf(spec, p, cfg, z0)
+            return solve_variable_metric(spec, MetricSchedule.constant(p), cfg, z0)
+
+        got = run(pre)
+        monkeypatch.setattr(precond, "resolvent_via_P", two_solve_resolvent)
+        ref = run(two_solve_pre(pre))
+        for name in ("iterations", "reason", "b1_evals", "b2_evals",
+                     "resolvent_evals", "projections", "backtracks"):
+            assert getattr(got, name) == getattr(ref, name), name
+        assert len(got.iterates) == len(ref.iterates)
+        for a, b in zip(got.iterates, ref.iterates):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_badly_conditioned_preconditioner_solves_on_every_call(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 6
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        U = Q @ np.diag(np.logspace(0.0, -12.0, n)) @ Q.T
+        Sk = 1e-13 * rng.standard_normal((n, n))
+        pre = Preconditioner.from_matrix((U + U.T) / 2.0 + (Sk - Sk.T) / 2.0)
+        assert pre.norm_U / pre.rho > 1e11
+        M_A = 1e-13 * np.eye(n)
+        A = MaximalMonotone.from_matrix(M_A)
+        z = rng.standard_normal(n)
+        expected = {"resolvent": np.linalg.solve(pre.P + M_A, pre.P @ z),
+                    "solve_P": np.linalg.solve(pre.P, z),
+                    "solve_U": np.linalg.solve(pre.U, z)}
+        solve = np.linalg.solve
+        calls = []
+
+        def counted_solve(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        oracles = {"resolvent": lambda: resolvent_via_P(A, pre, z),
+                   "solve_P": lambda: pre.solve_P(z),
+                   "solve_U": lambda: pre.solve_U(z)}
+        for name, oracle in oracles.items():
+            for _ in range(2):
+                before = len(calls)
+                assert np.array_equal(oracle(), expected[name]), name
+                assert len(calls) == before + 1, name
+
+    def test_well_conditioned_route_solves_nothing_after_the_first_call(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        pre = random_strong_pre(rng, 5)
+        Q = rng.standard_normal((5, 5))
+        A = MaximalMonotone.from_matrix(Q.T @ Q)
+        z = rng.standard_normal(5)
+        first = resolvent_via_P(A, pre, z), pre.solve_P(z), pre.solve_U(z)
+
+        def no_solve(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        again = resolvent_via_P(A, pre, z), pre.solve_P(z), pre.solve_U(z)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+
+    def test_one_preconditioner_with_two_operators(self):
+        rng = np.random.default_rng(4)
+        pre = random_strong_pre(rng, 5)
+        ops = []
+        for _ in range(2):
+            Q = rng.standard_normal((5, 5))
+            ops.append(MaximalMonotone.from_matrix(Q.T @ Q))
+        z = rng.standard_normal(5)
+        for A in ops + ops:
+            got = resolvent_via_P(A, pre, z)
+            ref = np.linalg.solve(pre.P + A.matrix, pre.P @ z)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_solve_entry_points_rebindable_on_the_instance(self):
+        # a tracer wraps pre.solve_P and pre.solve_U by assigning to the
+        # instance: no __slots__, no frozen dataclass
+        rng = np.random.default_rng(8)
+        n = 4
+        Sk = rng.standard_normal((n, n))
+        B2m = 0.1 * (Sk - Sk.T) / 2
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(n)),
+                           B1=shift_map(rng.standard_normal(n)),
+                           B2=MonotoneMap.from_matrix(B2m),
+                           X=ClosedConvexSet.whole_space(), dimension=n)
+        pre = random_strong_pre(rng, n, b2_matrix=B2m)
+        pre = Preconditioner.from_matrix(2.0 * np.eye(n) + (pre.P - pre.P.T) / 20,
+                                         b2_matrix=B2m)
+        calls = {"solve_P": 0, "solve_U": 0}
+        for name in calls:
+            def counted(b, fn=getattr(pre, name), name=name):
+                calls[name] += 1
+                return fn(b)
+
+            setattr(pre, name, counted)
+        r = solve_precond_fbhf(spec, pre, SolveConfig(max_iterations=200, tolerance=1e-9))
+        assert r.iterations > 1
+        assert calls == {"solve_P": r.iterations, "solve_U": r.iterations}
 
 
 class TestPreconditionerConstants:
