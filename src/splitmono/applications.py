@@ -11,8 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (CONDITION_MARGIN, BlockLayout, as_matrix, as_vector,
-                     operator_norm)
+from .linalg import (BlockLayout, as_matrix, as_vector, operator_norm,
+                     strictly_below)
 from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         MonotoneMap, ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
@@ -107,7 +107,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
         raise ConfigurationError("need m+1 positive stepsizes (or one uniform value)")
     a_norms = np.linalg.norm(p.a, axis=1)
     lhs, rhs = erm_condition(sig, a_norms)
-    if lhs > rhs - CONDITION_MARGIN * max(1.0, rhs):
+    if not strictly_below(lhs, rhs):
         raise ConfigurationError(
             f"ERM stepsize condition violated: lhs = {lhs:.12g} must be < "
             f"1/max(sigma) = {rhs:.12g}")

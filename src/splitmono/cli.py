@@ -18,14 +18,16 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import applications, distributed, operators, primal_dual
-from .fbhf import ConfigurationError, ConstantStep, LineSearch, SolveConfig, chi
+from .fbhf import (ConstantStep, LineSearch, SolveConfig, chi, half_inverse,
+                   solve_fbhf, solve_forward_backward, solve_tseng_fbf)
+from .linalg import strictly_below
 
 CSV_COLUMNS = ["solver", "params-json", "seed", "objective", "max-constraint",
                "iterations", "time-ms", "b1-evals", "b2-evals",
@@ -41,6 +43,23 @@ ALGORITHMS_BY_KIND = {
     "custom": ("fbhf", "fb", "tseng"),
 }
 
+# Parameter defaults per algorithm, merged into each solver cell at load.
+# The line-search cells take LineSearch's own defaults, and the consensus
+# steps depend on the agent count (see load_config).
+DEFAULTS = {"fbhf": {"delta": 3.99}, "tseng": {"delta": 0.99},
+            "condat-vu": {"sigma_bar": 0.0008}, "erm": {"sigma_factor": 0.99}}
+DEFAULTS["fb"] = DEFAULTS["fbhf"]
+
+LINE_SEARCH_KEYS = ("epsilon", "sigma", "theta")
+POSITIVE_KEYS = {"fbhf": ("delta",), "fb": ("delta",), "tseng": ("delta",),
+                 "condat-vu": ("sigma_bar",), "erm": ("sigma_factor",),
+                 "consensus": ("gamma", "tau")}
+
+# CSV fields of a cell whose solve raised
+ERROR_FIELDS = {"objective": "", "max-constraint": "", "iterations": 0,
+                "time-ms": "0.000", "b1-evals": 0, "b2-evals": 0,
+                "resolvent-evals": 0, "backtracks": 0, "status": "error"}
+
 
 class ConfigError(ValueError):
     pass
@@ -50,7 +69,7 @@ class ConfigError(ValueError):
 class SolverCell:
     name: str
     algorithm: str
-    params: dict
+    params: dict       # the given parameters over the algorithm's defaults
 
 
 @dataclass
@@ -63,33 +82,16 @@ class ExperimentConfig:
     cells: list[SolverCell]
 
     def variants(self) -> list[dict]:
-        """Experiment-level parameter axes that multiply every solver cell
-        (currently the entropy constraint levels)."""
+        """Experiment-level parameters that multiply every solver cell: the
+        entropy constraint levels, or the distributed graph sequence."""
         if self.kind == "entropy":
             return [{"r_fraction": r} for r in self.dims["r_fractions"]]
+        if self.kind == "distributed":
+            return [{"graphs": self.dims["graphs"]}]
         return [{}]
 
-
-@dataclass
-class ReportRow:
-    solver: str
-    params_json: str
-    seed: int
-    objective: str = ""
-    max_constraint: str = ""
-    iterations: int = 0
-    time_ms: str = "0.000"
-    b1_evals: int = 0
-    b2_evals: int = 0
-    resolvent_evals: int = 0
-    backtracks: int = 0
-    status: str = "error"
-
-    def as_list(self) -> list[str]:
-        return [self.solver, self.params_json, str(self.seed), self.objective,
-                self.max_constraint, str(self.iterations), self.time_ms,
-                str(self.b1_evals), str(self.b2_evals),
-                str(self.resolvent_evals), str(self.backtracks), self.status]
+    def solve_config(self) -> SolveConfig:
+        return SolveConfig(max_iterations=self.max_iterations, tolerance=self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +107,8 @@ def _parse_ints(raw: str) -> list[int]:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse the flat key-value config; raises ConfigError with line/field
-    context on malformed input."""
+    """Parse the flat key-value config and resolve every cell's defaults;
+    raises ConfigError with line/field context on malformed input."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     text = Path(path).read_text()
     try:
@@ -125,6 +127,7 @@ def load_config(path) -> ExperimentConfig:
     kind = need("kind").strip()
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}' (expected one of {KINDS})")
+    defaults = dict(DEFAULTS)
     try:
         seeds = _parse_ints(need("seeds"))
         tolerance = float(need("tolerance"))
@@ -143,6 +146,9 @@ def load_config(path) -> ExperimentConfig:
             dims["agents"] = int(need("agents"))
             dims["block"] = int(exp.get("block", "1"))
             dims["graphs"] = exp.get("graphs", "fixed").strip()
+            # 2 (n - 1) bounds lambda_max of every n-vertex Laplacian
+            step = 0.9 / (2.0 * max(1, dims["agents"] - 1))
+            defaults["consensus"] = {"gamma": step, "tau": step}
     except ConfigError:
         raise
     except ValueError as exc:
@@ -157,7 +163,7 @@ def load_config(path) -> ExperimentConfig:
         name = section[len("solver"):].strip() or "solver"
         body = parser[section]
         algorithm = body.get("algorithm", name).strip()
-        params = {}
+        params = dict(defaults.get(algorithm, {}))
         for key, raw in body.items():
             if key == "algorithm":
                 continue
@@ -182,6 +188,8 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
     diags: list[str] = []
     if not cfg.seeds:
         diags.append("seeds list is empty")
+    if cfg.kind == "entropy" and not cfg.dims["r_fractions"]:
+        diags.append("r_fractions list is empty")
     if not cfg.tolerance > 0:
         diags.append(f"tolerance must be positive (got {cfg.tolerance})")
     if cfg.max_iterations < 1:
@@ -191,71 +199,55 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
     for key, val in cfg.dims.items():
         if key in ("n", "p", "d", "m", "agents", "block") and val < 1:
             diags.append(f"{key} must be >= 1 (got {val})")
-    if cfg.kind in ("lin-ineq", "entropy"):
-        if cfg.dims.get("n", 2) % 2 != 0:
-            diags.append(f"n must be even (got {cfg.dims.get('n')})")
+    if cfg.kind in ("lin-ineq", "entropy") and cfg.dims["n"] % 2 != 0:
+        diags.append(f"n must be even (got {cfg.dims['n']})")
     if cfg.kind == "entropy":
         for r in cfg.dims["r_fractions"]:
             if not -1.0 < r < 0.0:
                 diags.append(f"r_fraction {r} outside ]-1, 0[")
-    if cfg.kind == "distributed" and cfg.dims.get("graphs") not in ("fixed", "alternating", "random"):
-        diags.append(f"graphs must be fixed | alternating | random (got {cfg.dims.get('graphs')})")
+    if cfg.kind == "distributed" and cfg.dims["graphs"] not in ("fixed", "alternating", "random"):
+        diags.append(f"graphs must be fixed | alternating | random (got {cfg.dims['graphs']})")
 
-    allowed = ALGORITHMS_BY_KIND.get(cfg.kind, ())
+    allowed = ALGORITHMS_BY_KIND[cfg.kind]
     for cell in cfg.cells:
         where = f"solver cell '{cell.name}'"
         if cell.algorithm not in allowed:
             diags.append(f"{where}: algorithm '{cell.algorithm}' is not usable for "
                          f"kind '{cfg.kind}' (allowed: {', '.join(allowed)})")
             continue
-        diags.extend(_validate_cell(cfg, cell, unsafe_stepsize, where))
+        diags.extend(f"{where}: {d}" for d in _cell_diagnostics(cfg, cell, unsafe_stepsize))
     return cfg, diags
 
 
-def _validate_cell(cfg: ExperimentConfig, cell: SolverCell, unsafe: bool,
-                   where: str) -> list[str]:
-    out = []
+def _cell_diagnostics(cfg: ExperimentConfig, cell: SolverCell, unsafe: bool) -> list[str]:
     p = cell.params
-    if cell.algorithm in ("fbhf", "fb"):
-        delta = p.get("delta", 3.99)
-        if delta <= 0:
-            out.append(f"{where}: delta = {delta} must be positive")
-        elif delta >= 4.0 and not unsafe:
-            out.append(f"{where}: delta = {delta} gives gamma = (delta/4) chi >= chi; "
-                       f"the bound requires delta < 4 (rerun with --unsafe-stepsize "
-                       f"to probe beyond it)")
-    if cell.algorithm == "tseng":
-        delta = p.get("delta", 0.99)
-        if delta <= 0:
-            out.append(f"{where}: delta = {delta} must be positive")
-        elif delta >= 1.0 and not unsafe:
-            out.append(f"{where}: delta = {delta} gives gamma >= 1/(1/beta + L); "
-                       f"the bound requires delta < 1")
+    out = [f"{key} = {p[key]} must be positive"
+           for key in POSITIVE_KEYS.get(cell.algorithm, ()) if p[key] <= 0]
+    if out:
+        return out
     if cell.algorithm in ("fbhf-ls", "tseng-ls"):
-        for key, default in (("epsilon", 0.88), ("sigma", 0.9), ("theta", 0.707)):
-            v = p.get(key, default)
-            if not 0.0 < v < 1.0:
-                out.append(f"{where}: {key} = {v} must lie in ]0, 1[")
-    if cell.algorithm == "condat-vu":
-        sb = p.get("sigma_bar", 0.0008)
-        if sb <= 0:
-            out.append(f"{where}: sigma_bar = {sb} must be positive")
+        try:
+            _line_search_policy(p)
+        except ValueError as exc:
+            return [str(exc)]
+    if cell.algorithm in ("fbhf", "fb", "tseng"):
+        limit, bound = (1.0, "1/(1/beta + L)") if cell.algorithm == "tseng" else (4.0, "chi")
+        if not strictly_below(p["delta"], limit) and (not unsafe or cell.algorithm == "fb"):
+            lift = ("forward-backward has no unchecked mode for --unsafe-stepsize to lift it"
+                    if cell.algorithm == "fb" else
+                    "rerun with --unsafe-stepsize to probe beyond it")
+            return [f"delta = {p['delta']} puts gamma at or beyond {bound}; the bound "
+                    f"requires delta < {limit:g} ({lift})"]
     if cell.algorithm == "erm":
         m = cfg.dims["m"]
-        factor = p.get("sigma_factor", 0.99)
         bound = applications.erm_uniform_sigma_bound(m)
-        sigma = factor * bound
+        sigma = p["sigma_factor"] * bound
         lhs, rhs = applications.erm_condition([sigma] * (m + 1), [1.0] * m)
-        if lhs >= rhs:
-            out.append(f"{where}: sigma = {sigma:.6g} violates the incremental "
-                       f"stepsize condition: sqrt(m) + m sigma = {lhs:.6g} must be "
-                       f"< 1/sigma = {rhs:.6g} (uniform bound (sqrt(5)-1)/(2 sqrt(m)) "
-                       f"= {bound:.6g})")
-    if cell.algorithm == "consensus":
-        for key in ("gamma", "tau"):
-            if key in p and p[key] <= 0:
-                out.append(f"{where}: {key} = {p[key]} must be positive")
-    return out
+        if not strictly_below(lhs, rhs):
+            return [f"sigma = {sigma:.6g} violates the incremental stepsize "
+                    f"condition: sqrt(m) + m sigma = {lhs:.6g} must be < 1/sigma "
+                    f"= {rhs:.6g} (uniform bound (sqrt(5)-1)/(2 sqrt(m)) = {bound:.6g})"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -263,68 +255,46 @@ def _validate_cell(cfg: ExperimentConfig, cell: SolverCell, unsafe: bool,
 
 
 def _line_search_policy(params: dict) -> LineSearch:
+    """The Armijo policy from the keys the cell gives; LineSearch checks
+    their ranges and supplies the rest."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="theta=")
-        return LineSearch(epsilon=params.get("epsilon", 0.88),
-                          sigma=params.get("sigma", 0.9),
-                          theta=params.get("theta", 0.707))
+        return LineSearch(**{k: params[k] for k in LINE_SEARCH_KEYS if k in params})
 
 
-def _report_from(report, objective: str, constraint: str, cell: SolverCell,
-                 params: dict, seed: int) -> ReportRow:
-    return ReportRow(solver=cell.name, params_json=json.dumps(params, sort_keys=True),
-                     seed=seed, objective=objective, max_constraint=constraint,
-                     iterations=report.iterations,
-                     time_ms=f"{report.wall_time * 1000.0:.3f}",
-                     b1_evals=report.b1_evals, b2_evals=report.b2_evals,
-                     resolvent_evals=report.resolvent_evals,
-                     backtracks=report.backtracks, status=report.reason)
+def _constant_step(algorithm: str, delta: float, beta: float, L: float,
+                   unsafe: bool) -> ConstantStep:
+    """The step a ``delta`` cell asks for: (delta/4) chi(beta, L) for fbhf and
+    fb (2 beta delta/4 when L = 0), delta / (1/beta + L) for tseng."""
+    if algorithm == "tseng":
+        gamma = delta / (1.0 / beta + L)
+    else:
+        gamma = delta / 4.0 * chi(beta, L)
+    return ConstantStep(gamma=gamma, unchecked=unsafe)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _run_nlp_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict,
-                  seed: int, unsafe: bool) -> ReportRow:
+def _run_nlp_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                  seed: int, unsafe: bool):
     if cfg.kind == "lin-ineq":
         prob = applications.gen_lin_ineq_qp(cfg.dims["n"], cfg.dims["p"], seed)
         L = prob.data["L"]
     else:
-        prob = applications.gen_entropy_ls(cfg.dims["n"], variant["r_fraction"], seed)
+        prob = applications.gen_entropy_ls(cfg.dims["n"], params["r_fraction"], seed)
         L = None
-    beta = prob.beta
-    solve_cfg = SolveConfig(max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    params = dict(cell.params)
-    params.update(variant)
-
-    if cell.algorithm == "fbhf":
-        delta = params.setdefault("delta", 3.99)
-        gamma = delta / 4.0 * chi(beta, L)
-        policy = ConstantStep(gamma=gamma, unchecked=unsafe)
-        report = applications.solve_nlp(prob, policy, solve_cfg)
-    elif cell.algorithm == "tseng":
-        delta = params.setdefault("delta", 0.99)
-        gamma = delta / (1.0 / beta + L)
-        policy = ConstantStep(gamma=gamma, unchecked=unsafe)
-        report = applications.solve_nlp(prob, policy, solve_cfg, baseline="tseng")
-    elif cell.algorithm == "fbhf-ls":
-        report = applications.solve_nlp(prob, _line_search_policy(params), solve_cfg)
-    elif cell.algorithm == "tseng-ls":
-        report = applications.solve_nlp(prob, _line_search_policy(params), solve_cfg,
-                                        baseline="tseng")
-    elif cell.algorithm == "condat-vu":
-        sigma_bar = params.setdefault("sigma_bar", 0.0008)
-        pdp = _lin_ineq_as_primal_dual(prob)
-        tau = 1.0 / (1.0 / (2.0 * beta) + sigma_bar * L * L)
-        report = primal_dual.solve_condat_vu(pdp, tau, sigma_bar, solve_cfg)
+    if algorithm == "condat-vu":
+        sigma_bar = params["sigma_bar"]
+        tau = 1.0 / (half_inverse(prob.beta) + sigma_bar * L * L)
+        report = primal_dual.solve_condat_vu(_lin_ineq_as_primal_dual(prob), tau,
+                                             sigma_bar, cfg.solve_config())
     else:
-        raise ConfigurationError(f"algorithm {cell.algorithm} not valid here")
-
+        if algorithm.endswith("-ls"):
+            policy = _line_search_policy(params)
+        else:
+            policy = _constant_step(algorithm, params["delta"], prob.beta, L, unsafe)
+        report = applications.solve_nlp(prob, policy, cfg.solve_config(),
+                                        baseline=algorithm.removesuffix("-ls"))
     x = report.block(0)
-    return _report_from(report, _fmt(prob.objective(x)),
-                        _fmt(prob.max_constraint(x)), cell, params, seed)
+    return report, prob.objective(x), prob.max_constraint(x)
 
 
 def _lin_ineq_as_primal_dual(prob: applications.NlpProblem) -> primal_dual.PrimalDualProblem:
@@ -338,54 +308,42 @@ def _lin_ineq_as_primal_dual(prob: applications.NlpProblem) -> primal_dual.Prima
                                          blocks=(block,), dim=prob.dim)
 
 
-def _run_erm_cell(cfg: ExperimentConfig, cell: SolverCell, seed: int) -> ReportRow:
-    d, m = cfg.dims["d"], cfg.dims["m"]
-    prob = applications.gen_erm_hinge(d, m, seed)
-    params = dict(cell.params)
-    factor = params.setdefault("sigma_factor", 0.99)
-    sigma = factor * applications.erm_uniform_sigma_bound(m)
-    solve_cfg = SolveConfig(max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    report = applications.solve_erm_incremental(prob, [sigma], None, solve_cfg)
-    x = report.block(0)
-    return _report_from(report, _fmt(prob.objective(x)), "", cell, params, seed)
+def _run_erm_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                  seed: int, unsafe: bool):
+    m = cfg.dims["m"]
+    prob = applications.gen_erm_hinge(cfg.dims["d"], m, seed)
+    sigma = params["sigma_factor"] * applications.erm_uniform_sigma_bound(m)
+    report = applications.solve_erm_incremental(prob, [sigma], None, cfg.solve_config())
+    return report, prob.objective(report.block(0)), None
 
 
-def _run_distributed_cell(cfg: ExperimentConfig, cell: SolverCell, seed: int) -> ReportRow:
+def _run_distributed_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                          seed: int, unsafe: bool):
     n = cfg.dims["agents"]
     h = cfg.dims["block"]
-    kind = cfg.dims["graphs"]
-    params = dict(cell.params)
-    deg_bound = 2.0 * max(1, n - 1)
-    gamma = params.setdefault("gamma", 0.9 / deg_bound)
-    tau = params.setdefault("tau", 0.9 / deg_bound)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n, h))
     proxes = [(lambda g, v, c=centers[i]: (v + g * c) / (1.0 + g))
               for i in range(n)]
-    if kind == "fixed":
+    graphs = params["graphs"]
+    if graphs == "fixed":
         gs = distributed.GraphSequence.fixed(distributed.Graph.ring(n))
-    elif kind == "alternating":
+    elif graphs == "alternating":
         gs = distributed.GraphSequence.alternating(distributed.Graph.path(n),
                                                    distributed.Graph.star(n))
     else:
         gs = distributed.GraphSequence.random(n, seed)
-    solve_cfg = SolveConfig(max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    report, trace = distributed.run_distributed(proxes, gs, gamma, tau,
-                                                solve_cfg, block_dim=h)
+    report, trace = distributed.run_distributed(proxes, gs, params["gamma"], params["tau"],
+                                                cfg.solve_config(), block_dim=h)
     X = report.block(0).reshape(n, h)
     mean = X.mean(axis=0)
     objective = 0.5 * float(sum(np.linalg.norm(mean - centers[i]) ** 2
                                 for i in range(n)))
-    consensus = trace[-1] if trace else 0.0
-    params["graphs"] = kind
-    return _report_from(report, _fmt(objective), _fmt(consensus), cell, params, seed)
+    return report, objective, trace[-1] if trace else 0.0
 
 
-def _run_custom_cell(cfg: ExperimentConfig, cell: SolverCell, seed: int) -> ReportRow:
-    from .fbhf import solve_fbhf, solve_forward_backward, solve_tseng_fbf
-
+def _run_custom_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                     seed: int, unsafe: bool):
     n = cfg.dims["n"]
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) / math.sqrt(n) + np.eye(n)
@@ -395,43 +353,44 @@ def _run_custom_cell(cfg: ExperimentConfig, cell: SolverCell, seed: int) -> Repo
                                  B1=h, B2=None,
                                  X=operators.ClosedConvexSet.whole_space(),
                                  dimension=n)
-    params = dict(cell.params)
-    solve_cfg = SolveConfig(max_iterations=cfg.max_iterations,
-                            tolerance=cfg.tolerance)
-    beta = h.beta
-    if cell.algorithm in ("fbhf", "fb"):
-        delta = params.setdefault("delta", 3.99)
-        gamma = delta * beta / 2.0
-        if cell.algorithm == "fbhf":
-            report = solve_fbhf(spec, ConstantStep(gamma=gamma), solve_cfg)
-        else:
-            report = solve_forward_backward(spec, gamma, solve_cfg)
+    step = _constant_step(algorithm, params["delta"], h.beta, 0.0, unsafe)
+    if algorithm == "fbhf":
+        report = solve_fbhf(spec, step, cfg.solve_config())
+    elif algorithm == "tseng":
+        report = solve_tseng_fbf(spec, step, cfg.solve_config())
     else:
-        delta = params.setdefault("delta", 0.99)
-        report = solve_tseng_fbf(spec, ConstantStep(gamma=delta * beta), solve_cfg)
-    obj = h.value(report.z)
-    return _report_from(report, _fmt(obj), "", cell, params, seed)
+        report = solve_forward_backward(spec, step.gamma, cfg.solve_config())
+    return report, h.value(report.z), None
+
+
+RUNNERS = {"lin-ineq": _run_nlp_cell, "entropy": _run_nlp_cell, "erm": _run_erm_cell,
+           "distributed": _run_distributed_cell, "custom": _run_custom_cell}
+
+
+def _fmt(value) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
-              unsafe: bool) -> ReportRow:
+              unsafe: bool) -> dict:
+    """One report.csv row; a cell that raises is recorded as an error row
+    with the same solver, params-json and seed."""
+    params = {**cell.params, **variant}
+    row = {"solver": cell.name, "params-json": json.dumps(params, sort_keys=True),
+           "seed": seed}
     try:
-        if cfg.kind in ("lin-ineq", "entropy"):
-            return _run_nlp_cell(cfg, cell, variant, seed, unsafe)
-        if cfg.kind == "erm":
-            return _run_erm_cell(cfg, cell, seed)
-        if cfg.kind == "distributed":
-            return _run_distributed_cell(cfg, cell, seed)
-        return _run_custom_cell(cfg, cell, seed)
+        report, objective, constraint = RUNNERS[cfg.kind](cfg, cell.algorithm, params,
+                                                          seed, unsafe)
     except Exception as exc:  # record the failure, keep the run going
         # one write per line, so that worker threads do not interleave
         sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
-        params = dict(cell.params)
-        params.update(variant)
-        return ReportRow(solver=cell.name,
-                         params_json=json.dumps(params, sort_keys=True),
-                         seed=seed, status="error",
-                         objective="", max_constraint="")
+        return {**row, **ERROR_FIELDS}
+    return {**row, "objective": _fmt(objective), "max-constraint": _fmt(constraint),
+            "iterations": report.iterations,
+            "time-ms": f"{report.wall_time * 1000.0:.3f}",
+            "b1-evals": report.b1_evals, "b2-evals": report.b2_evals,
+            "resolvent-evals": report.resolvent_evals,
+            "backtracks": report.backtracks, "status": report.reason}
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +407,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
              for cell in cfg.cells
              for variant in cfg.variants()
              for seed in cfg.seeds]
-    rows: list[Optional[ReportRow]] = [None] * len(tasks)
+
+    def run(task):
+        return _run_cell(cfg, *task, unsafe_stepsize)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_cell, cfg, cell, variant, seed,
-                                   unsafe_stepsize): idx
-                       for idx, (cell, variant, seed) in enumerate(tasks)}
-            for fut, idx in futures.items():
-                rows[idx] = fut.result()
+            rows = list(pool.map(run, tasks))
     else:
-        for idx, (cell, variant, seed) in enumerate(tasks):
-            rows[idx] = _run_cell(cfg, cell, variant, seed, unsafe_stepsize)
+        rows = [run(task) for task in tasks]
 
     csv_path = out / "report.csv"
     with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     write_summary(csv_path, out / "summary.md")
-    return 2 if any(r.status == "error" for r in rows) else 0
+    return 2 if any(r["status"] == "error" for r in rows) else 0
 
 
 def write_summary(csv_path, md_path) -> None:
@@ -518,13 +474,10 @@ tolerance = 1e-6
 max_iterations = 100000
 
 [solver fbhf]
-delta = 3.99
 
 [solver tseng]
-delta = 0.99
 
 [solver condat-vu]
-sigma_bar = 0.0008
 """,
     "entropy": """\
 [experiment]
@@ -549,7 +502,6 @@ tolerance = 1e-5
 max_iterations = 200000
 
 [solver erm]
-sigma_factor = 0.99
 """,
     "distributed": """\
 [experiment]
@@ -572,13 +524,10 @@ tolerance = 1e-9
 max_iterations = 100000
 
 [solver fbhf]
-delta = 3.99
 
 [solver fb]
-delta = 3.99
 
 [solver tseng]
-delta = 0.99
 """,
 }
 
@@ -609,42 +558,40 @@ def main(argv=None) -> int:
     p_demo = sub.add_parser("demo", help="write and run a canned config")
     p_demo.add_argument("kind", choices=sorted(DEMO_CONFIGS))
     p_demo.add_argument("--out", default=None)
+    p_demo.set_defaults(unsafe_stepsize=False)
 
     args = parser.parse_args(argv)
 
+    if args.command == "demo":
+        out = Path(args.out or f"splitmono-demo-{args.kind}")
+        out.mkdir(parents=True, exist_ok=True)
+        config = out / "config.ini"
+        config.write_text(DEMO_CONFIGS[args.kind])
+    else:
+        config = args.config
+    cfg, diags = validate_config(config, args.unsafe_stepsize)
+    if args.command == "run" and args.seeds is not None and not diags:
+        try:
+            cfg.seeds = _parse_ints(args.seeds)
+        except ValueError as exc:
+            diags = [f"seed override: {exc}"]
+        else:
+            diags = [] if cfg.seeds else ["empty seed override"]
+    if diags:
+        for d in diags:
+            print(f"invalid: {d}", file=sys.stderr)
+        return 1
+
     if args.command == "validate":
-        cfg, diags = validate_config(args.config, args.unsafe_stepsize)
-        if diags:
-            for d in diags:
-                print(f"invalid: {d}", file=sys.stderr)
-            return 1
         print(f"config ok: kind={cfg.kind}, {len(cfg.cells)} solver cell(s), "
               f"{len(cfg.seeds)} seed(s)")
         return 0
-
     if args.command == "run":
-        cfg, diags = validate_config(args.config, args.unsafe_stepsize)
-        if diags:
-            for d in diags:
-                print(f"invalid: {d}", file=sys.stderr)
-            return 1
-        if args.seeds is not None:
-            cfg.seeds = _parse_ints(args.seeds)
-            if not cfg.seeds:
-                print("invalid: empty seed override", file=sys.stderr)
-                return 1
-        code = run_experiment(cfg, args.out, threads=max(1, args.threads),
+        out = Path(args.out)
+        code = run_experiment(cfg, out, threads=max(1, args.threads),
                               unsafe_stepsize=args.unsafe_stepsize)
-        print(f"wrote {Path(args.out) / 'report.csv'} and "
-              f"{Path(args.out) / 'summary.md'}")
+        print(f"wrote {out / 'report.csv'} and {out / 'summary.md'}")
         return code
-
-    out = Path(args.out or f"splitmono-demo-{args.kind}")
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_path = out / "config.ini"
-    cfg_path.write_text(DEMO_CONFIGS[args.kind])
-    cfg, diags = validate_config(cfg_path)
-    assert not diags, diags
     code = run_experiment(cfg, out)
     print(f"demo '{args.kind}' wrote {out / 'report.csv'} and {out / 'summary.md'}")
     return code

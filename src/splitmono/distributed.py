@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import BlockLayout, operator_norm
+from .linalg import BlockLayout, operator_norm, strictly_below
 from .fbhf import ConfigurationError, SolveConfig, SolveReport, _Counters, _run
 
 
@@ -219,7 +219,7 @@ def _spread(X: np.ndarray) -> float:
 
 def _check_round(graph: Graph, gamma: float, tau: float, k: int) -> None:
     lam = graph.norm_laplacian()
-    if 1.0 / (gamma * tau) <= lam * (1.0 + 1e-12):
+    if not strictly_below(lam, 1.0 / (gamma * tau)):
         raise ConfigurationError(
             f"round {k}: stepsize condition violated: 1/(gamma tau) = "
             f"{1.0 / (gamma * tau):.6g} must exceed lambda_max(L_{k}) = {lam:.6g}")

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import BlockLayout, CONDITION_MARGIN
+from .linalg import BlockLayout, strictly_below
 from .operators import ProblemSpec
 
 
@@ -61,6 +61,12 @@ def chi(beta: float, L: float) -> float:
     if L == 0.0:
         return 2.0 * beta
     return 4.0 * beta / (1.0 + math.sqrt(1.0 + 16.0 * beta * beta * L * L))
+
+
+def half_inverse(beta: float) -> float:
+    """The term 1/(2 beta) of the metric and primal-dual stepsize conditions;
+    0 when B1 is absent (beta = +inf)."""
+    return 0.0 if math.isinf(beta) else 1.0 / (2.0 * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,7 @@ class LineSearch:
         for name in ("epsilon", "sigma", "theta"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in ]0, 1[")
+                raise ValueError(f"{name} = {v} must lie in ]0, 1[")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
         if self.theta >= math.sqrt(1.0 - self.epsilon):
@@ -396,7 +402,7 @@ def _constant_gamma(spec: ProblemSpec, policy: ConstantStep,
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     if bound is not None and not policy.unchecked:
-        if gamma > bound - CONDITION_MARGIN * max(1.0, bound):
+        if not strictly_below(gamma, bound):
             raise ConfigurationError(
                 f"gamma={gamma:.6g} violates the {what} bound gamma < {bound:.6g}")
     return gamma

@@ -7,6 +7,7 @@ methods whose accuracy does not depend on the gaps in the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +18,21 @@ import numpy as np
 # a few multiples of n * machine epsilon (about 4e-14 at n = 200), so a
 # condition that holds only within rounding is rejected.
 CONDITION_MARGIN = 1e-12
+
+
+def strictly_below(lhs: float, rhs: float) -> bool:
+    """Verdict on a strict condition ``lhs < rhs``: holds when ``lhs`` stays
+    CONDITION_MARGIN * max(1, |rhs|) below ``rhs``.  An infinite ``rhs``
+    bounds nothing, and a NaN on either side fails."""
+    if rhs == math.inf:
+        return lhs < rhs
+    return lhs <= rhs - CONDITION_MARGIN * max(1.0, abs(rhs))
+
+
+def at_most(lhs: float, rhs: float) -> bool:
+    """Verdict on a non-strict condition ``lhs <= rhs``, granting the same
+    rounding allowance CONDITION_MARGIN * max(1, |rhs|) above ``rhs``."""
+    return lhs <= rhs + CONDITION_MARGIN * max(1.0, abs(rhs))
 
 # A matrix applied on every iteration is inverted once and applied as a
 # matrix-vector product only up to this condition number.  A stored inverse

@@ -204,7 +204,6 @@ class ProblemSpec:
     B2: Optional[MonotoneMap]
     X: ClosedConvexSet
     dimension: int
-    known_solution: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dimension < 1:

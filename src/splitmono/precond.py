@@ -21,7 +21,6 @@ instead, because a stored inverse loses about log10(kappa) digits.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,12 +28,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (CONDITION_MARGIN, MAX_INVERSE_CONDITION, as_matrix, as_vector,
+from .linalg import (MAX_INVERSE_CONDITION, as_matrix, as_vector, at_most,
                      conditioned_inverse, operator_norm, spd_inverse,
-                     split_symmetric_skew, symmetric_min_eig)
+                     split_symmetric_skew, strictly_below, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _counted, _default_start, _forward, _iterate_fbhf, _run)
+                   _counted, _default_start, _forward, _iterate_fbhf, _run,
+                   half_inverse)
 
 
 @dataclass
@@ -208,13 +208,10 @@ def _check_metric_condition(pre: Preconditioner, beta: float,
     deflated to rho/(1+inflate)."""
     if pre.rho <= 0:
         raise ConfigurationError(f"{label}U is not strongly monotone: rho = {pre.rho:.6g} <= 0")
-    half_inv_beta = 0.0 if math.isinf(beta) else 1.0 / (2.0 * beta)
     r = pre.rho / (1.0 + inflate)
-    rhs = r * (r - half_inv_beta)
+    rhs = r * (r - half_inverse(beta))
     lhs = pre.K ** 2
-    margin = CONDITION_MARGIN * max(1.0, abs(rhs))
-    ok = lhs <= rhs - margin if strict else lhs <= rhs + margin
-    if not ok:
+    if not (strictly_below(lhs, rhs) if strict else at_most(lhs, rhs)):
         op = "<" if strict else "<="
         raise ConfigurationError(
             f"{label}metric condition violated: K^2 = {lhs:.12g} must be {op} "

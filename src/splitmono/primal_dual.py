@@ -20,11 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (CONDITION_MARGIN, BlockLayout, as_matrix, as_vector,
-                     operator_norm, symmetric_min_eig)
+from .linalg import (BlockLayout, as_matrix, as_vector, at_most, operator_norm,
+                     strictly_below, symmetric_min_eig)
 from .operators import CocoerciveMap, MaximalMonotone, MonotoneMap
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _default_start, _run)
+                   _default_start, _run, half_inverse)
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,9 @@ def check_pd_conditions(bp: BlockPreconditioner, L_mats, delta: float,
         return PdCheck(rho, M, False,
                        f"Delta - Upsilon is not positive definite (rho = {rho:.6g})")
     norm_sig = operator_norm(sig) if np.any(sig) else 0.0
-    half_inv_beta = 0.0 if math.isinf(beta) else 1.0 / (2.0 * beta)
     lhs = (norm_sig + delta) ** 2
-    rhs = rho * (rho - half_inv_beta)
-    margin = CONDITION_MARGIN * max(1.0, abs(rhs))
-    if lhs > rhs - margin:
+    rhs = rho * (rho - half_inverse(beta))
+    if not strictly_below(lhs, rhs):
         return PdCheck(rho, M, False,
                        f"(||Sigma|| + delta)^2 = {lhs:.12g} must be < "
                        f"rho(rho - 1/(2 beta)) = {rhs:.12g}")
@@ -295,12 +293,10 @@ class CorollaryParams:
         if rho <= 0:
             raise ConfigurationError(
                 f"Omega is not positive definite (rho = {rho:.6g})")
-        half_inv_beta = 0.0 if math.isinf(pdp.beta) else 1.0 / (2.0 * pdp.beta)
         lhs = (pdp.delta + (1.0 - self.theta) / 2.0
                * math.sqrt(sum(n * n for n in L_norms))) ** 2
-        rhs = rho * (rho - half_inv_beta)
-        margin = CONDITION_MARGIN * max(1.0, abs(rhs))
-        if lhs > rhs - margin:
+        rhs = rho * (rho - half_inverse(pdp.beta))
+        if not strictly_below(lhs, rhs):
             raise ConfigurationError(
                 f"stepsize condition violated: (delta + (1-theta)/2 sqrt(sum ||L_i||^2))^2 "
                 f"= {lhs:.12g} must be < rho(rho - 1/(2 beta)) = {rhs:.12g}")
@@ -309,7 +305,7 @@ class CorollaryParams:
 
 def _check_lambda(lam: float, M: float) -> float:
     bound = 1.0 / M
-    if not 0.0 < lam < bound - CONDITION_MARGIN * max(1.0, bound):
+    if not (0.0 < lam and strictly_below(lam, bound)):
         raise ConfigurationError(
             f"relaxation lambda = {lam:.6g} outside ]0, 1/M[ = ]0, {bound:.6g}[")
     return lam
@@ -446,9 +442,9 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         sig = [float(s) for s in sigmas]
     if len(sig) != pdp.m or any(s <= 0 for s in sig) or tau <= 0:
         raise ConfigurationError("tau and the sigma_i must be positive, one per block")
-    half_inv_beta = 0.0 if math.isinf(pdp.beta) else 1.0 / (2.0 * pdp.beta)
-    load = tau * (half_inv_beta + sum(s * n * n for s, n in zip(sig, pdp.norms_L())))
-    if load > 1.0 + 1e-10:
+    load = tau * (half_inverse(pdp.beta)
+                  + sum(s * n * n for s, n in zip(sig, pdp.norms_L())))
+    if not at_most(load, 1.0):
         raise ConfigurationError(
             f"stepsize condition violated: tau (1/(2 beta) + sum sigma_i ||L_i||^2) "
             f"= {load:.12g} must be <= 1")

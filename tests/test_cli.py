@@ -1,7 +1,11 @@
 import csv
 import io
+import json
 
-from splitmono.cli import (CSV_COLUMNS, main, run_experiment, validate_config)
+import pytest
+
+from splitmono.cli import (CSV_COLUMNS, DEMO_CONFIGS, main, run_experiment,
+                           validate_config)
 
 
 LIN_INEQ_SMALL = """\
@@ -18,6 +22,21 @@ delta = 3.99
 
 [solver tseng]
 delta = 0.99
+"""
+
+CUSTOM_BEYOND_BOUND = """\
+[experiment]
+kind = custom
+n = 10
+seeds = 0
+tolerance = 1e-9
+max_iterations = 300
+
+[solver fbhf]
+delta = 4.2
+
+[solver tseng]
+delta = 1.05
 """
 
 
@@ -92,6 +111,77 @@ sigma_factor = 1.0
         with (tmp_path / "out" / "report.csv").open(newline="") as fh:
             recs = {r["solver"]: r for r in csv.DictReader(fh)}
         assert recs["fbhf"]["status"] == "tolerance"
+
+    def test_erm_sigma_within_the_margin_rejected(self, tmp_path):
+        # passes a bare lhs < rhs, fails solve_erm_incremental's margin rule
+        text = """\
+[experiment]
+kind = erm
+d = 4
+m = 9
+seeds = 0
+tolerance = 1e-6
+max_iterations = 1000
+
+[solver erm]
+sigma_factor = 0.99999999999999
+"""
+        _, diags = validate_config(write(tmp_path, text))
+        assert any("incremental stepsize condition" in d for d in diags)
+
+    def test_unsafe_stepsize_covers_custom_fbhf_and_tseng(self, tmp_path):
+        path = write(tmp_path, CUSTOM_BEYOND_BOUND)
+        _, diags = validate_config(path)
+        assert len(diags) == 2
+        cfg, diags = validate_config(path, unsafe_stepsize=True)
+        assert diags == []
+        assert run_experiment(cfg, tmp_path / "out", unsafe_stepsize=True) == 0
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            statuses = {r["solver"]: r["status"] for r in csv.DictReader(fh)}
+        assert set(statuses) == {"fbhf", "tseng"}
+        assert "error" not in statuses.values()
+
+    def test_unsafe_stepsize_does_not_cover_fb(self, tmp_path):
+        text = CUSTOM_BEYOND_BOUND.replace("[solver tseng]\ndelta = 1.05\n",
+                                           "[solver fb]\ndelta = 4.2\n")
+        _, diags = validate_config(write(tmp_path, text), unsafe_stepsize=True)
+        assert len(diags) == 1
+        assert "'fb'" in diags[0] and "no unchecked mode" in diags[0]
+
+    def test_line_search_ranges_come_from_line_search(self, tmp_path):
+        text = LIN_INEQ_SMALL + "\n[solver fbhf-ls]\nepsilon = 1.5\n"
+        _, diags = validate_config(write(tmp_path, text))
+        assert diags == ["solver cell 'fbhf-ls': epsilon = 1.5 must lie in ]0, 1["]
+
+    def test_defaults_resolved_at_load(self, tmp_path):
+        text = LIN_INEQ_SMALL.replace("delta = 3.99\n", "") + "\n[solver fbhf-ls]\n"
+        cfg, diags = validate_config(write(tmp_path, text))
+        assert diags == []
+        params = {cell.name: cell.params for cell in cfg.cells}
+        # line-search cells list only the keys given
+        assert params == {"fbhf": {"delta": 3.99}, "tseng": {"delta": 0.99},
+                          "fbhf-ls": {}}
+
+    def test_empty_r_fractions_rejected(self, tmp_path):
+        text = """\
+[experiment]
+kind = entropy
+n = 8
+seeds = 0
+tolerance = 1e-6
+max_iterations = 1000
+r_fractions =
+
+[solver fbhf-ls]
+"""
+        _, diags = validate_config(write(tmp_path, text))
+        assert diags == ["r_fractions list is empty"]
+
+    @pytest.mark.parametrize("kind", sorted(DEMO_CONFIGS))
+    def test_demo_configs_are_valid(self, tmp_path, kind):
+        cfg, diags = validate_config(write(tmp_path, DEMO_CONFIGS[kind]))
+        assert diags == []
+        assert cfg.kind == kind
 
     def test_incompatible_solver_for_kind(self, tmp_path):
         text = LIN_INEQ_SMALL + "\n[solver erm]\n"
@@ -218,6 +308,11 @@ tau = 5.0
         assert recs["consensus"]["status"] == "tolerance"
         assert recs["broken"]["status"] == "error"
         assert len(recs["broken"]) == len(CSV_COLUMNS)
+        # an error row lists the same resolved parameters as a solved one
+        assert json.loads(recs["broken"]["params-json"]) == {
+            "gamma": 5.0, "graphs": "fixed", "tau": 5.0}
+        assert json.loads(recs["consensus"]["params-json"]).keys() == {
+            "gamma", "graphs", "tau"}
         # the failed cell says why on stderr: solver, seed, exception
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -235,6 +330,13 @@ tau = 5.0
 
 
 class TestMain:
+    def test_malformed_seed_override_is_a_config_error(self, tmp_path, capsys):
+        path = write(tmp_path, LIN_INEQ_SMALL)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds", "a,b"]) == 1
+        assert capsys.readouterr().err.startswith("invalid: seed override")
+        assert not (tmp_path / "out").exists()
+
     def test_validate_exit_codes(self, tmp_path, capsys):
         good = write(tmp_path, LIN_INEQ_SMALL, "good.ini")
         assert main(["validate", str(good)]) == 0

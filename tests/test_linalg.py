@@ -1,8 +1,37 @@
+import math
+
 import numpy as np
 import pytest
 
-from splitmono.linalg import (BlockLayout, operator_norm, solve_spd, split_symmetric_skew,
-                              symmetric_min_eig)
+from splitmono.linalg import (BlockLayout, at_most, operator_norm, solve_spd,
+                              split_symmetric_skew, strictly_below, symmetric_min_eig)
+
+
+class TestConditionMargin:
+    def test_strict_condition_needs_the_margin(self):
+        assert strictly_below(1.0 - 1e-11, 1.0)
+        assert not strictly_below(1.0 - 1e-13, 1.0)
+        assert not strictly_below(1.0, 1.0)
+        # relative to |rhs| above 1, absolute below it
+        assert not strictly_below(1e6 * (1.0 - 1e-13), 1e6)
+        assert strictly_below(1e-3 - 2e-12, 1e-3)
+        assert not strictly_below(1e-3 - 5e-13, 1e-3)
+
+    def test_non_strict_condition_grants_the_margin(self):
+        assert at_most(1.0 + 1e-13, 1.0)
+        assert not at_most(1.0 + 1e-11, 1.0)
+        assert at_most(1e6 * (1.0 + 1e-13), 1e6)
+
+    def test_infinite_bound_bounds_nothing(self):
+        # inf - margin * inf is NaN; an absent bound must still accept
+        assert strictly_below(1e300, math.inf)
+        assert at_most(1e300, math.inf)
+        assert not strictly_below(math.inf, math.inf)
+
+    def test_nan_fails(self):
+        assert not strictly_below(math.nan, 1.0)
+        assert not at_most(math.nan, 1.0)
+        assert not strictly_below(0.0, math.nan)
 
 
 class TestOperatorNorm:

@@ -432,6 +432,14 @@ class TestCondatVu:
             solve_condat_vu(pdp, tau=1.5, sigmas=0.5,
                             cfg=SolveConfig(max_iterations=10, tolerance=1e-9))
 
+    def test_load_slack_is_the_shared_margin(self):
+        # minimal instance: load = tau (1/(2 beta) + sigma ||L||^2) = tau
+        pdp = minimal_instance()
+        cfg = SolveConfig(max_iterations=10, tolerance=1e-9)
+        solve_condat_vu(pdp, tau=1.0 + 5e-13, sigmas=0.5, cfg=cfg)
+        with pytest.raises(ConfigurationError, match="must be <= 1"):
+            solve_condat_vu(pdp, tau=1.0 + 5e-11, sigmas=0.5, cfg=cfg)
+
     def test_paper_coupling_is_accepted(self):
         pdp = lasso_instance(seed=5)
         beta = pdp.beta
