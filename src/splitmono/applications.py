@@ -99,6 +99,12 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     Dual blocks are visited in ascending sample order; block i consumes the
     fresh duals v_1..v_{i-1} and the stale u_i..u_m.  The primal and dual
     corrections follow with relaxation ``lam`` (default 0.99/M).
+
+    The per-sample rows G[i, :i] and G[i, i:] of the Gram matrix are sliced
+    once per solve, against persistent v and u buffers, so a sample costs two
+    dot products and one counted prox call.  The scalar recurrence and the
+    Moreau identity v_i = w - sigma_i prox_{f_i/sigma_i}(w / sigma_i) run on
+    plain floats, with the same bits as on numpy scalars.
     """
     sig = [float(s) for s in sigmas]
     if len(sig) == 1:
@@ -116,30 +122,28 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
 
     layout = p.layout
     z0 = _default_start(layout.dim, None if start is None else as_vector(start))
-    G = p.a @ p.a.T                    # Gram matrix of the data rows
+    a, d, m = p.a, p.d, p.m
+    G = a @ a.T                        # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
-    sig_tail = np.asarray(sig[1:])
+    sig0, sig_tail = sig[0], np.asarray(sig[1:])
     counters = _Counters()
-    proxes = [counters.count("res", prox) for prox in p.proxes]
-    m = p.m
-
-    def dual_prox(i: int, sigma: float, w: float) -> float:
-        # Moreau: prox of the conjugate loss from the loss prox
-        return w - sigma * proxes[i](1.0 / sigma, w / sigma)
+    v, u_buf = np.zeros(m), np.zeros(m)
+    # sample i: fresh duals v_1..v_{i-1}, stale u_i..u_m
+    samples = [(G[i, :i], v[:i], G[i, i:], u_buf[i:], s, 1.0 / s, counters.count("res", prox))
+               for i, (s, prox) in enumerate(zip(sig[1:], p.proxes))]
 
     def step(zvec):
-        x = layout.block(zvec, 0)
-        u = zvec[p.d:]
-        ax = p.a @ x
-        v = np.empty(m)
-        for i in range(m):
-            # fresh duals v_1..v_{i-1}, stale u_i..u_m
-            mix = float(G[i, :i] @ v[:i]) + float(G[i, i:] @ u[i:])
-            w = u[i] + sig[i + 1] * (ax[i] - sig[0] * mix)
-            v[i] = dual_prox(i, sig[i + 1], w)
-        new_x = x - lam * (p.a.T @ v)
+        x, u = zvec[:d], zvec[d:]
+        u_buf[:] = u
+        ax, u_list = (a @ x).tolist(), u.tolist()
+        for i, (g_fresh, v_fresh, g_stale, u_stale, s, inv_s, prox) in enumerate(samples):
+            mix = float(g_fresh @ v_fresh) + float(g_stale @ u_stale)
+            w = u_list[i] + s * (ax[i] - sig0 * mix)
+            # Moreau: prox of the conjugate loss from the loss prox
+            v[i] = w - s * prox(inv_s, w / s)
+        new_x = x - lam * (a.T @ v)
         dv = v - u
-        new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))
+        new_u = u + lam * (dv / sig_tail + sig0 * (G_lower @ dv))
         return layout.concat([new_x, new_u])
 
     return _run(step, z0, cfg, counters, layout=layout)

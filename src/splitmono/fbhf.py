@@ -480,13 +480,14 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
                            z0=None) -> SolveReport:
     """Classical forward-backward iteration z -> J_{gamma A}(z - gamma B1 z).
 
-    Requires B2 absent and gamma in the open interval ]0, 2*beta[.
+    Requires B2 absent and gamma in the open interval ]0, 2*beta[, whose
+    upper end is checked with the margin rule of ``linalg.strictly_below``.
     """
     if spec.B2 is not None:
         raise ConfigurationError("forward-backward applies only when B2 is absent")
     if spec.B1 is None:
         raise ConfigurationError("forward-backward needs a cocoercive B1")
-    if not 0.0 < gamma < 2.0 * spec.beta:
+    if not (0.0 < gamma and strictly_below(gamma, 2.0 * spec.beta)):
         raise ConfigurationError(
             f"gamma={gamma:.6g} outside the open interval ]0, {2.0 * spec.beta:.6g}[")
     z_start = _default_start(spec.dimension, z0)

@@ -351,7 +351,11 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
     P_i0 (zero rows where absent), and per-row vectors of P_ii = 1/sigma_i,
     sigma_i and r_i.  An iteration is then a few GEMVs with K and P_.0 plus
     a sequential pass that applies each row's nonzero interior blocks P_ij
-    to the fresh duals v_1..v_{i-1} and calls the i-th dual resolvent."""
+    to the fresh duals v_1..v_{i-1} and makes the i-th block's one counted
+    resolvent call.  The Moreau identity
+    J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma) runs once over the
+    stacked rows: ``w / sigma`` before the pass, ``w - sigma p`` after it,
+    elementwise the same bits as ``DualBlock.dual_resolvent`` per block."""
     layout = pdp.layout
     d = pdp.dim
     rows = [slice(a - d, b - d) for a, b in zip(layout.offsets[1:], layout.offsets[2:])]
@@ -370,7 +374,7 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
     pdp = _counted(pdp, counters)
     C1, C2 = pdp.C1, pdp.C2
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
-    sweep = [(sl, s, blk.dual_resolvent, row)
+    sweep = [(sl, s, 1.0 / s, blk.B.resolvent, row)
              for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
 
     def step(zvec):
@@ -388,13 +392,17 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
         for sl, D_inv in d_inv:
             t[sl] -= D_inv(u[sl])
         w = u + sig * t
-        v = np.empty_like(u)
+        ws = w / sig
+        p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
         q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
-        for sl, s, dual_resolvent, row in sweep:
+        for sl, s, inv_s, resolvent, row in sweep:
             if row:
-                q[sl] = sum(P @ (u[slj] - v[slj]) for slj, P in row)
+                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
+                q[sl] = sum(P @ (u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
                 w[sl] += s * q[sl]
-            v[sl] = dual_resolvent(s, w[sl])
+                ws[sl] = w[sl] / s
+            p[sl] = resolvent(inv_s, ws[sl])
+        v = w - sig * p
 
         new_z = np.empty_like(zvec)
         corr0 = bp.diag_scalars[0] * (y - x) + K.T @ (u - v)

@@ -8,7 +8,7 @@ from splitmono.applications import (ErmProblem, NlpProblem, erm_condition,
                                     gen_entropy_ls, gen_erm_hinge, gen_lin_ineq_qp,
                                     solve_erm_incremental, solve_nlp)
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
-                            SolveConfig, chi)
+                            SolveConfig, _Counters, _default_start, _run, chi)
 from splitmono.linalg import operator_norm
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
                                  affine_constraints, nonneg_cone,
@@ -22,6 +22,39 @@ from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlo
 def ls_policy(**kw):
     return LineSearch(epsilon=kw.pop("epsilon", 0.5), sigma=kw.pop("sigma", 0.9),
                       theta=kw.pop("theta", 0.3), **kw)
+
+
+def elementwise_incremental(p, sigma, lam, cfg, start):
+    """The incremental sweep with numpy-scalar recurrences, per-sample Gram
+    slices and a Moreau helper per sample: the bit-level reference for the
+    plain-float loop of ``solve_erm_incremental``."""
+    sig = [float(sigma)] * (p.m + 1)
+    layout = p.layout
+    G = p.a @ p.a.T
+    G_lower = np.tril(G, -1)
+    sig_tail = np.asarray(sig[1:])
+    counters = _Counters()
+    proxes = [counters.count("res", prox) for prox in p.proxes]
+    m = p.m
+
+    def dual_prox(i, sigma, w):
+        return w - sigma * proxes[i](1.0 / sigma, w / sigma)
+
+    def step(zvec):
+        x = layout.block(zvec, 0)
+        u = zvec[p.d:]
+        ax = p.a @ x
+        v = np.empty(m)
+        for i in range(m):
+            mix = float(G[i, :i] @ v[:i]) + float(G[i, i:] @ u[i:])
+            w = u[i] + sig[i + 1] * (ax[i] - sig[0] * mix)
+            v[i] = dual_prox(i, sig[i + 1], w)
+        new_x = x - lam * (p.a.T @ v)
+        dv = v - u
+        new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))
+        return layout.concat([new_x, new_u])
+
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
 class TestErmCondition:
@@ -127,6 +160,23 @@ class TestErmSolver:
             assert len(r1.iterates) == len(r2.iterates) == 201
             for za, zb in zip(r1.iterates, r2.iterates):
                 assert np.max(np.abs(za - zb)) <= 1e-12
+
+    @pytest.mark.parametrize("d, m", [(6, 15), (5, 9)])
+    def test_plain_float_loop_is_bit_identical(self, d, m):
+        # the benchmark's ERM instance, and one whose dual block starts at an
+        # odd offset of the iterate
+        prob = gen_erm_hinge(d, m, 0)
+        sigma = 0.99 * erm_uniform_sigma_bound(m)
+        lam = 0.99 / erm_relaxation_bound([sigma] * (m + 1), np.linalg.norm(prob.a, axis=1))
+        start = np.random.default_rng(7).standard_normal(d + m)
+        cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
+        r = solve_erm_incremental(prob, [sigma], None, cfg, start)
+        ref = elementwise_incremental(prob, sigma, lam, cfg, start)
+        assert len(r.iterates) == len(ref.iterates) == 201
+        for za, zb in zip(r.iterates, ref.iterates):
+            assert np.array_equal(za, zb)
+        assert (r.resolvent_evals, r.iterations) == (ref.resolvent_evals, ref.iterations)
+        assert r.resolvent_evals == 200 * m
 
     def test_hinge_objective_matches_cross_solver_oracle(self):
         # desk-size variant; the full d=20, m=50 case runs in the acceptance suite

@@ -365,6 +365,16 @@ class TestForwardBackward:
             solve_forward_backward(spec, 2.0 * spec.beta,
                                    SolveConfig(max_iterations=10, tolerance=1e-9))
 
+    def test_upper_bound_keeps_the_condition_margin(self):
+        # 0 < gamma < 2 beta is strict: the margin rule of every other step
+        # condition rejects a gamma within 1e-12 max(1, 2 beta) of the bound
+        spec = scalar_halfline_spec()
+        bound = 2.0 * spec.beta
+        cfg = SolveConfig(max_iterations=10, tolerance=1e-9)
+        with pytest.raises(ConfigurationError, match="outside the open interval"):
+            solve_forward_backward(spec, bound - 0.5e-12 * max(1.0, bound), cfg)
+        solve_forward_backward(spec, 0.99 * bound, cfg)
+
     def test_b2_present_rejected(self):
         spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(np.zeros(2)),
                           B2=skew_map(SKEW2), X=ClosedConvexSet.whole_space(),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
                             _default_start, _run)
 from splitmono.linalg import symmetric_min_eig
+from splitmono.applications import gen_erm_hinge
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
-                                 MonotoneMap, quadratic_gradient)
+                                 MonotoneMap, quadratic_gradient, scalar_monotone)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
@@ -140,6 +142,83 @@ def reference_sweep(pdp, bp, lam, cfg, start):
         return layout.concat([x + lam * corr0] + new_us)
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
+
+
+def per_block_moreau_sweep(pdp, bp, lam, cfg, start):
+    """The stacked sweep with the Moreau identity evaluated block by block,
+    through ``DualBlock.dual_resolvent``: the bit-level reference for the
+    stacked evaluation of ``_sweep``."""
+    layout = pdp.layout
+    d = pdp.dim
+    rows = [slice(a - d, b - d) for a, b in zip(layout.offsets[1:], layout.offsets[2:])]
+    dims = [blk.dim for blk in pdp.blocks]
+    sigmas = [1.0 / c for c in bp.diag_scalars]
+    c, sig = np.repeat(bp.diag_scalars[1:], dims), np.repeat(sigmas[1:], dims)
+    r = np.concatenate([np.zeros(blk.dim) if blk.r is None else blk.r for blk in pdp.blocks])
+    K = np.vstack([blk.L for blk in pdp.blocks])
+    P0 = np.vstack([np.zeros_like(blk.L) if (P := bp.block(i, 0)) is None else P
+                    for i, blk in enumerate(pdp.blocks, start=1)])
+    KP0 = K + P0
+    interior = [[(rows[j - 1], P) for j in range(1, i)
+                 if (P := bp.block(i, j)) is not None and np.any(P)]
+                for i in range(1, pdp.m + 1)]
+    counters = _Counters()
+    pdp = _counted(pdp, counters)
+    C1, C2 = pdp.C1, pdp.C2
+    d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
+    sweep = [(sl, s, blk.dual_resolvent, row)
+             for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
+
+    def step(zvec):
+        x, u = zvec[:d], zvec[d:]
+        forward = K.T @ u
+        if C1 is not None:
+            forward += C1.evaluate(x)
+        if C2 is not None:
+            c2x = C2.evaluate(x)
+            forward += c2x
+        y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
+        xy = x - y
+        t = K @ x + P0 @ xy - r
+        for sl, D_inv in d_inv:
+            t[sl] -= D_inv(u[sl])
+        w = u + sig * t
+        v = np.empty_like(u)
+        q = np.zeros_like(u)
+        for sl, s, dual_resolvent, row in sweep:
+            if row:
+                q[sl] = sum(P @ (u[slj] - v[slj]) for slj, P in row)
+                w[sl] += s * q[sl]
+            v[sl] = dual_resolvent(s, w[sl])
+        new_z = np.empty_like(zvec)
+        corr0 = bp.diag_scalars[0] * (y - x) + K.T @ (u - v)
+        if C2 is not None:
+            corr0 += c2x - C2.evaluate(y)
+        new_z[:d] = x + lam * corr0
+        new_z[d:] = u + lam * (c * (v - u) - KP0 @ xy - q)
+        return new_z
+
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
+
+
+def erm_corollary_instance(d=6, m=15):
+    """The hinge-loss ERM instance of the benchmark, dualized one sample per
+    block, with its corollary pattern (theta = 1, every sigma_i = 0.1)."""
+    prob = gen_erm_hinge(d, m, 0)
+    pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None, dim=d,
+                            blocks=tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
+                                                   L=prob.a[i][None, :])
+                                         for i in range(m)))
+    return pdp, BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
+
+
+def coupled_instance_active_duals():
+    """``coupled_instance`` with dual operators whose resolvents at step
+    1/sigma_i = 1/30 seldom vanish, so every earlier v_j feeds the interior
+    blocks."""
+    pdp, bp = coupled_instance()
+    blocks = tuple(replace(blk, B=soft_threshold(0.01)) for blk in pdp.blocks)
+    return replace(pdp, blocks=blocks), bp
 
 
 def feasible_sigma(pdp, theta):
@@ -370,6 +449,25 @@ class TestBlockTriangularSolver:
             assert np.linalg.norm(r.block(i) - pdp.layout.block(start, i)) > 1e-3
         assert (r.b1_evals, r.b2_evals, r.resolvent_evals) == \
             (ref.b1_evals, ref.b2_evals, ref.resolvent_evals) == (300, 600, 1200)
+
+    @pytest.mark.parametrize("instance", [erm_corollary_instance, coupled_instance,
+                                          coupled_instance_active_duals])
+    def test_stacked_moreau_is_bit_identical_to_per_block(self, instance):
+        # one division before the pass and one subtraction after it give the
+        # bits of dual_resolvent on every block, with the same counts
+        pdp, bp = instance()
+        lam = 0.99 / check_pd_conditions(bp, [b.L for b in pdp.blocks],
+                                         pdp.delta, pdp.beta).M
+        start = np.random.default_rng(7).standard_normal(pdp.layout.dim)
+        cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
+        r = _sweep(pdp, bp, lam, cfg, start)
+        ref = per_block_moreau_sweep(pdp, bp, lam, cfg, start)
+        assert len(r.iterates) == len(ref.iterates) == 201
+        for a, b in zip(r.iterates, ref.iterates):
+            assert np.array_equal(a, b)
+        assert (r.b1_evals, r.b2_evals, r.resolvent_evals, r.iterations) == \
+            (ref.b1_evals, ref.b2_evals, ref.resolvent_evals, ref.iterations)
+        assert r.resolvent_evals == 200 * (pdp.m + 1)
 
     def test_rejects_failing_condition(self):
         pdp = lasso_instance(seed=4)
