@@ -11,11 +11,15 @@ so w stays there, and the fixed point (consensual x*, w_i* = -grad f_i(x*))
 is the same for every graph: the rounds share it however the graph changes.
 
 All communication happens through Laplacian products, which read only
-neighbor blocks; rounds are synchronous.
+neighbor blocks; rounds are synchronous.  A round runs as array operations
+over all agents: each product subtracts the agents' r-th neighbors for all
+agents at once, in the ascending order a per-agent loop would use, so every
+agent still reads only its neighbors' rows and gets the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,18 +39,19 @@ class Graph:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("need at least one agent")
         seen = set()
         for (i, j) in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid edge {(i, j)}")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        if self.n > 1 and not self._connected():
+        if n > 1 and not self._connected():
             raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
@@ -65,55 +70,61 @@ class Graph:
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         if "neighbors" not in self._cache:
             nbr = [[] for _ in range(self.n)]
+            # the edges are sorted pairs i < j, so every list grows in
+            # ascending order
             for (i, j) in self.edges:
                 nbr[i].append(j)
                 nbr[j].append(i)
-            self._cache["neighbors"] = tuple(tuple(sorted(v)) for v in nbr)
+            self._cache["neighbors"] = tuple(map(tuple, nbr))
         return self._cache["neighbors"]
 
     @property
     def degrees(self) -> np.ndarray:
         if "degrees" not in self._cache:
-            deg = np.zeros(self.n, dtype=int)
-            for (i, j) in self.edges:
-                deg[i] += 1
-                deg[j] += 1
-            self._cache["degrees"] = deg
+            self._cache["degrees"] = np.array([len(v) for v in self.neighbors])
         return self._cache["degrees"]
 
     def laplacian(self) -> np.ndarray:
         """Degree-minus-adjacency matrix, built in integer arithmetic so
         L @ ones == 0 holds exactly."""
         if "laplacian" not in self._cache:
-            L = np.zeros((self.n, self.n))
-            for (i, j) in self.edges:
-                L[i, i] += 1.0
-                L[j, j] += 1.0
-                L[i, j] -= 1.0
-                L[j, i] -= 1.0
-            self._cache["laplacian"] = L
+            n = self.n
+            L = np.zeros(n * n)
+            L[[i * n + j for i, j in self.edges]
+              + [j * n + i for i, j in self.edges]] = -1.0
+            L[::n + 1] = self.degrees
+            self._cache["laplacian"] = L.reshape(n, n)
         return self._cache["laplacian"]
+
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(deg, table): the degrees as a float column, and table[r, i] the
+        r-th smallest neighbor of agent i, or n past deg(i), which indexes
+        the zero row that ``laplacian_apply`` appends."""
+        if "ranks" not in self._cache:
+            nbrs = self.neighbors
+            width = max(map(len, nbrs))
+            table = np.array([[v[r] if r < len(v) else self.n for v in nbrs]
+                              for r in range(width)], dtype=np.intp)
+            self._cache["ranks"] = (self.degrees[:, None].astype(float),
+                                    table.reshape(width, self.n))
+        return self._cache["ranks"]
 
     def laplacian_apply(self, X: np.ndarray) -> np.ndarray:
         """Apply the Laplacian blockwise: agent i reads only its neighbors,
-        (L X)_i = deg(i) X_i - sum_{j ~ i} X_j."""
+        (L X)_i = deg(i) X_i - sum_{j ~ i} X_j, subtracting the neighbors
+        one at a time in ascending order.  Rank r of the neighbor table does
+        the r-th subtraction for all agents at once; an agent with fewer
+        neighbors subtracts the zero pad row, and x - 0.0 == x, -0.0
+        included."""
         X = np.asarray(X, dtype=float)
-        out = np.empty_like(X)
-        nbrs = self.neighbors
-        deg = self.degrees
-        for i in range(self.n):
-            acc = deg[i] * X[i]
-            for j in nbrs[i]:
-                acc = acc - X[j]
-            out[i] = acc
-        return out
-
-    def fiedler_value(self) -> float:
-        """Second-smallest Laplacian eigenvalue (positive iff connected)."""
-        if self.n == 1:
-            return math.inf
-        vals = np.sort(np.linalg.eigvalsh(self.laplacian()))
-        return float(vals[1])
+        deg, table = self._ranks()
+        rows = X.reshape(self.n, -1)
+        padded = np.zeros((self.n + 1, rows.shape[1]))
+        padded[:-1] = rows
+        acc = deg * rows
+        for nbr in table:
+            acc -= padded.take(nbr, axis=0)
+        return acc.reshape(X.shape)
 
     def norm_laplacian(self) -> float:
         """||L|| = lambda_max(L), the largest eigenvalue of the symmetric
@@ -139,14 +150,18 @@ class Graph:
 
     @classmethod
     def random_connected(cls, n: int, rng: np.random.Generator) -> "Graph":
-        """Rejection-sample an Erdos-Renyi graph (p = 1/2) until connected."""
-        if n == 1:
-            return cls(1, ())
+        """Rejection-sample an Erdos-Renyi graph (p = 1/2) until connected.
+
+        Each attempt draws one uniform per vertex pair i < j, in
+        lexicographic order, and keeps the edge when it is below 1/2.
+        Seeded graph sequences depend on this draw order."""
+        if n <= 1:
+            return cls(n, ())
+        pairs = list(itertools.combinations(range(n), 2))
         while True:
-            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                          if rng.random() < 0.5)
+            keep = (rng.random(len(pairs)) < 0.5).tolist()
             try:
-                return cls(n, edges)
+                return cls(n, tuple(itertools.compress(pairs, keep)))
             except ValueError:
                 continue
 
@@ -187,13 +202,19 @@ class GraphSequence:
         return cls(at=at, n=n)
 
 
-def _round(X, W, proxes, graph: Graph, gamma: float,
-           tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled proximal steps against the dual term W, then the ascent of
-    W through L applied to the reflected primal."""
-    Xn = np.stack([np.atleast_1d(proxes[i](gamma, X[i] - gamma * W[i]))
-                   for i in range(graph.n)])
-    return Xn, W + tau * graph.laplacian_apply(2.0 * Xn - X)
+def _round(z: np.ndarray, proxes, graph: Graph, gamma: float,
+           tau: float) -> np.ndarray:
+    """One round on the stacked z = (x, w): decoupled proximal steps against
+    the dual term w, then the ascent of w through L applied to the
+    reflected primal."""
+    X, W = z.reshape(2, graph.n, -1)
+    zn = np.empty_like(z)
+    Xn, Wn = zn.reshape(2, graph.n, -1)
+    V = X - gamma * W
+    for i, prox in enumerate(proxes):
+        Xn[i] = prox(gamma, V[i])
+    np.add(W, tau * graph.laplacian_apply(2.0 * Xn - X), out=Wn)
+    return zn
 
 
 def metric_norm(graph: Graph, gamma: float, tau: float) -> float:
@@ -212,9 +233,15 @@ def metric_norm(graph: Graph, gamma: float, tau: float) -> float:
 
 
 def _spread(X: np.ndarray) -> float:
-    n = X.shape[0]
-    return max((float(np.linalg.norm(X[i] - X[j]))
-                for i in range(n) for j in range(i + 1, n)), default=0.0)
+    """Consensus error max_{i,j} ||X_i - X_j|| of the stacked blocks."""
+    if X.shape[1] == 1:
+        # rounding is monotone, so the extreme pair attains the largest
+        # rounded difference; sqrt(d * d) squares as the 2-norm does, so it
+        # overflows and underflows where the pairwise norm would
+        d = float(X.max() - X.min())
+        return math.sqrt(d * d)
+    D = X[:, None, :] - X[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", D, D).max()))
 
 
 def _check_round(graph: Graph, gamma: float, tau: float, k: int) -> None:
@@ -256,18 +283,15 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     counters = _Counters()
     proxes = [counters.count("res", prox) for prox in proxes]
     trace: list[float] = []
-    k_state = {"k": 0}
+    rounds = itertools.count()
 
-    def step(zvec):
-        k = k_state["k"]
-        k_state["k"] = k + 1
+    def step(z):
+        k = next(rounds)
         g = gs.at(k)
         _check_round(g, gamma, tau, k)
-        Xk = zvec[:m].reshape(n, block_dim)
-        Wk = zvec[m:].reshape(n, block_dim)
-        Xn, Wn = _round(Xk, Wk, proxes, g, gamma, tau)
-        trace.append(_spread(Xn))
-        return np.concatenate([Xn.ravel(), Wn.ravel()])
+        zn = _round(z, proxes, g, gamma, tau)
+        trace.append(_spread(zn[:m].reshape(n, block_dim)))
+        return zn
 
     z0 = np.concatenate([X.ravel(), W.ravel()])
     report = _run(step, z0, cfg, counters, layout=layout)
