@@ -122,6 +122,14 @@ StepPolicy = ConstantStep | LineSearch
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Stopping rule and history retention of one solve.
+
+    ``keep_iterates=True`` keeps the whole per-iteration history in the
+    report: every iterate, every relative change (``residuals``) and, for a
+    solver with a scalar step, every step (``gammas``).  Without it a report
+    holds a fixed amount of state however many iterations run.
+    """
+
     max_iterations: int = 100_000
     tolerance: float = 1e-7        # relative-change stopping threshold
     keep_iterates: bool = False
@@ -146,19 +154,30 @@ class SolveReport:
     primal, dual or per-sample/per-agent proxes of the primal-dual, ERM and
     distributed solvers.  ``backtracks`` counts rejected line-search
     candidates.
+
+    ``residual`` is the last relative change ||z+ - z|| / ||z|| (the
+    absolute change at the origin); it is non-finite when the run diverged.
+    ``gamma`` is the last step of the solvers that run a scalar step (the
+    main iteration, its forward-backward and Tseng baselines and the
+    preconditioned solver at P = Id/gamma), and None for the others.  The
+    per-iteration history (``iterates``, ``residuals`` and ``gammas``, one
+    entry per iteration after the starting point) is kept only under
+    ``SolveConfig.keep_iterates`` and is None otherwise.
     """
 
     z: np.ndarray
     iterations: int
     reason: str                    # "tolerance" | "max_iter" | "diverged"
-    residuals: list[float]
+    residual: float
     b1_evals: int = 0
     b2_evals: int = 0
     resolvent_evals: int = 0
     projections: int = 0
     backtracks: int = 0
     wall_time: float = 0.0
+    gamma: Optional[float] = None
     iterates: Optional[list[np.ndarray]] = None
+    residuals: Optional[list[float]] = None
     gammas: Optional[list[float]] = None
     layout: Optional[BlockLayout] = None
 
@@ -221,12 +240,34 @@ def _relative_change(z_new: np.ndarray, z: np.ndarray) -> float:
     return num if den < 1e-30 else num / den
 
 
+class _StepLog:
+    """The line-search steps of one solve: the last one, and every one when
+    the history is kept."""
+
+    __slots__ = ("last", "history")
+
+    def __init__(self, keep: bool):
+        self.last: Optional[float] = None
+        self.history: Optional[list[float]] = [] if keep else None
+
+    def record(self, gamma: float) -> None:
+        self.last = gamma
+        if self.history is not None:
+            self.history.append(gamma)
+
+
 def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveConfig,
-         counters: _Counters, gammas: Optional[list] = None,
-         layout: Optional[BlockLayout] = None) -> SolveReport:
+         counters: _Counters, layout: Optional[BlockLayout] = None,
+         steps: float | _StepLog | None = None) -> SolveReport:
+    """Iterate ``step`` from ``z0`` until the relative-change stop.
+
+    ``steps`` is the solver's constant scalar step, the ``_StepLog`` its step
+    closure records into, or None when it runs no scalar step.  Without
+    ``cfg.keep_iterates`` the loop keeps no per-iteration state."""
     z = np.asarray(z0, dtype=float).copy()
-    residuals: list[float] = []
-    iterates = [z.copy()] if cfg.keep_iterates else None
+    keep = cfg.keep_iterates
+    iterates = [z.copy()] if keep else None
+    residuals = [] if keep else None
     reason = "max_iter"
     iterations = 0
     t0 = time.perf_counter()
@@ -234,9 +275,9 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
         z_new = step(z)
         iterations += 1
         rel = _relative_change(z_new, z)
-        residuals.append(rel)
         z = z_new
-        if iterates is not None:
+        if keep:
+            residuals.append(rel)
             iterates.append(np.array(z))
         if rel < cfg.tolerance:
             reason = "tolerance"
@@ -246,13 +287,18 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
             reason = "diverged"
             break
     wall = time.perf_counter() - t0
+    if isinstance(steps, _StepLog):
+        gamma, gammas = steps.last, steps.history
+    else:
+        gamma = steps
+        gammas = [steps] * iterations if keep and steps is not None else None
     calls = counters.calls
     return SolveReport(z=z, iterations=iterations, reason=reason,
-                       residuals=residuals, b1_evals=calls("b1"),
+                       residual=rel, b1_evals=calls("b1"),
                        b2_evals=calls("b2"), resolvent_evals=calls("res"),
                        projections=calls("proj"), backtracks=counters.backtracks,
-                       wall_time=wall, iterates=iterates, gammas=gammas,
-                       layout=layout)
+                       wall_time=wall, gamma=gamma, iterates=iterates,
+                       residuals=residuals, gammas=gammas, layout=layout)
 
 
 def _default_start(dim: int, z0) -> np.ndarray:
@@ -430,14 +476,20 @@ def _iterate_fbhf(spec: ProblemSpec, policy, cfg: SolveConfig,
     ``policy`` (a float) or with the ``LineSearch`` policy."""
     counters = _Counters()
     spec = _counted(spec, counters)
-    gammas: list[float] = []
+    if isinstance(policy, LineSearch):
+        steps = _StepLog(cfg.keep_iterates)
 
-    def step(z):
-        gamma, _, z_next = _fbhf_iteration(spec, z, policy, counters)
-        gammas.append(gamma)
-        return z_next
+        def step(z):
+            gamma, _, z_next = _fbhf_iteration(spec, z, policy, counters)
+            steps.record(gamma)
+            return z_next
+    else:
+        steps = policy
 
-    return _run(step, z_start, cfg, counters, gammas)
+        def step(z):
+            return _fbhf_iteration(spec, z, policy, counters)[2]
+
+    return _run(step, z_start, cfg, counters, steps=steps)
 
 
 def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
@@ -457,7 +509,7 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
         raise ConfigurationError(f"unknown step policy {policy!r}")
     counters = _Counters()
     spec = _counted(spec, counters)
-    gammas: list[float] = []
+    steps = _StepLog(cfg.keep_iterates) if isinstance(policy, LineSearch) else policy
 
     def b_at(w):
         return _forward(spec, w)[1]
@@ -466,14 +518,14 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
         bz = b_at(z)
         if isinstance(policy, LineSearch):
             gamma, x, bx = _backtrack(spec, z, policy, bz, bz, b_at, counters)
+            steps.record(gamma)
         else:
             gamma = policy
             x = _backward(spec, z, gamma, bz)
             bx = b_at(x)
-        gammas.append(gamma)
         return spec.X.project(x if bz is None else x + gamma * (bz - bx))
 
-    return _run(step, z_start, cfg, counters, gammas)
+    return _run(step, z_start, cfg, counters, steps=steps)
 
 
 def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
@@ -497,7 +549,7 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
     def step(z):
         return spec.A.resolvent(gamma, z - gamma * spec.B1.evaluate(z))
 
-    return _run(step, z_start, cfg, counters)
+    return _run(step, z_start, cfg, counters, steps=gamma)
 
 
 def phi_z_profile(spec: ProblemSpec, z, gamma_grid) -> list[float]:

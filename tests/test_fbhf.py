@@ -153,7 +153,7 @@ class TestLineSearch:
         cfg = SolveConfig(max_iterations=1000, tolerance=1e-300)
         r = solve_tseng_fbf(spec, LineSearch(epsilon=0.5, theta=0.3), cfg,
                             z0=np.ones(2))
-        assert r.reason == "tolerance" and r.residuals[-1] == 0.0
+        assert r.reason == "tolerance" and r.residual == 0.0
         assert np.allclose(r.z, [0.0, 1.0], rtol=0.0, atol=1e-15)
         assert r.resolvent_evals == r.iterations + r.backtracks
 
@@ -226,7 +226,7 @@ class TestSolveFbhf:
         r = solve_fbhf(spec, ConstantStep(gamma=gamma),
                        SolveConfig(max_iterations=100_000, tolerance=1e-7), z0)
         assert r.reason == "tolerance"
-        assert r.residuals[-1] < 1e-7
+        assert r.residual < 1e-7
         ref = solve_fbhf(spec, ConstantStep(gamma=gamma),
                          SolveConfig(max_iterations=1_000_000, tolerance=1e-11), z0)
         obj = prob.objective(r.z[:40])
@@ -237,7 +237,7 @@ class TestSolveFbhf:
         spec = scalar_halfline_spec()
         r = solve_fbhf(spec, ConstantStep(), SolveConfig(max_iterations=5,
                                                          tolerance=1e-12))
-        assert r.gammas[0] == pytest.approx(0.99 * 2.0)
+        assert r.gamma == pytest.approx(0.99 * 2.0)
 
     def test_gamma_bound_enforced_and_unchecked(self):
         spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(np.zeros(2)),
@@ -259,13 +259,14 @@ class TestSolveFbhf:
         prob = gen_lin_ineq_qp(10, 2, seed=0)
         spec = ProblemSpec(A=MaximalMonotone.zero(), B1=prob.h, B2=None,
                           X=ClosedConvexSet.whole_space(), dimension=prob.dim)
-        cfg = SolveConfig(max_iterations=50_000, tolerance=1e-9)
+        cfg = SolveConfig(max_iterations=50_000, tolerance=1e-9, keep_iterates=True)
         with np.errstate(over="ignore", invalid="ignore"):
             r = solve_fbhf(spec, ConstantStep(gamma=10.0 * prob.beta, unchecked=True),
                            cfg, z0=np.ones(prob.dim))
         assert r.reason == "diverged"
         assert r.iterations < cfg.max_iterations // 10
-        assert not math.isfinite(r.residuals[-1])
+        assert len(r.residuals) == r.iterations
+        assert not math.isfinite(r.residual) and not math.isfinite(r.residuals[-1])
         assert all(math.isfinite(v) for v in r.residuals[:-1])
 
     def test_no_lipschitz_demands_line_search(self):
@@ -319,23 +320,34 @@ class TestSolveFbhf:
         assert t.b1_evals == 2 * t.iterations + t.backtracks
 
     def test_relative_stop_guard_at_origin(self):
+        # z+ = z - (z - 0) = 0: from the origin the change is measured in
+        # absolute terms (0/0 would not be finite), and a run that lands on
+        # the origin measures its first step relatively and its second at 0
         spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(np.zeros(2)),
                           B2=None, X=ClosedConvexSet.whole_space(), dimension=2)
         r = solve_fbhf(spec, ConstantStep(gamma=1.0),
                        SolveConfig(max_iterations=50, tolerance=1e-9),
                        z0=np.zeros(2))
-        assert r.reason == "tolerance"
-        assert all(math.isfinite(v) for v in r.residuals)
+        assert r.reason == "tolerance" and r.iterations == 1
+        assert math.isfinite(r.residual) and r.residual == 0.0
+        landed = solve_fbhf(spec, ConstantStep(gamma=1.0),
+                            SolveConfig(max_iterations=50, tolerance=1e-9,
+                                        keep_iterates=True),
+                            z0=np.array([1.0, -2.0]))
+        assert landed.reason == "tolerance" and landed.residuals == [1.0, 0.0]
 
     def test_history_retention_modes(self):
         spec = scalar_halfline_spec()
         cfg = SolveConfig(max_iterations=10, tolerance=1e-300)
         slim = solve_fbhf(spec, ConstantStep(gamma=1.0), cfg)
-        assert slim.iterates is None and len(slim.residuals) == slim.iterations
+        assert slim.iterates is slim.residuals is slim.gammas is None
+        assert slim.gamma == 1.0 and math.isfinite(slim.residual)
         full = solve_fbhf(spec, ConstantStep(gamma=1.0),
                           SolveConfig(max_iterations=10, tolerance=1e-300,
                                       keep_iterates=True))
         assert len(full.iterates) == full.iterations + 1
+        assert len(full.residuals) == len(full.gammas) == full.iterations
+        assert full.residuals[-1] == full.residual and full.gammas == [1.0] * full.iterations
 
 
 class TestForwardBackward:
@@ -345,6 +357,7 @@ class TestForwardBackward:
                                    SolveConfig(max_iterations=100, tolerance=1e-14),
                                    z0=np.zeros(1))
         assert r.z[0] == pytest.approx(1.0, abs=1e-12)
+        assert r.gamma == 1.0
 
     def test_near_boundary_step_matches_normal_equations(self):
         rng = np.random.default_rng(12)
