@@ -12,8 +12,7 @@ from .linalg import (BlockLayout, operator_norm, solve_spd, split_symmetric_skew
 from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         MonotoneMap, ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
-                        lagrangian_saddle_map, normal_cone_box, prox_conjugate,
-                        quadratic_gradient)
+                        lagrangian_saddle_map, normal_cone_box, quadratic_gradient)
 from .fbhf import (ConfigurationError, ConstantStep, LineSearch, LineSearchError,
                    SolveConfig, SolveReport, chi, fbhf_step, line_search_gamma,
                    phi_z_profile, solve_fbhf, solve_forward_backward,

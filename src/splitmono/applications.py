@@ -92,6 +92,25 @@ def erm_uniform_sigma_bound(m: int) -> float:
     return (math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(m))
 
 
+def check_erm_steps(p: ErmProblem, sigmas,
+                    lam: Optional[float]) -> tuple[list[float], float]:
+    """The m+1 stepsizes (one value is repeated) and the relaxation that
+    ``solve_erm_incremental`` runs with, checked as it checks them first."""
+    sig = [float(s) for s in sigmas]
+    if len(sig) == 1:
+        sig = sig * (p.m + 1)
+    if len(sig) != p.m + 1 or any(s <= 0 for s in sig):
+        raise ConfigurationError("need m+1 positive stepsizes (or one uniform value)")
+    a_norms = np.linalg.norm(p.a, axis=1)
+    lhs, rhs = erm_condition(sig, a_norms)
+    if not strictly_below(lhs, rhs):
+        raise ConfigurationError(
+            f"ERM stepsize condition violated: lhs = {lhs:.12g} must be < "
+            f"1/max(sigma) = {rhs:.12g}")
+    M = erm_relaxation_bound(sig, a_norms)
+    return sig, _check_lambda(0.99 / M if lam is None else lam, M)
+
+
 def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
                           cfg: SolveConfig, start=None) -> SolveReport:
     """Incremental proximal sweep for the dualized ERM inclusion.
@@ -106,20 +125,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     Moreau identity v_i = w - sigma_i prox_{f_i/sigma_i}(w / sigma_i) run on
     plain floats, with the same bits as on numpy scalars.
     """
-    sig = [float(s) for s in sigmas]
-    if len(sig) == 1:
-        sig = sig * (p.m + 1)
-    if len(sig) != p.m + 1 or any(s <= 0 for s in sig):
-        raise ConfigurationError("need m+1 positive stepsizes (or one uniform value)")
-    a_norms = np.linalg.norm(p.a, axis=1)
-    lhs, rhs = erm_condition(sig, a_norms)
-    if not strictly_below(lhs, rhs):
-        raise ConfigurationError(
-            f"ERM stepsize condition violated: lhs = {lhs:.12g} must be < "
-            f"1/max(sigma) = {rhs:.12g}")
-    M = erm_relaxation_bound(sig, a_norms)
-    lam = _check_lambda(0.99 / M if lam is None else lam, M)
-
+    sig, lam = check_erm_steps(p, sigmas, lam)
     layout = p.layout
     z0 = _default_start(layout.dim, None if start is None else as_vector(start))
     a, d, m = p.a, p.d, p.m

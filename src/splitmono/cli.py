@@ -1,11 +1,13 @@
 """Batch experiment harness and command-line interface.
 
-``splitmono validate <config>`` checks a config file and explains every
-parameter-condition violation; ``splitmono run <config>`` executes the
-(solver, parameters, seed) grid and writes ``report.csv`` plus a
-``summary.md`` derived from it; ``splitmono demo <kind>`` writes and runs a
-canned desk-scale config.  Exit codes: 0 full success, 1 config error,
-2 when any cell errored (the run still completes).
+``splitmono validate <config>`` builds every (solver cell, variant, seed)
+instance and runs the solver's own parameter check on it; only the
+distributed stepsize condition, which depends on each round's graph, is
+left to the run.  ``splitmono run <config>`` checks the same way (on the
+``--seeds`` override when given), executes the grid and writes
+``report.csv`` plus a ``summary.md`` derived from it; ``splitmono demo
+<kind>`` writes and runs a canned desk-scale config.  Exit codes: 0 full
+success, 1 config error, 2 when any cell errored (the run still completes).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -25,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import applications, distributed, operators, primal_dual
-from .fbhf import (ConstantStep, LineSearch, SolveConfig, chi, half_inverse,
-                   solve_fbhf, solve_forward_backward, solve_tseng_fbf)
-from .linalg import strictly_below
+from .fbhf import (ConstantStep, LineSearch, SolveConfig, check_step, chi,
+                   half_inverse, solve_fbhf, solve_forward_backward, solve_tseng_fbf)
 
 CSV_COLUMNS = ["solver", "params-json", "seed", "objective", "max-constraint",
                "iterations", "time-ms", "b1-evals", "b2-evals",
@@ -51,9 +53,6 @@ DEFAULTS = {"fbhf": {"delta": 3.99}, "tseng": {"delta": 0.99},
 DEFAULTS["fb"] = DEFAULTS["fbhf"]
 
 LINE_SEARCH_KEYS = ("epsilon", "sigma", "theta")
-POSITIVE_KEYS = {"fbhf": ("delta",), "fb": ("delta",), "tseng": ("delta",),
-                 "condat-vu": ("sigma_bar",), "erm": ("sigma_factor",),
-                 "consensus": ("gamma", "tau")}
 
 # CSV fields of a cell whose solve raised
 ERROR_FIELDS = {"objective": "", "max-constraint": "", "iterations": 0,
@@ -185,28 +184,30 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
         cfg = load_config(path)
     except ConfigError as exc:
         return None, [str(exc)]
+    return cfg, check_config(cfg, unsafe_stepsize)
+
+
+def check_config(cfg: ExperimentConfig, unsafe: bool = False) -> list[str]:
+    """The diagnostics of a loaded config: each (solver cell, variant, seed)
+    is built as a run builds it, so it fails here exactly when it would there."""
     diags: list[str] = []
     if not cfg.seeds:
         diags.append("seeds list is empty")
     if cfg.kind == "entropy" and not cfg.dims["r_fractions"]:
         diags.append("r_fractions list is empty")
-    if not cfg.tolerance > 0:
-        diags.append(f"tolerance must be positive (got {cfg.tolerance})")
-    if cfg.max_iterations < 1:
-        diags.append(f"max_iterations must be >= 1 (got {cfg.max_iterations})")
+    try:
+        cfg.solve_config()
+    except ValueError as exc:
+        diags.append(str(exc))
     if not cfg.cells:
         diags.append("no [solver ...] sections given")
     for key, val in cfg.dims.items():
         if key in ("n", "p", "d", "m", "agents", "block") and val < 1:
             diags.append(f"{key} must be >= 1 (got {val})")
-    if cfg.kind in ("lin-ineq", "entropy") and cfg.dims["n"] % 2 != 0:
-        diags.append(f"n must be even (got {cfg.dims['n']})")
-    if cfg.kind == "entropy":
-        for r in cfg.dims["r_fractions"]:
-            if not -1.0 < r < 0.0:
-                diags.append(f"r_fraction {r} outside ]-1, 0[")
     if cfg.kind == "distributed" and cfg.dims["graphs"] not in ("fixed", "alternating", "random"):
         diags.append(f"graphs must be fixed | alternating | random (got {cfg.dims['graphs']})")
+    if diags:
+        return diags
 
     allowed = ALGORITHMS_BY_KIND[cfg.kind]
     for cell in cfg.cells:
@@ -215,43 +216,20 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
             diags.append(f"{where}: algorithm '{cell.algorithm}' is not usable for "
                          f"kind '{cfg.kind}' (allowed: {', '.join(allowed)})")
             continue
-        diags.extend(f"{where}: {d}" for d in _cell_diagnostics(cfg, cell, unsafe_stepsize))
-    return cfg, diags
-
-
-def _cell_diagnostics(cfg: ExperimentConfig, cell: SolverCell, unsafe: bool) -> list[str]:
-    p = cell.params
-    out = [f"{key} = {p[key]} must be positive"
-           for key in POSITIVE_KEYS.get(cell.algorithm, ()) if p[key] <= 0]
-    if out:
-        return out
-    if cell.algorithm in ("fbhf-ls", "tseng-ls"):
-        try:
-            _line_search_policy(p)
-        except ValueError as exc:
-            return [str(exc)]
-    if cell.algorithm in ("fbhf", "fb", "tseng"):
-        limit, bound = (1.0, "1/(1/beta + L)") if cell.algorithm == "tseng" else (4.0, "chi")
-        if not strictly_below(p["delta"], limit) and (not unsafe or cell.algorithm == "fb"):
-            lift = ("forward-backward has no unchecked mode for --unsafe-stepsize to lift it"
-                    if cell.algorithm == "fb" else
-                    "rerun with --unsafe-stepsize to probe beyond it")
-            return [f"delta = {p['delta']} puts gamma at or beyond {bound}; the bound "
-                    f"requires delta < {limit:g} ({lift})"]
-    if cell.algorithm == "erm":
-        m = cfg.dims["m"]
-        bound = applications.erm_uniform_sigma_bound(m)
-        sigma = p["sigma_factor"] * bound
-        lhs, rhs = applications.erm_condition([sigma] * (m + 1), [1.0] * m)
-        if not strictly_below(lhs, rhs):
-            return [f"sigma = {sigma:.6g} violates the incremental stepsize "
-                    f"condition: sqrt(m) + m sigma = {lhs:.6g} must be < 1/sigma "
-                    f"= {rhs:.6g} (uniform bound (sqrt(5)-1)/(2 sqrt(m)) = {bound:.6g})"]
-    return []
+        for variant in cfg.variants():
+            params = {**cell.params, **variant}
+            for seed in cfg.seeds:
+                try:
+                    RUNNERS[cfg.kind](cfg, cell.algorithm, params, seed, unsafe)
+                except Exception as exc:  # the failure a run records as an error row
+                    diags.append(f"{where} {json.dumps(params, sort_keys=True)}, "
+                                 f"seed {seed}: {exc}")
+    return diags
 
 
 # ---------------------------------------------------------------------------
-# cell runners
+# cell builders: each draws one seed's instance, runs the solver's own check
+# and returns the solve, a thunk giving (report, objective, max-constraint)
 
 
 def _line_search_policy(params: dict) -> LineSearch:
@@ -262,39 +240,43 @@ def _line_search_policy(params: dict) -> LineSearch:
         return LineSearch(**{k: params[k] for k in LINE_SEARCH_KEYS if k in params})
 
 
-def _constant_step(algorithm: str, delta: float, beta: float, L: float,
+def _constant_step(algorithm: str, delta: float, spec: operators.ProblemSpec,
                    unsafe: bool) -> ConstantStep:
     """The step a ``delta`` cell asks for: (delta/4) chi(beta, L) for fbhf and
     fb (2 beta delta/4 when L = 0), delta / (1/beta + L) for tseng."""
     if algorithm == "tseng":
-        gamma = delta / (1.0 / beta + L)
+        gamma = delta / (1.0 / spec.beta + spec.lipschitz)
     else:
-        gamma = delta / 4.0 * chi(beta, L)
+        gamma = delta / 4.0 * chi(spec.beta, spec.lipschitz)
     return ConstantStep(gamma=gamma, unchecked=unsafe)
 
 
-def _run_nlp_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
-                  seed: int, unsafe: bool):
+def _build_nlp_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                    seed: int, unsafe: bool):
     if cfg.kind == "lin-ineq":
         prob = applications.gen_lin_ineq_qp(cfg.dims["n"], cfg.dims["p"], seed)
-        L = prob.data["L"]
     else:
         prob = applications.gen_entropy_ls(cfg.dims["n"], params["r_fraction"], seed)
-        L = None
     if algorithm == "condat-vu":
+        L = prob.data["L"]
         sigma_bar = params["sigma_bar"]
         tau = 1.0 / (half_inverse(prob.beta) + sigma_bar * L * L)
-        report = primal_dual.solve_condat_vu(_lin_ineq_as_primal_dual(prob), tau,
-                                             sigma_bar, cfg.solve_config())
+        pdp = _lin_ineq_as_primal_dual(prob)
+        primal_dual.check_condat_vu(pdp, tau, sigma_bar)
+        solve = functools.partial(primal_dual.solve_condat_vu, pdp, tau, sigma_bar)
     else:
-        if algorithm.endswith("-ls"):
-            policy = _line_search_policy(params)
-        else:
-            policy = _constant_step(algorithm, params["delta"], prob.beta, L, unsafe)
-        report = applications.solve_nlp(prob, policy, cfg.solve_config(),
-                                        baseline=algorithm.removesuffix("-ls"))
-    x = report.block(0)
-    return report, prob.objective(x), prob.max_constraint(x)
+        baseline = algorithm.removesuffix("-ls")
+        spec = prob.saddle_spec()
+        policy = (_line_search_policy(params) if algorithm.endswith("-ls") else
+                  _constant_step(algorithm, params["delta"], spec, unsafe))
+        check_step(spec, policy, baseline)
+        solve = functools.partial(applications.solve_nlp, prob, policy, baseline=baseline)
+
+    def run():
+        report = solve(cfg=cfg.solve_config())
+        x = report.block(0)
+        return report, prob.objective(x), prob.max_constraint(x)
+    return run
 
 
 def _lin_ineq_as_primal_dual(prob: applications.NlpProblem) -> primal_dual.PrimalDualProblem:
@@ -308,17 +290,21 @@ def _lin_ineq_as_primal_dual(prob: applications.NlpProblem) -> primal_dual.Prima
                                          blocks=(block,), dim=prob.dim)
 
 
-def _run_erm_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
-                  seed: int, unsafe: bool):
+def _build_erm_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                    seed: int, unsafe: bool):
     m = cfg.dims["m"]
     prob = applications.gen_erm_hinge(cfg.dims["d"], m, seed)
-    sigma = params["sigma_factor"] * applications.erm_uniform_sigma_bound(m)
-    report = applications.solve_erm_incremental(prob, [sigma], None, cfg.solve_config())
-    return report, prob.objective(report.block(0)), None
+    sigmas = [params["sigma_factor"] * applications.erm_uniform_sigma_bound(m)]
+    applications.check_erm_steps(prob, sigmas, None)
+
+    def run():
+        report = applications.solve_erm_incremental(prob, sigmas, None, cfg.solve_config())
+        return report, prob.objective(report.block(0)), None
+    return run
 
 
-def _run_distributed_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
-                          seed: int, unsafe: bool):
+def _build_distributed_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                            seed: int, unsafe: bool):
     n = cfg.dims["agents"]
     h = cfg.dims["block"]
     rng = np.random.default_rng(seed)
@@ -333,17 +319,20 @@ def _run_distributed_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
                                                    distributed.Graph.star(n))
     else:
         gs = distributed.GraphSequence.random(n, seed)
-    report, trace = distributed.run_distributed(proxes, gs, params["gamma"], params["tau"],
-                                                cfg.solve_config(), block_dim=h)
-    X = report.block(0).reshape(n, h)
-    mean = X.mean(axis=0)
-    objective = 0.5 * float(sum(np.linalg.norm(mean - centers[i]) ** 2
-                                for i in range(n)))
-    return report, objective, trace[-1] if trace else 0.0
+    distributed.check_steps(proxes, gs, params["gamma"], params["tau"])
+
+    def run():
+        report, trace = distributed.run_distributed(proxes, gs, params["gamma"], params["tau"],
+                                                    cfg.solve_config(), block_dim=h)
+        mean = report.block(0).reshape(n, h).mean(axis=0)
+        objective = 0.5 * float(sum(np.linalg.norm(mean - centers[i]) ** 2
+                                    for i in range(n)))
+        return report, objective, trace[-1] if trace else 0.0
+    return run
 
 
-def _run_custom_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
-                     seed: int, unsafe: bool):
+def _build_custom_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
+                       seed: int, unsafe: bool):
     n = cfg.dims["n"]
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) / math.sqrt(n) + np.eye(n)
@@ -353,18 +342,19 @@ def _run_custom_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
                                  B1=h, B2=None,
                                  X=operators.ClosedConvexSet.whole_space(),
                                  dimension=n)
-    step = _constant_step(algorithm, params["delta"], h.beta, 0.0, unsafe)
-    if algorithm == "fbhf":
-        report = solve_fbhf(spec, step, cfg.solve_config())
-    elif algorithm == "tseng":
-        report = solve_tseng_fbf(spec, step, cfg.solve_config())
-    else:
-        report = solve_forward_backward(spec, step.gamma, cfg.solve_config())
-    return report, h.value(report.z), None
+    step = _constant_step(algorithm, params["delta"], spec, unsafe)
+    check_step(spec, step, algorithm)
+    solve = {"fbhf": solve_fbhf, "tseng": solve_tseng_fbf}.get(algorithm)
+
+    def run():
+        report = (solve(spec, step, cfg.solve_config()) if solve else
+                  solve_forward_backward(spec, step.gamma, cfg.solve_config()))
+        return report, h.value(report.z), None
+    return run
 
 
-RUNNERS = {"lin-ineq": _run_nlp_cell, "entropy": _run_nlp_cell, "erm": _run_erm_cell,
-           "distributed": _run_distributed_cell, "custom": _run_custom_cell}
+RUNNERS = {"lin-ineq": _build_nlp_cell, "entropy": _build_nlp_cell, "erm": _build_erm_cell,
+           "distributed": _build_distributed_cell, "custom": _build_custom_cell}
 
 
 def _fmt(value) -> str:
@@ -380,7 +370,7 @@ def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
            "seed": seed}
     try:
         report, objective, constraint = RUNNERS[cfg.kind](cfg, cell.algorithm, params,
-                                                          seed, unsafe)
+                                                          seed, unsafe)()
     except Exception as exc:  # record the failure, keep the run going
         # one write per line, so that worker threads do not interleave
         sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
@@ -569,14 +559,16 @@ def main(argv=None) -> int:
         config.write_text(DEMO_CONFIGS[args.kind])
     else:
         config = args.config
-    cfg, diags = validate_config(config, args.unsafe_stepsize)
-    if args.command == "run" and args.seeds is not None and not diags:
-        try:
+    try:
+        cfg = load_config(config)
+        if args.command == "run" and args.seeds is not None:
             cfg.seeds = _parse_ints(args.seeds)
-        except ValueError as exc:
-            diags = [f"seed override: {exc}"]
-        else:
-            diags = [] if cfg.seeds else ["empty seed override"]
+    except ConfigError as exc:
+        diags = [str(exc)]
+    except ValueError as exc:
+        diags = [f"seed override: {exc}"]
+    else:  # checked on the seeds the run executes
+        diags = check_config(cfg, args.unsafe_stepsize)
     if diags:
         for d in diags:
             print(f"invalid: {d}", file=sys.stderr)

@@ -252,6 +252,15 @@ def _check_round(graph: Graph, gamma: float, tau: float, k: int) -> None:
             f"{1.0 / (gamma * tau):.6g} must exceed lambda_max(L_{k}) = {lam:.6g}")
 
 
+def check_steps(proxes: list, gs: GraphSequence, gamma: float, tau: float) -> None:
+    """The checks ``run_distributed`` makes before its first round; the
+    stepsize condition depends on each round's graph and is checked per round."""
+    if len(proxes) != gs.n:
+        raise ValueError("need one prox oracle per agent")
+    if gamma <= 0 or tau <= 0:
+        raise ConfigurationError("gamma and tau must be positive")
+
+
 def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
                     cfg: SolveConfig, x0=None,
                     block_dim: int = 1) -> tuple[SolveReport, list[float]]:
@@ -269,10 +278,7 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     """
     n = gs.n
     proxes = list(proxes)
-    if len(proxes) != n:
-        raise ValueError("need one prox oracle per agent")
-    if gamma <= 0 or tau <= 0:
-        raise ConfigurationError("gamma and tau must be positive")
+    check_steps(proxes, gs, gamma, tau)
     if x0 is None:
         X = np.zeros((n, block_dim))
     else:

@@ -434,40 +434,50 @@ def line_search_gamma(spec: ProblemSpec, z: np.ndarray,
 # solvers
 
 
-def _constant_gamma(spec: ProblemSpec, policy: ConstantStep,
-                    bound: Optional[float], what: str) -> float:
-    if spec.B2 is not None and spec.B2.lipschitz is None:
-        raise ConfigurationError(
-            "B2 carries no Lipschitz constant; a constant stepsize has no "
-            "valid bound (use a LineSearch policy)")
+def check_step(spec: ProblemSpec, policy: StepPolicy,
+               method: str = "fbhf") -> float | LineSearch:
+    """The step ``method`` ("fbhf", "tseng" or "fb") runs on ``spec`` under
+    ``policy``, checked as its solver checks it first: a ``LineSearch`` as
+    given, or gamma (default 0.99 bound) in ]0, bound[ under the margin rule,
+    for the bound chi(beta, L), 1/(1/beta + L) or 2 beta (B2 absent).
+    ``unchecked`` lifts the fbhf and Tseng upper bounds only.  Raises
+    ConfigurationError."""
+    if method == "fb" and (spec.B2 is not None or spec.B1 is None):
+        raise ConfigurationError("forward-backward needs a cocoercive B1 and no B2")
+    if isinstance(policy, LineSearch) and method != "fb":
+        return policy
+    if not isinstance(policy, ConstantStep):
+        raise ConfigurationError(f"unknown step policy {policy!r} for {method}")
+    L = spec.lipschitz
+    if L is None:
+        raise ConfigurationError("B2 carries no Lipschitz constant; a constant stepsize "
+                                 "has no valid bound (use a LineSearch policy)")
+    if method == "fbhf":
+        what, bound = "chi", math.inf if spec.B1 is None and L == 0.0 else chi(spec.beta, L)
+    elif method == "tseng":
+        total = (0.0 if math.isinf(spec.beta) else 1.0 / spec.beta) + L
+        what, bound = "Tseng", math.inf if total == 0.0 else 1.0 / total
+    elif method == "fb":
+        what, bound = "forward-backward", 2.0 * spec.beta
+    else:
+        raise ValueError(f"unknown method {method!r} (expected fbhf, tseng or fb)")
     gamma = policy.gamma
     if gamma is None:
-        if bound is None or math.isinf(bound):
+        if math.isinf(bound):
             raise ConfigurationError("no finite default stepsize; pass gamma explicitly")
         gamma = 0.99 * bound
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
-    if bound is not None and not policy.unchecked:
-        if not strictly_below(gamma, bound):
-            raise ConfigurationError(
-                f"gamma={gamma:.6g} violates the {what} bound gamma < {bound:.6g}")
+    unchecked = policy.unchecked and method != "fb"
+    if not (0.0 < gamma and (unchecked or strictly_below(gamma, bound))):
+        raise ConfigurationError(f"gamma={gamma:.6g} outside the open interval "
+                                 f"]0, {bound:.6g}[ of the {what} bound")
     return gamma
 
 
 def solve_fbhf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
                z0=None) -> SolveReport:
     """Run the main splitting iteration until the relative-change stop."""
-    z_start = _default_start(spec.dimension, z0)
-    if isinstance(policy, ConstantStep):
-        L = spec.lipschitz
-        if spec.B1 is None and (spec.B2 is None or L == 0.0):
-            bound = math.inf
-        else:
-            bound = chi(spec.beta, L) if L is not None else None
-        policy = _constant_gamma(spec, policy, bound, "chi")
-    elif not isinstance(policy, LineSearch):
-        raise ConfigurationError(f"unknown step policy {policy!r}")
-    return _iterate_fbhf(spec, policy, cfg, z_start)
+    policy = check_step(spec, policy, "fbhf")
+    return _iterate_fbhf(spec, policy, cfg, _default_start(spec.dimension, z0))
 
 
 def _iterate_fbhf(spec: ProblemSpec, policy, cfg: SolveConfig,
@@ -499,14 +509,8 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
     The constant policy requires gamma < 1/(1/beta + L); the line-search
     variant re-evaluates the whole of B at every backtracking candidate.
     """
+    policy = check_step(spec, policy, "tseng")
     z_start = _default_start(spec.dimension, z0)
-    if isinstance(policy, ConstantStep):
-        inv_beta = 0.0 if math.isinf(spec.beta) else 1.0 / spec.beta
-        total = inv_beta + (spec.lipschitz or 0.0)
-        bound = math.inf if total == 0.0 else 1.0 / total
-        policy = _constant_gamma(spec, policy, bound, "Tseng")
-    elif not isinstance(policy, LineSearch):
-        raise ConfigurationError(f"unknown step policy {policy!r}")
     counters = _Counters()
     spec = _counted(spec, counters)
     steps = _StepLog(cfg.keep_iterates) if isinstance(policy, LineSearch) else policy
@@ -532,16 +536,9 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
                            z0=None) -> SolveReport:
     """Classical forward-backward iteration z -> J_{gamma A}(z - gamma B1 z).
 
-    Requires B2 absent and gamma in the open interval ]0, 2*beta[, whose
-    upper end is checked with the margin rule of ``linalg.strictly_below``.
+    Requires B2 absent and gamma in the open interval ]0, 2*beta[.
     """
-    if spec.B2 is not None:
-        raise ConfigurationError("forward-backward applies only when B2 is absent")
-    if spec.B1 is None:
-        raise ConfigurationError("forward-backward needs a cocoercive B1")
-    if not (0.0 < gamma and strictly_below(gamma, 2.0 * spec.beta)):
-        raise ConfigurationError(
-            f"gamma={gamma:.6g} outside the open interval ]0, {2.0 * spec.beta:.6g}[")
+    gamma = check_step(spec, ConstantStep(gamma), "fb")
     z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     spec = _counted(spec, counters)

@@ -250,20 +250,6 @@ def nonneg_cone(p: int) -> MaximalMonotone:
                            tag="N_R+")
 
 
-def prox_conjugate(f_prox: MaximalMonotone) -> MaximalMonotone:
-    """Prox of the Fenchel conjugate, built by the Moreau identity
-
-        prox_{gamma f*}(y) = y - gamma * prox_{f/gamma}(y/gamma).
-    """
-
-    def res(gamma, y):
-        if gamma <= 0:
-            raise ValueError("step size must be positive")
-        return y - gamma * f_prox.resolvent(1.0 / gamma, y / gamma)
-
-    return MaximalMonotone(resolvent=res, tag=f"conj({f_prox.tag})")
-
-
 def quadratic_gradient(A_mat, b) -> CocoerciveMap:
     """Gradient of x -> ||A x - b||^2 / 2, cocoercive with beta = ||A||^{-2}."""
     A = as_matrix(A_mat)

@@ -219,6 +219,13 @@ def _check_metric_condition(pre: Preconditioner, beta: float,
             f"K = {pre.K:.6g}, beta = {beta:.6g})")
 
 
+# Relative and absolute slack of the sampled Lipschitz check of a supplied K,
+# for the rounding of both sides on random pairs: a sampling and rounding
+# tolerance, not a condition margin (linalg.CONDITION_MARGIN).
+K_SAMPLE_RTOL = 1e-8
+K_SAMPLE_ATOL = 1e-12
+
+
 def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, seed: Optional[int],
                         n_pairs: int = 1000) -> None:
     """Spot-check a user-supplied K by sampling ||(B2-S)u - (B2-S)v||."""
@@ -236,7 +243,7 @@ def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, seed: Optional[i
         if gap == 0:
             continue
         tested += 1
-        if np.linalg.norm(cu - cv) > pre.K * gap * (1.0 + 1e-8) + 1e-12:
+        if np.linalg.norm(cu - cv) > pre.K * gap * (1.0 + K_SAMPLE_RTOL) + K_SAMPLE_ATOL:
             raise ConfigurationError(
                 f"supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
                 f"(violated on a sampled pair)")

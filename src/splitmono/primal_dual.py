@@ -434,13 +434,9 @@ def solve_corollary(pdp: PrimalDualProblem, params: CorollaryParams,
     return _sweep(pdp, bp, lam, cfg, start)
 
 
-def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
-                    cfg: SolveConfig, start=None) -> SolveReport:
-    """Condat-Vu baseline (unrelaxed): primal resolvent descent step, then
-    dual ascent steps against the reflected primal 2 x^+ - x.
-
-    Requires C2 absent and tau (1/(2 beta) + sum_i sigma_i ||L_i||^2) <= 1.
-    """
+def check_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas) -> list[float]:
+    """The dual steps (a scalar is repeated per block) ``solve_condat_vu``
+    runs with, checked as it checks them first; raises ConfigurationError."""
     if pdp.C2 is not None:
         raise ConfigurationError(
             "the Condat-Vu baseline does not handle a nonlinear/Lipschitz C2 term")
@@ -456,7 +452,17 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         raise ConfigurationError(
             f"stepsize condition violated: tau (1/(2 beta) + sum sigma_i ||L_i||^2) "
             f"= {load:.12g} must be <= 1")
+    return sig
 
+
+def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
+                    cfg: SolveConfig, start=None) -> SolveReport:
+    """Condat-Vu baseline (unrelaxed): primal resolvent descent step, then
+    dual ascent steps against the reflected primal 2 x^+ - x.
+
+    Requires C2 absent and tau (1/(2 beta) + sum_i sigma_i ||L_i||^2) <= 1.
+    """
+    sig = check_condat_vu(pdp, tau, sigmas)
     layout = pdp.layout
     counters = _Counters()
     pdp = _counted(pdp, counters)

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
+from splitmono import cli
 from splitmono.cli import (CSV_COLUMNS, DEMO_CONFIGS, main, run_experiment,
                            validate_config)
 
@@ -62,7 +64,7 @@ class TestValidate:
     def test_delta_bound_rejected_without_flag(self, tmp_path):
         text = LIN_INEQ_SMALL.replace("delta = 3.99", "delta = 4.4")
         cfg, diags = validate_config(write(tmp_path, text))
-        assert any("delta < 4" in d for d in diags)
+        assert any("of the chi bound" in d for d in diags)
         _, diags_unsafe = validate_config(write(tmp_path, text),
                                           unsafe_stepsize=True)
         assert diags_unsafe == []
@@ -81,7 +83,7 @@ max_iterations = 1000
 sigma_factor = 1.0
 """
         cfg, diags = validate_config(write(tmp_path, text))
-        assert any("sqrt(m) + m sigma" in d and "1/sigma" in d for d in diags)
+        assert any("lhs = " in d and "1/max(sigma) = " in d for d in diags)
 
     def test_parse_error_reported(self, tmp_path):
         _, diags = validate_config(write(tmp_path, "not an ini file ["))
@@ -101,7 +103,7 @@ sigma_factor = 1.0
         # lin-ineq and entropy draw an (n/2) x n matrix; custom an n x n one
         text = LIN_INEQ_SMALL.replace("n = 20", "n = 21")
         _, diags = validate_config(write(tmp_path, text))
-        assert any("n must be even" in d for d in diags)
+        assert any("N must be even" in d for d in diags)
         text = LIN_INEQ_SMALL.replace("kind = lin-ineq", "kind = custom").replace(
             "n = 20", "n = 41").replace("p = 2\n", "").replace(
             "tolerance = 1e-6", "tolerance = 1e-9")
@@ -127,7 +129,7 @@ max_iterations = 1000
 sigma_factor = 0.99999999999999
 """
         _, diags = validate_config(write(tmp_path, text))
-        assert any("incremental stepsize condition" in d for d in diags)
+        assert any("ERM stepsize condition" in d for d in diags)
 
     def test_unsafe_stepsize_covers_custom_fbhf_and_tseng(self, tmp_path):
         path = write(tmp_path, CUSTOM_BEYOND_BOUND)
@@ -146,12 +148,13 @@ sigma_factor = 0.99999999999999
                                            "[solver fb]\ndelta = 4.2\n")
         _, diags = validate_config(write(tmp_path, text), unsafe_stepsize=True)
         assert len(diags) == 1
-        assert "'fb'" in diags[0] and "no unchecked mode" in diags[0]
+        assert "'fb'" in diags[0] and "outside the open interval" in diags[0]
 
     def test_line_search_ranges_come_from_line_search(self, tmp_path):
         text = LIN_INEQ_SMALL + "\n[solver fbhf-ls]\nepsilon = 1.5\n"
         _, diags = validate_config(write(tmp_path, text))
-        assert diags == ["solver cell 'fbhf-ls': epsilon = 1.5 must lie in ]0, 1["]
+        assert diags == ["solver cell 'fbhf-ls' {\"epsilon\": 1.5}, seed 0: "
+                         "epsilon = 1.5 must lie in ]0, 1["]
 
     def test_defaults_resolved_at_load(self, tmp_path):
         text = LIN_INEQ_SMALL.replace("delta = 3.99\n", "") + "\n[solver fbhf-ls]\n"
@@ -176,6 +179,44 @@ r_fractions =
 """
         _, diags = validate_config(write(tmp_path, text))
         assert diags == ["r_fractions list is empty"]
+
+    def test_validate_rejects_exactly_the_cells_run_errors_on(self, tmp_path, capsys):
+        # custom n = 40 has 2 beta = 0.27 < 1, so the margin rule's 1e-12 in
+        # gamma units is wider than 1e-12 in delta units; the grid straddles
+        # each bound inside that band, seed by seed
+        cells = {"fb-repro": ("fb", 3.999999999995),
+                 "fbhf-repro": ("fbhf", 3.99999999999)}
+        for k in range(25):
+            for algorithm, limit in (("fb", 4.0), ("fbhf", 4.0), ("tseng", 1.0)):
+                cells[f"{algorithm}-{k}"] = (algorithm, limit - k * 1e-12)
+        text = "[experiment]\nkind = custom\nn = 40\nseeds = 0,1\ntolerance = 1e-9\n" \
+               "max_iterations = 5\n" + "".join(
+                   f"\n[solver {name}]\nalgorithm = {algorithm}\ndelta = {delta!r}\n"
+                   for name, (algorithm, delta) in cells.items())
+        cfg, diags = validate_config(write(tmp_path, text))
+        assert run_experiment(cfg, tmp_path / "out") == 2
+        errors = {}
+        for line in capsys.readouterr().err.splitlines():
+            name, seed, message = line.split(", ", 2)
+            errors[(name, seed)] = message.removeprefix("ConfigurationError: ")
+        assert {re.match(r"solver cell '([^']+)'", d)[1] for d in diags} == {
+            name for name, _ in errors}
+        # per seed, with the message the run gives
+        rejected = {}
+        for d in diags:
+            name, seed, message = re.fullmatch(r"solver cell '(.+)' \{.*\}, seed (\d+): (.*)",
+                                               d).groups()
+            rejected[(name, seed)] = message
+        assert rejected == errors
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            statuses = {(r["solver"], r["seed"]): r["status"] for r in csv.DictReader(fh)}
+        assert {key for key, status in statuses.items() if status == "error"} == set(errors)
+        # both reproducers are rejected, and every bound has cells on both sides
+        assert {("fb-repro", "0"), ("fbhf-repro", "0")} <= set(errors)
+        for algorithm in ("fb", "fbhf", "tseng"):
+            verdicts = {key in errors for key in statuses if key[0].startswith(f"{algorithm}-")
+                        and not key[0].endswith("repro")}
+            assert verdicts == {True, False}
 
     @pytest.mark.parametrize("kind", sorted(DEMO_CONFIGS))
     def test_demo_configs_are_valid(self, tmp_path, kind):
@@ -327,6 +368,25 @@ tau = 5.0
         with (tmp_path / "out" / "report.csv").open(newline="") as fh:
             seeds = {r["seed"] for r in csv.DictReader(fh)}
         assert seeds == {"3", "4"}
+
+
+    def test_seed_override_is_validated_on_the_seeds_it_runs(self, tmp_path,
+                                                              monkeypatch):
+        built = []
+        build = cli.RUNNERS["lin-ineq"]
+
+        def recording(cfg, algorithm, params, seed, unsafe):
+            built.append((algorithm, json.dumps(params, sort_keys=True), seed))
+            return build(cfg, algorithm, params, seed, unsafe)
+
+        monkeypatch.setitem(cli.RUNNERS, "lin-ineq", recording)
+        path = write(tmp_path, LIN_INEQ_SMALL)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds", "3,4"]) == 0
+        # every triple is built once to validate it, then once to run it
+        assert len(built) == 8
+        assert built[:4] == built[4:]
+        assert {seed for *_, seed in built} == {3, 4}
 
 
 class TestMain:

@@ -6,7 +6,7 @@ import pytest
 from splitmono.operators import (ClosedConvexSet, DomainError, MaximalMonotone,
                                  affine_constraints, entropy_constraint,
                                  lagrangian_saddle_map, normal_cone_box,
-                                 prox_abs_deviation, prox_conjugate, prox_hinge,
+                                 prox_abs_deviation, prox_hinge,
                                  quadratic_gradient, scalar_monotone)
 
 
@@ -57,7 +57,6 @@ class TestFirmNonexpansiveness:
     @pytest.mark.parametrize("factory,dim", [
         (lambda: normal_cone_box(-np.ones(4), np.ones(4)), 4),
         (lambda: MaximalMonotone.from_matrix(np.array([[2.0, 0.5], [0.5, 1.0]])), 2),
-        (lambda: prox_conjugate(scalar_monotone(prox_abs_deviation(0.0))), 3),
     ])
     def test_sampled_inequality(self, factory, dim):
         op = factory()
@@ -82,45 +81,6 @@ class TestLinearResolvent:
             y = rng.standard_normal(7)
             assert np.array_equal(A.resolvent(gamma, y),
                                   np.linalg.solve(np.eye(7) + gamma * np.diag(d), y))
-
-
-class TestProxConjugate:
-    def test_single_point_indicator(self):
-        # f = indicator of {psi}: prox of f* is y - gamma * psi
-        psi = np.array([0.0, 0.0])
-        point = MaximalMonotone(resolvent=lambda gamma, y: psi.copy())
-        conj = prox_conjugate(point)
-        y = np.array([3.0, -2.0])
-        assert np.array_equal(conj.resolvent(2.5, y), y)
-
-    def test_abs_value_dual_is_clamp(self):
-        conj = prox_conjugate(scalar_monotone(prox_abs_deviation(0.0)))
-        for gamma in (0.1, 1.0, 7.0):
-            y = np.array([-3.0, -0.4, 0.9, 2.5])
-            assert np.allclose(conj.resolvent(gamma, y),
-                               np.clip(y, -1.0, 1.0), atol=1e-14)
-
-    def test_nonneg_indicator_dual(self):
-        nonneg = MaximalMonotone(resolvent=lambda gamma, y: np.maximum(y, 0.0))
-        conj = prox_conjugate(nonneg)
-        y = np.array([-1.5, 0.0, 2.0])
-        for gamma in (0.5, 1.0, 4.0):
-            assert np.allclose(conj.resolvent(gamma, y),
-                               np.minimum(y, 0.0), atol=1e-14)
-
-    def test_moreau_identity_closure(self):
-        rng = np.random.default_rng(5)
-        ops = [(normal_cone_box(-np.ones(3), np.ones(3)), 3),
-               (scalar_monotone(prox_abs_deviation(0.7)), 1),
-               (MaximalMonotone.from_matrix(np.array([[1.5, 0.2], [0.2, 1.0]])), 2)]
-        for op, dim in ops:
-            conj = prox_conjugate(op)
-            for _ in range(50):
-                gamma = float(rng.uniform(0.05, 5.0))
-                y = rng.standard_normal(dim)
-                lhs = op.resolvent(gamma, y) + gamma * conj.resolvent(
-                    1.0 / gamma, y / gamma)
-                assert np.allclose(lhs, y, atol=1e-10)
 
 
 class TestEntropyConstraint:
