@@ -7,19 +7,17 @@ primal-dual, incremental and distributed variants build on it, together
 with forward-backward / Tseng / Condat-Vu baselines and a benchmark CLI.
 """
 
-from .linalg import (BlockLayout, operator_norm, solve_spd, split_symmetric_skew,
+from .linalg import (BlockLayout, operator_norm, split_symmetric_skew,
                      symmetric_min_eig)
 from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         MonotoneMap, ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
                         lagrangian_saddle_map, normal_cone_box, quadratic_gradient)
 from .fbhf import (ConfigurationError, ConstantStep, LineSearch, LineSearchError,
-                   SolveConfig, SolveReport, chi, fbhf_step, line_search_gamma,
-                   phi_z_profile, solve_fbhf, solve_forward_backward,
-                   solve_tseng_fbf)
+                   SolveConfig, SolveReport, chi, fbhf_step, phi_z_profile,
+                   solve_fbhf, solve_forward_backward, solve_tseng_fbf)
 from .precond import (MetricSchedule, Preconditioner, resolvent_via_P,
-                      solve_precond_fbhf, solve_variable_metric,
-                      t_class_transform)
+                      solve_precond_fbhf, solve_variable_metric)
 from .primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
                           PrimalDualProblem, build_upsilon_sigma_delta,
                           check_pd_conditions, kkt_residual, rho_v,

@@ -14,7 +14,7 @@ import numpy as np
 from .linalg import (BlockLayout, as_matrix, as_vector, operator_norm,
                      strictly_below)
 from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
-                        MonotoneMap, ProblemSpec, SmoothConstraint,
+                        ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
                         lagrangian_saddle_map, normal_cone_box, nonneg_cone,
                         quadratic_gradient)
@@ -191,9 +191,6 @@ class NlpProblem:
     def layout(self) -> BlockLayout:
         return BlockLayout.from_dims([self.dim, self.p])
 
-    def saddle_map(self) -> MonotoneMap:
-        return lagrangian_saddle_map(self.constraints)
-
     def saddle_spec(self) -> ProblemSpec:
         """Lagrangian inclusion on (x, u): A = prox-part x nonneg cone,
         B1 = (grad h, 0), B2 = the constraint saddle map, X = Y x R^p_+."""
@@ -228,7 +225,7 @@ class NlpProblem:
         X = replace(ClosedConvexSet.product([(self.Y, n),
                                              (ClosedConvexSet.nonneg_orthant(), p)]),
                     project=x_proj)
-        return ProblemSpec(A=A, B1=B1, B2=self.saddle_map(), X=X,
+        return ProblemSpec(A=A, B1=B1, B2=lagrangian_saddle_map(self.constraints), X=X,
                            dimension=n + p)
 
     def objective(self, x) -> float:

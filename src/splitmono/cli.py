@@ -163,9 +163,15 @@ def load_config(path) -> ExperimentConfig:
         body = parser[section]
         algorithm = body.get("algorithm", name).strip()
         params = dict(defaults.get(algorithm, {}))
+        # a cell takes its defaults' keys; an unknown algorithm is reported
+        # by check_config
+        allowed = LINE_SEARCH_KEYS if algorithm.endswith("-ls") else tuple(params)
         for key, raw in body.items():
             if key == "algorithm":
                 continue
+            if key not in allowed and algorithm in ALGORITHMS_BY_KIND[kind]:
+                raise ConfigError(f"[{section}] unknown field '{key}' for {algorithm} "
+                                  f"(allowed: {', '.join(allowed)})")
             try:
                 params[key] = float(raw)
             except ValueError as exc:

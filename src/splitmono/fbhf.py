@@ -419,17 +419,6 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
                           policy.max_backtracks)
 
 
-def line_search_gamma(spec: ProblemSpec, z: np.ndarray,
-                      policy: LineSearch) -> tuple[float, np.ndarray]:
-    """Backtracking step selection for the main iteration: the condition
-    tests B2 only, and B1 z is computed once and reused by every candidate."""
-    z = np.asarray(z, dtype=float)
-    b2z, bz = _forward(spec, z)
-    gamma, x, _ = _backtrack(spec, z, policy, bz, b2z,
-                             _absent if spec.B2 is None else spec.B2.evaluate, _Counters())
-    return gamma, x
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -440,10 +429,12 @@ def check_step(spec: ProblemSpec, policy: StepPolicy,
     ``policy``, checked as its solver checks it first: a ``LineSearch`` as
     given, or gamma (default 0.99 bound) in ]0, bound[ under the margin rule,
     for the bound chi(beta, L), 1/(1/beta + L) or 2 beta (B2 absent).
-    ``unchecked`` lifts the fbhf and Tseng upper bounds only.  Raises
-    ConfigurationError."""
+    ``unchecked`` lifts the fbhf and Tseng upper bounds only.  Forward-backward
+    never projects, so it also needs X = H.  Raises ConfigurationError."""
     if method == "fb" and (spec.B2 is not None or spec.B1 is None):
         raise ConfigurationError("forward-backward needs a cocoercive B1 and no B2")
+    if method == "fb" and not spec.X.is_whole_space:
+        raise ConfigurationError("forward-backward requires X = H")
     if isinstance(policy, LineSearch) and method != "fb":
         return policy
     if not isinstance(policy, ConstantStep):
@@ -536,7 +527,7 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
                            z0=None) -> SolveReport:
     """Classical forward-backward iteration z -> J_{gamma A}(z - gamma B1 z).
 
-    Requires B2 absent and gamma in the open interval ]0, 2*beta[.
+    Requires B2 absent, X = H and gamma in the open interval ]0, 2*beta[.
     """
     gamma = check_step(spec, ConstantStep(gamma), "fb")
     z_start = _default_start(spec.dimension, z0)

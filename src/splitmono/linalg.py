@@ -88,15 +88,8 @@ class BlockLayout:
     def dim(self) -> int:
         return self.offsets[-1]
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.offsets) - 1
-
     def block(self, x: np.ndarray, i: int) -> np.ndarray:
         return x[self.offsets[i]:self.offsets[i + 1]]
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [self.block(x, i) for i in range(self.n_blocks)]
 
     def concat(self, blocks) -> np.ndarray:
         out = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
@@ -142,29 +135,19 @@ def split_symmetric_skew(P) -> tuple[np.ndarray, np.ndarray]:
     return U, S
 
 
-def cholesky_factor(U) -> np.ndarray:
-    """Lower Cholesky factor L of a symmetric positive definite matrix,
-    ``U = L L^T``; raises ValueError when U is not positive definite."""
+def spd_inverse(U) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix from its lower
+    Cholesky factor L, ``U^{-1} = L^{-T} L^{-1}``; raises ValueError when U
+    is not positive definite."""
     A = as_matrix(U)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     try:
-        return np.linalg.cholesky(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("not positive definite") from exc
-
-
-def spd_inverse(U) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix from its Cholesky
-    factor, ``U^{-1} = L^{-T} L^{-1}``."""
-    L_inv = np.linalg.inv(cholesky_factor(U))
+    L_inv = np.linalg.inv(L)
     return L_inv.T @ L_inv
-
-
-def solve_spd(U, b) -> np.ndarray:
-    """Solve ``U x = b`` for symmetric positive definite ``U`` by Cholesky."""
-    L = cholesky_factor(U)
-    return np.linalg.solve(L.T, np.linalg.solve(L, as_vector(b)))
 
 
 def conditioned_inverse(M: np.ndarray) -> Optional[np.ndarray]:

@@ -37,7 +37,6 @@ class MaximalMonotone:
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     tag: str = ""
-    domain: Optional[Callable[[np.ndarray], bool]] = None
     matrix: Optional[np.ndarray] = None
     blocks: Optional[tuple] = None
 
@@ -125,16 +124,13 @@ class ClosedConvexSet:
     """
 
     project: Callable[[np.ndarray], np.ndarray]
-    contains: Callable[[np.ndarray, float], bool]
     tag: str = ""
     metric_project: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     is_whole_space: bool = False
 
     @classmethod
     def whole_space(cls) -> "ClosedConvexSet":
-        return cls(project=lambda v: v,
-                   contains=lambda v, tol=0.0: True,
-                   tag="H", metric_project=lambda U, v: v,
+        return cls(project=lambda v: v, tag="H", metric_project=lambda U, v: v,
                    is_whole_space=True)
 
     @classmethod
@@ -144,12 +140,9 @@ class ClosedConvexSet:
         def proj(v):
             return np.minimum(np.maximum(v, lo), hi)
 
-        def member(v, tol=1e-10):
-            return bool(np.all(v >= lo - tol) and np.all(v <= hi + tol))
-
         # a diagonal metric separates coordinates, so the metric projection
         # onto a box is still the componentwise clamp
-        return cls(project=proj, contains=member, tag="box",
+        return cls(project=proj, tag="box",
                    metric_project=lambda U, v: proj(v))
 
     @classmethod
@@ -157,9 +150,7 @@ class ClosedConvexSet:
         def proj(v):
             return np.maximum(v, 0.0)
 
-        return cls(project=proj,
-                   contains=lambda v, tol=1e-10: bool(np.all(v >= -tol)),
-                   tag="R+", metric_project=lambda U, v: proj(v))
+        return cls(project=proj, tag="R+", metric_project=lambda U, v: proj(v))
 
     @classmethod
     def product(cls, parts) -> "ClosedConvexSet":
@@ -169,10 +160,6 @@ class ClosedConvexSet:
         def proj(v):
             return layout.concat([s.project(layout.block(v, i))
                                   for i, (s, _) in enumerate(sets)])
-
-        def member(v, tol=1e-10):
-            return all(s.contains(layout.block(v, i), tol)
-                       for i, (s, _) in enumerate(sets))
 
         whole = all(s.is_whole_space for s, _ in sets)
 
@@ -185,7 +172,7 @@ class ClosedConvexSet:
                 for i, (s, _) in enumerate(sets)])
 
         ok_metric = all(s.metric_project is not None for s, _ in sets)
-        return cls(project=proj, contains=member, tag="product",
+        return cls(project=proj, tag="product",
                    metric_project=mproj if ok_metric else None,
                    is_whole_space=whole)
 

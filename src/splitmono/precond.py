@@ -4,9 +4,12 @@ A square strongly monotone ``P = U + S`` (symmetric part ``U``, skew part
 ``S``) replaces the scalar stepsize: the resolvent becomes ``J_{P^{-1}A}``
 and the skew part is absorbed into the Lipschitz-monotone term, which is
 what makes block-triangular ``P`` (Gauss-Seidel sweeps) admissible.  The
-module also provides the transform that turns an averaged-type operator in
-the ``U`` metric into one in the standard metric, and the variable-metric
-iteration built on it that never inverts ``U``.
+variable-metric iteration ``solve_variable_metric`` never inverts ``U``.
+With ``T`` the fixed-metric step of ``solve_precond_fbhf`` (X = H), an
+averaged-type operator in the ``U`` metric, it applies
+``Q = Id - lambda U (Id - T)``: ``U (T z - z) = P (x - z) + B2 z - B2 x``
+needs no ``U^{-1}``, and for ``0 < lambda <= ||U||^{-1}`` ``Q`` has the fixed
+points of ``T`` and is of the same type in the standard metric.
 
 A preconditioner is one fixed linear operator per solve, so each linear map
 an iteration applies is factored once, on first use, and then costs one
@@ -115,7 +118,9 @@ class Preconditioner:
         return np.linalg.solve(self.P, b) if P_inv is None else P_inv @ b
 
     @cached_property
-    def _scalar_step(self) -> Optional[float]:
+    def scalar_step(self) -> Optional[float]:
+        """gamma with P = Id/gamma when the preconditioner is that exact
+        scalar multiple, else None."""
         if np.any(self.S):
             return None
         c = self.P[0, 0]
@@ -124,11 +129,6 @@ class Preconditioner:
         if not np.array_equal(self.P, c * np.eye(self.dim)):
             return None
         return 1.0 / c
-
-    def scalar_step(self) -> Optional[float]:
-        """Return gamma with P = Id/gamma when the preconditioner is that
-        exact scalar multiple, else None."""
-        return self._scalar_step
 
 
 def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
@@ -144,7 +144,7 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     zv = as_vector(z)
     if pre.rho <= 0:
         raise ConfigurationError("preconditioner must be strongly monotone (rho > 0)")
-    gamma = pre.scalar_step()
+    gamma = pre.scalar_step
     if gamma is not None:
         return A.resolvent(gamma, zv)
     M_A = A.matrix
@@ -305,7 +305,7 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     _check_metric_condition(pre, spec.beta, strict=True)
 
     z_start = _default_start(spec.dimension, z0)
-    gamma = pre.scalar_step()
+    gamma = pre.scalar_step
     if gamma is not None:
         # the metric condition above is the chi bound for this gamma
         return _iterate_fbhf(spec, gamma, cfg, z_start)
@@ -322,25 +322,6 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
         return project(x + pre.solve_U(corr))
 
     return _run(step, z_start, cfg, counters)
-
-
-def t_class_transform(S_op: Callable[[np.ndarray], np.ndarray], U,
-                      mu: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn an averaged-type operator in the U metric into one in the
-    standard metric with the same fixed points:
-
-        Q : z -> z - mu * U (z - S_op(z)),   0 < mu <= ||U||^{-1}.
-    """
-    Um = as_matrix(U)
-    bound = 1.0 / operator_norm(Um)
-    if not 0.0 < mu <= bound * (1.0 + 1e-12):
-        raise ValueError(f"mu must lie in ]0, {bound:.6g}] (got {mu:.6g})")
-
-    def Q(z):
-        z = np.asarray(z, dtype=float)
-        return z - mu * (Um @ (z - S_op(z)))
-
-    return Q
 
 
 @dataclass
@@ -380,7 +361,8 @@ class MetricSchedule:
         lo = self.epsilon
         hi = 1.0 / pre.norm_U - self.epsilon
         lam = hi if self.lambdas is None else float(self.lambdas(k))
-        if not lo - 1e-12 <= lam <= hi + 1e-12:
+        # lo <= lam <= hi under the margin rule, each side scaled by its bound
+        if not (at_most(-lam, -lo) and at_most(lam, hi)):
             raise ConfigurationError(
                 f"relaxation lambda_{k} = {lam:.6g} outside [{lo:.6g}, {hi:.6g}]")
         return lam
@@ -411,7 +393,7 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
         pre = sched.at(k)
         if pre.dim != spec.dimension:
             raise ConfigurationError(f"P_{k} dimension does not match the problem")
-        if pre.norm_U > sched.norm_sup * (1.0 + 1e-12):
+        if not at_most(pre.norm_U, sched.norm_sup):
             raise ConfigurationError(
                 f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
                 f"M = {sched.norm_sup:.6g}")

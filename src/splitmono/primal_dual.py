@@ -59,9 +59,6 @@ class DualBlock:
     def dim(self) -> int:
         return self.L.shape[0]
 
-    def norm_L(self) -> float:
-        return operator_norm(self.L)
-
     def dual_resolvent(self, sigma: float, w: np.ndarray) -> np.ndarray:
         """J_{sigma B^{-1}}(w) = w - sigma * J_{B/sigma}(w / sigma) (Moreau)."""
         return w - sigma * self.B.resolvent(1.0 / sigma, w / sigma)
@@ -113,7 +110,7 @@ class PrimalDualProblem:
         return BlockLayout.from_dims([self.dim] + [b.dim for b in self.blocks])
 
     def norms_L(self) -> list[float]:
-        return [blk.norm_L() for blk in self.blocks]
+        return [operator_norm(blk.L) for blk in self.blocks]
 
     def primal_resolvent(self, sigma: float, w: np.ndarray) -> np.ndarray:
         """Resolvent of the shifted block A - z at step sigma."""

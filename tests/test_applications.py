@@ -311,7 +311,7 @@ class TestGenerators:
     def test_lin_ineq_origin_is_feasible(self):
         prob = gen_lin_ineq_qp(10, 4, seed=3)
         x0 = np.zeros(10)
-        assert prob.Y.contains(x0, 0.0)
+        assert np.array_equal(prob.Y.project(x0), x0)
         assert prob.max_constraint(x0) <= 0.0
 
     def test_lin_ineq_shape_contract(self):

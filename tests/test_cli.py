@@ -165,6 +165,18 @@ sigma_factor = 0.99999999999999
         assert params == {"fbhf": {"delta": 3.99}, "tseng": {"delta": 0.99},
                           "fbhf-ls": {}}
 
+    @pytest.mark.parametrize("config, algorithm, key, allowed", [
+        (CUSTOM_BEYOND_BOUND, "fbhf", "detla", "delta"),
+        (LIN_INEQ_SMALL, "fbhf-ls", "sigam", "epsilon, sigma, theta"),
+        (DEMO_CONFIGS["distributed"], "consensus", "gama", "gamma, tau"),
+    ])
+    def test_unknown_solver_key_rejected(self, tmp_path, config, algorithm, key, allowed):
+        # a misspelt key would otherwise leave its parameter at the default
+        text = config + f"\n[solver typo]\nalgorithm = {algorithm}\n{key} = 1.0\n"
+        _, diags = validate_config(write(tmp_path, text))
+        assert diags == [f"[solver typo] unknown field '{key}' for {algorithm} "
+                         f"(allowed: {allowed})"]
+
     def test_empty_r_fractions_rejected(self, tmp_path):
         text = """\
 [experiment]

@@ -5,8 +5,8 @@ import pytest
 
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
                             LineSearchError, SolveConfig, chi, fbhf_step,
-                            line_search_gamma, phi_z_profile, solve_fbhf,
-                            solve_forward_backward, solve_tseng_fbf)
+                            phi_z_profile, solve_fbhf, solve_forward_backward,
+                            solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, ProblemSpec, nonneg_cone,
                                  normal_cone_box, quadratic_gradient)
@@ -96,12 +96,19 @@ class TestFbhfStep:
         assert np.allclose(z1, z_star, atol=1e-12)
 
 
+ONE_STEP = SolveConfig(max_iterations=1, tolerance=1e-300)
+
+
 class TestLineSearch:
+    """The search of the first iteration, read from a one-iteration run's
+    report (``gamma``, ``backtracks``)."""
+
     def test_no_b2_accepts_first_candidate(self):
         spec = scalar_halfline_spec()
         policy = LineSearch(epsilon=0.5, sigma=0.5, theta=0.3)
-        gamma, x = line_search_gamma(spec, np.zeros(1), policy)
-        assert gamma == pytest.approx(2.0 * 1.0 * 0.5 * 0.5)
+        r = solve_fbhf(spec, policy, ONE_STEP, np.zeros(1))
+        assert r.gamma == pytest.approx(2.0 * 1.0 * 0.5 * 0.5)
+        assert r.backtracks == 0
 
     def test_zero_point_accepts_first_candidate(self):
         # integer data makes z* an exact floating-point zero of B1 + B2
@@ -112,16 +119,17 @@ class TestLineSearch:
                           B2=skew_map(S), X=ClosedConvexSet.whole_space(),
                           dimension=3)
         policy = LineSearch(epsilon=0.5, sigma=0.7, theta=0.3)
-        gamma, x = line_search_gamma(spec, z_star, policy)
-        assert gamma == pytest.approx(2.0 * 0.5 * 0.7)
-        assert np.array_equal(x, z_star)
+        r = solve_fbhf(spec, policy, ONE_STEP, z_star)
+        assert r.gamma == pytest.approx(2.0 * 0.5 * 0.7) and r.backtracks == 0
+        assert np.array_equal(r.z, z_star)
 
     def test_entropy_instance_maximality(self):
         prob = gen_entropy_ls(10, -0.4, seed=0)
         spec = prob.saddle_spec()
         policy = LineSearch(epsilon=0.5, sigma=0.9, theta=0.3)
         z = prob.default_start()
-        gamma, x = line_search_gamma(spec, z, policy)
+        r = solve_fbhf(spec, policy, ONE_STEP, z)
+        gamma = r.gamma
         b2 = spec.B2.evaluate
         fz = spec.B1.evaluate(z) + b2(z)
 
@@ -132,7 +140,8 @@ class TestLineSearch:
         assert check(gamma)
         anchor = 2.0 * spec.B1.beta * 0.5
         first = anchor * 0.9
-        assert gamma == pytest.approx(first) or not check(gamma / 0.9)
+        assert gamma == pytest.approx(first * 0.9 ** r.backtracks)
+        assert r.backtracks == 0 or not check(gamma / 0.9)
 
     def test_exhaustion_raises_with_context(self):
         spec = ProblemSpec(A=nonneg_cone(2), B1=shift_map(np.ones(2)),
@@ -140,7 +149,7 @@ class TestLineSearch:
                           X=ClosedConvexSet.nonneg_orthant(), dimension=2)
         policy = LineSearch(epsilon=0.88, sigma=0.9, theta=0.3, max_backtracks=10)
         with pytest.raises(LineSearchError) as err:
-            line_search_gamma(spec, np.array([3.0, 2.0]), policy)
+            solve_fbhf(spec, policy, ONE_STEP, np.array([3.0, 2.0]))
         assert err.value.gamma > 0 and err.value.ratio > 1
 
     def test_fixed_point_to_rounding_stops_without_raising(self):
@@ -160,13 +169,13 @@ class TestLineSearch:
     def test_beta_infinite_needs_anchor(self):
         spec = ProblemSpec(A=nonneg_cone(2), B1=None, B2=skew_map(SKEW2),
                           X=ClosedConvexSet.nonneg_orthant(), dimension=2)
-        with pytest.raises(ConfigurationError):
-            line_search_gamma(spec, np.array([1.0, 1.0]),
-                              LineSearch(epsilon=0.5, sigma=0.5, theta=0.3))
-        gamma, _ = line_search_gamma(spec, np.array([1.0, 1.0]),
-                                     LineSearch(epsilon=0.5, sigma=0.5,
-                                                theta=0.3, gamma_init=1.0))
-        assert gamma > 0
+        with pytest.raises(ConfigurationError, match="gamma_init"):
+            solve_fbhf(spec, LineSearch(epsilon=0.5, sigma=0.5, theta=0.3), ONE_STEP,
+                       np.array([1.0, 1.0]))
+        r = solve_fbhf(spec, LineSearch(epsilon=0.5, sigma=0.5, theta=0.3, gamma_init=1.0),
+                       ONE_STEP, np.array([1.0, 1.0]))
+        # the candidates are gamma_init * sigma^j, j >= 1
+        assert r.gamma == pytest.approx(0.5 ** (1 + r.backtracks))
 
     def test_theta_outside_theory_warns(self):
         with pytest.warns(UserWarning, match="theta"):
@@ -387,6 +396,17 @@ class TestForwardBackward:
         with pytest.raises(ConfigurationError, match="outside the open interval"):
             solve_forward_backward(spec, bound - 0.5e-12 * max(1.0, bound), cfg)
         solve_forward_backward(spec, 0.99 * bound, cfg)
+
+    def test_constraint_set_rejected(self):
+        # the step never projects: on X = [0, 1]^2 it would return the
+        # unconstrained zero (5, 5) where the main iteration returns (1, 1)
+        spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(5.0 * np.ones(2)),
+                           B2=None, X=ClosedConvexSet.box(np.zeros(2), np.ones(2)),
+                           dimension=2)
+        cfg = SolveConfig(max_iterations=100, tolerance=1e-12)
+        with pytest.raises(ConfigurationError, match="X = H"):
+            solve_forward_backward(spec, 0.5, cfg)
+        assert np.allclose(solve_fbhf(spec, ConstantStep(gamma=0.5), cfg).z, [1.0, 1.0])
 
     def test_b2_present_rejected(self):
         spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(np.zeros(2)),

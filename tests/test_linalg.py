@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitmono.linalg import (BlockLayout, at_most, operator_norm, solve_spd,
+from splitmono.linalg import (BlockLayout, at_most, operator_norm, spd_inverse,
                               split_symmetric_skew, strictly_below, symmetric_min_eig)
 
 
@@ -151,22 +151,24 @@ class TestSplitSymmetricSkew:
 
 
 class TestSolveSpd:
+    """SPD solves as the preconditioner runs them: ``spd_inverse(U) @ b``."""
+
     def test_identity(self):
-        assert np.allclose(solve_spd(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
+        assert np.allclose(spd_inverse(np.eye(2)) @ [1.0, 2.0], [1.0, 2.0])
 
     def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), [2.0, 4.0])
+        x = spd_inverse(np.diag([2.0, 4.0])) @ [2.0, 4.0]
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_two_by_two_oracle(self):
         # inverse of [[2,.5],[.5,2]] applied to (1,0): det = 15/4
         U = np.array([[2.0, 0.5], [0.5, 2.0]])
-        x = solve_spd(U, [1.0, 0.0])
+        x = spd_inverse(U) @ [1.0, 0.0]
         assert np.allclose(x, [8.0 / 15.0, -2.0 / 15.0], atol=1e-14)
 
     def test_not_positive_definite(self):
         with pytest.raises(ValueError, match="not positive definite"):
-            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 1.0])
+            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(21)
@@ -174,7 +176,7 @@ class TestSolveSpd:
             G = rng.standard_normal((8, 8))
             U = G.T @ G + np.eye(8)
             b = rng.standard_normal(8)
-            x = solve_spd(U, b)
+            x = spd_inverse(U) @ b
             assert np.linalg.norm(U @ x - b) <= 1e-10 * (np.linalg.norm(b) + 1.0)
 
 
@@ -182,10 +184,10 @@ class TestBlockLayout:
     def test_from_dims_and_slicing(self):
         layout = BlockLayout.from_dims([2, 3])
         assert layout.offsets == (0, 2, 5)
-        assert layout.dim == 5 and layout.n_blocks == 2
+        assert layout.dim == 5
         v = np.arange(5.0)
         assert np.array_equal(layout.block(v, 1), [2.0, 3.0, 4.0])
-        assert np.array_equal(layout.concat(layout.split(v)), v)
+        assert np.array_equal(layout.concat([layout.block(v, 0), layout.block(v, 1)]), v)
 
     def test_invalid_offsets(self):
         with pytest.raises(ValueError):

@@ -243,7 +243,7 @@ class TestClosedConvexSet:
             v = rng.standard_normal(4) * 3
             pv = box.project(v)
             assert np.allclose(box.project(pv), pv, atol=1e-12)
-            assert box.contains(pv, 1e-10)
+            assert np.all((pv >= 0.0) & (pv <= 1.0))
 
     def test_product_set(self):
         prod = ClosedConvexSet.product([

@@ -11,8 +11,7 @@ from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone
                                  MonotoneMap, ProblemSpec, normal_cone_box,
                                  quadratic_gradient)
 from splitmono.precond import (MetricSchedule, Preconditioner, resolvent_via_P,
-                               solve_precond_fbhf, solve_variable_metric,
-                               t_class_transform)
+                               solve_precond_fbhf, solve_variable_metric)
 
 
 def shift_map(b, beta=1.0):
@@ -410,47 +409,56 @@ class TestSolvePrecondFbhf:
                                                         tolerance=1e-9, seed=0))
 
 
-class TestTClassTransform:
-    def test_identity_metric_unit_relaxation(self):
-        A = MaximalMonotone.from_matrix(np.diag([1.0, 2.0]))
-        S_op = lambda z: A.resolvent(1.0, z)
-        Q = t_class_transform(S_op, np.eye(2), 1.0)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            z = rng.standard_normal(2)
-            assert np.allclose(Q(z), S_op(z), atol=1e-14)
+class TestScheduleMarginRule:
+    """lo <= lambda_k <= hi and ||U_k|| <= M are decided by the margin rule,
+    an allowance of 1e-12 max(1, |bound|) beyond each bound."""
 
-    def test_fixed_points_preserved(self):
-        rng = np.random.default_rng(13)
-        G = rng.standard_normal((3, 3))
-        U = G.T @ G / 3 + np.eye(3)
-        M_A = np.diag([1.0, 0.5, 2.0])
-        pre = Preconditioner.from_matrix(U)
-        A = MaximalMonotone.from_matrix(M_A)
-        S_op = lambda z: resolvent_via_P(A, pre, z)
-        Q = t_class_transform(S_op, U, 0.5 / pre.norm_U)
-        assert np.allclose(Q(np.zeros(3)), np.zeros(3), atol=1e-12)
+    @staticmethod
+    def lambda_verdicts(norm_U, epsilon, lams):
+        pre = Preconditioner.from_matrix(norm_U * np.eye(2))
+        sched = MetricSchedule.constant(pre, epsilon=epsilon, lambdas=lambda k: lams[k])
+        verdicts = []
+        for k in range(len(lams)):
+            try:
+                sched.lambda_at(k, pre)
+            except ConfigurationError as exc:
+                assert "relaxation" in str(exc)
+                verdicts.append(False)
+            else:
+                verdicts.append(True)
+        return verdicts
 
-    def test_t_class_inequality_sampled(self):
-        rng = np.random.default_rng(15)
-        G = rng.standard_normal((3, 3))
-        U = G.T @ G / 3 + np.eye(3)
-        pre = Preconditioner.from_matrix(U)
-        A = MaximalMonotone.from_matrix(np.diag([1.0, 3.0, 0.5]))
-        S_op = lambda z: resolvent_via_P(A, pre, z)
-        from splitmono.linalg import operator_norm
-        Q = t_class_transform(S_op, U, 1.0 / operator_norm(U))
-        # Fix(Q) = zer(A) = {0}; T-class inequality against y = 0
-        for _ in range(100):
-            z = rng.standard_normal(3)
-            qz = Q(z)
-            assert np.linalg.norm(z - qz) ** 2 <= float((z - qz) @ z) + 1e-10
+    @staticmethod
+    def norm_verdict(norm_sup, norm_U):
+        pre = Preconditioner.from_matrix(norm_U * np.eye(2))
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(2)), B1=None, B2=None,
+                           X=ClosedConvexSet.whole_space(), dimension=2)
+        try:
+            solve_variable_metric(spec, MetricSchedule(at=lambda k: pre, norm_sup=norm_sup),
+                                  SolveConfig(max_iterations=1, tolerance=1e-300))
+        except ConfigurationError as exc:
+            assert "exceeds the declared bound" in str(exc)
+            return False
+        return True
 
-    def test_mu_out_of_range(self):
-        with pytest.raises(ValueError):
-            t_class_transform(lambda z: z, np.eye(2), 1.5)
-        with pytest.raises(ValueError):
-            t_class_transform(lambda z: z, np.eye(2), 0.0)
+    def test_bounds_up_to_one_allow_an_absolute_margin(self):
+        # ||U|| = 2: lo = 0.01 and hi = 0.49 take 1e-12, M = 2 takes 2e-12
+        lo, hi = 0.01, 0.5 - 0.01
+        assert self.lambda_verdicts(2.0, 0.01, [hi + 0.5e-12, hi + 2e-12,
+                                                lo - 0.5e-12, lo - 2e-12]) == [
+            True, False, True, False]
+        assert self.norm_verdict(2.0, 2.0 * (1.0 + 0.5e-12))
+        assert not self.norm_verdict(2.0, 2.0 * (1.0 + 2e-12))
+
+    def test_bounds_beyond_one_scale_the_margin(self):
+        # ||U|| = 0.25, epsilon = 1.5: lo = 1.5 and hi = 2.5 take 1e-12 |bound|,
+        # while M = 0.25 < 1 takes 1e-12 (not 0.25e-12)
+        lo, hi = 1.5, 4.0 - 1.5
+        assert self.lambda_verdicts(0.25, 1.5, [hi + 2e-12, hi + 4e-12,
+                                                lo - 1.3e-12, lo - 3e-12]) == [
+            True, False, True, False]
+        assert self.norm_verdict(0.25, 0.25 + 0.6e-12)
+        assert not self.norm_verdict(0.25, 0.25 + 2e-12)
 
 
 class TestVariableMetric:

@@ -15,8 +15,7 @@ from splitmono.applications import (erm_uniform_sigma_bound, gen_entropy_ls,
                                     solve_erm_incremental)
 from splitmono.distributed import Graph, GraphSequence, _spread, run_distributed
 from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig, SolveReport,
-                            _relative_change, chi, half_inverse,
-                            line_search_gamma, solve_fbhf,
+                            _relative_change, chi, half_inverse, solve_fbhf,
                             solve_forward_backward, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone, ProblemSpec,
                                  quadratic_gradient)
@@ -132,8 +131,9 @@ def test_kept_line_search_steps_are_the_searched_steps():
                                      keep_iterates=True))
     spec = ENTROPY.saddle_spec()
     assert len(set(r.gammas)) > 1
+    one_step = SolveConfig(max_iterations=1, tolerance=1e-300)
     for z, gamma in zip(r.iterates, r.gammas):
-        assert gamma == line_search_gamma(spec, z, LS)[0]
+        assert gamma == solve_fbhf(spec, LS, one_step, z).gamma
 
 
 def test_fields_the_benchmark_reads():
