@@ -99,8 +99,8 @@ def check_erm_steps(p: ErmProblem, sigmas,
     sig = [float(s) for s in sigmas]
     if len(sig) == 1:
         sig = sig * (p.m + 1)
-    if len(sig) != p.m + 1 or any(s <= 0 for s in sig):
-        raise ConfigurationError("need m+1 positive stepsizes (or one uniform value)")
+    if len(sig) != p.m + 1 or not all(0 < s < math.inf for s in sig):
+        raise ConfigurationError("need m+1 positive, finite stepsizes (or one uniform value)")
     a_norms = np.linalg.norm(p.a, axis=1)
     lhs, rhs = erm_condition(sig, a_norms)
     if not strictly_below(lhs, rhs):
@@ -108,7 +108,7 @@ def check_erm_steps(p: ErmProblem, sigmas,
             f"ERM stepsize condition violated: lhs = {lhs:.12g} must be < "
             f"1/max(sigma) = {rhs:.12g}")
     M = erm_relaxation_bound(sig, a_norms)
-    return sig, _check_lambda(0.99 / M if lam is None else lam, M)
+    return sig, _check_lambda(lam, M)
 
 
 def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],

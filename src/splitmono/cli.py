@@ -97,8 +97,16 @@ class ExperimentConfig:
 # config parsing and validation
 
 
+def _parse_float(raw: str) -> float:
+    """A finite float; inf and nan are rejected with the other malformed values."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [_parse_float(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _parse_ints(raw: str) -> list[int]:
@@ -129,7 +137,7 @@ def load_config(path) -> ExperimentConfig:
     defaults = dict(DEFAULTS)
     try:
         seeds = _parse_ints(need("seeds"))
-        tolerance = float(need("tolerance"))
+        tolerance = _parse_float(need("tolerance"))
         max_iterations = int(need("max_iterations"))
         dims = {}
         if kind in ("lin-ineq", "entropy", "custom"):
@@ -173,7 +181,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] unknown field '{key}' for {algorithm} "
                                   f"(allowed: {', '.join(allowed)})")
             try:
-                params[key] = float(raw)
+                params[key] = _parse_float(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] field '{key}': {exc}") from exc
         cells.append(SolverCell(name=name, algorithm=algorithm, params=params))

@@ -257,8 +257,8 @@ def check_steps(proxes: list, gs: GraphSequence, gamma: float, tau: float) -> No
     stepsize condition depends on each round's graph and is checked per round."""
     if len(proxes) != gs.n:
         raise ValueError("need one prox oracle per agent")
-    if gamma <= 0 or tau <= 0:
-        raise ConfigurationError("gamma and tau must be positive")
+    if not (0 < gamma < math.inf and 0 < tau < math.inf):
+        raise ConfigurationError("gamma and tau must be positive and finite")
 
 
 def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import BlockLayout, strictly_below
+from .linalg import BlockLayout, at_most, strictly_below
 from .operators import ProblemSpec
 
 
@@ -52,7 +52,7 @@ def chi(beta: float, L: float) -> float:
     """
     if not beta > 0:
         raise ValueError("beta must be positive (or inf)")
-    if L < 0:
+    if not L >= 0:
         raise ValueError("L must be nonnegative")
     if math.isinf(beta) and L == 0.0:
         raise ValueError("chi is undefined when B1 and B2 are both absent")
@@ -67,6 +67,21 @@ def half_inverse(beta: float) -> float:
     """The term 1/(2 beta) of the metric and primal-dual stepsize conditions;
     0 when B1 is absent (beta = +inf)."""
     return 0.0 if math.isinf(beta) else 1.0 / (2.0 * beta)
+
+
+def metric_violation(rho: float, K: float, beta: float, strict: bool = True,
+                     lhs_name: str = "K") -> Optional[str]:
+    """Why the metric condition of the preconditioned and primal-dual schemes,
+    rho > 0 and K^2 < rho (rho - 1/(2 beta)) (``<=`` unless ``strict``), fails
+    under the margin rule, or None; ``lhs_name`` names K in the message."""
+    if not rho > 0:
+        return f"rho = {rho:.6g} must be positive"
+    rhs = rho * (rho - half_inverse(beta))
+    lhs = K ** 2
+    if strictly_below(lhs, rhs) if strict else at_most(lhs, rhs):
+        return None
+    return (f"{lhs_name}^2 = {lhs:.12g} must be {'<' if strict else '<='} "
+            f"rho(rho - 1/(2 beta)) = {rhs:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +124,11 @@ class LineSearch:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} = {v} must lie in ]0, 1[")
-        if self.max_backtracks < 1:
+        if not self.max_backtracks >= 1:
             raise ValueError("max_backtracks must be >= 1")
+        if self.gamma_init is not None and not (
+                self.gamma_init > 0 and math.isfinite(self.gamma_init)):
+            raise ValueError(f"gamma_init = {self.gamma_init} must be a positive, finite step")
         if self.theta >= math.sqrt(1.0 - self.epsilon):
             warnings.warn(
                 f"theta={self.theta} >= sqrt(1-epsilon)={math.sqrt(1.0 - self.epsilon):.4f}: "
@@ -136,10 +154,10 @@ class SolveConfig:
     seed: Optional[int] = None     # for randomized sub-utilities only
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 1 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be a finite count >= 1")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -355,8 +373,8 @@ def fbhf_step(spec: ProblemSpec, z: np.ndarray, gamma: float) -> tuple[np.ndarra
     """One iteration: backward step on A after a full forward step, then the
     half forward correction on B2 and the projection.  Evaluates B1 exactly
     once and B2 exactly twice (when present)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
     _, x, z_next = _fbhf_iteration(spec, z, gamma, None)
     return x, z_next
 
@@ -428,7 +446,8 @@ def check_step(spec: ProblemSpec, policy: StepPolicy,
     """The step ``method`` ("fbhf", "tseng" or "fb") runs on ``spec`` under
     ``policy``, checked as its solver checks it first: a ``LineSearch`` as
     given, or gamma (default 0.99 bound) in ]0, bound[ under the margin rule,
-    for the bound chi(beta, L), 1/(1/beta + L) or 2 beta (B2 absent).
+    for the bound chi(beta, L), chi(inf, 1/beta + L) (Tseng) or chi(beta, 0)
+    (forward-backward), or +inf at beta = inf and L = 0.
     ``unchecked`` lifts the fbhf and Tseng upper bounds only.  Forward-backward
     never projects, so it also needs X = H.  Raises ConfigurationError."""
     if method == "fb" and (spec.B2 is not None or spec.B1 is None):
@@ -443,22 +462,22 @@ def check_step(spec: ProblemSpec, policy: StepPolicy,
     if L is None:
         raise ConfigurationError("B2 carries no Lipschitz constant; a constant stepsize "
                                  "has no valid bound (use a LineSearch policy)")
-    if method == "fbhf":
-        what, bound = "chi", math.inf if spec.B1 is None and L == 0.0 else chi(spec.beta, L)
-    elif method == "tseng":
-        total = (0.0 if math.isinf(spec.beta) else 1.0 / spec.beta) + L
-        what, bound = "Tseng", math.inf if total == 0.0 else 1.0 / total
-    elif method == "fb":
-        what, bound = "forward-backward", 2.0 * spec.beta
-    else:
+    # each bound is chi of the method's own (beta, L)
+    constants = {"fbhf": ("chi", spec.beta, L),
+                 "tseng": ("Tseng", math.inf,
+                           (0.0 if math.isinf(spec.beta) else 1.0 / spec.beta) + L),
+                 "fb": ("forward-backward", spec.beta, 0.0)}
+    if method not in constants:
         raise ValueError(f"unknown method {method!r} (expected fbhf, tseng or fb)")
+    what, beta, lip = constants[method]
+    bound = math.inf if math.isinf(beta) and lip == 0.0 else chi(beta, lip)
     gamma = policy.gamma
     if gamma is None:
         if math.isinf(bound):
             raise ConfigurationError("no finite default stepsize; pass gamma explicitly")
         gamma = 0.99 * bound
     unchecked = policy.unchecked and method != "fb"
-    if not (0.0 < gamma and (unchecked or strictly_below(gamma, bound))):
+    if not (0.0 < gamma < math.inf and (unchecked or strictly_below(gamma, bound))):
         raise ConfigurationError(f"gamma={gamma:.6g} outside the open interval "
                                  f"]0, {bound:.6g}[ of the {what} bound")
     return gamma
@@ -548,7 +567,7 @@ def phi_z_profile(spec: ProblemSpec, z, gamma_grid) -> list[float]:
     """
     z = np.asarray(z, dtype=float)
     grid = [float(g) for g in gamma_grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("gamma grid must be nonempty and positive")
+    if not grid or not all(0 < g < math.inf for g in grid):
+        raise ValueError("gamma grid must be nonempty, positive and finite")
     _, bz = _forward(spec, z)
     return [_norm(z - _backward(spec, z, g, bz)) / g for g in grid]

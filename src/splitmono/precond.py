@@ -24,6 +24,7 @@ instead, because a stored inverse loses about log10(kappa) digits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,11 +34,11 @@ import numpy as np
 
 from .linalg import (MAX_INVERSE_CONDITION, as_matrix, as_vector, at_most,
                      conditioned_inverse, operator_norm, spd_inverse,
-                     split_symmetric_skew, strictly_below, symmetric_min_eig)
+                     split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
                    _counted, _default_start, _forward, _iterate_fbhf, _run,
-                   half_inverse)
+                   metric_violation)
 
 
 @dataclass
@@ -83,8 +84,8 @@ class Preconditioner:
             K = operator_norm(C) if np.any(C) else 0.0
             source = "b2_matrix"
         elif lipschitz_K is not None:
-            if lipschitz_K < 0:
-                raise ValueError("K must be nonnegative")
+            if not 0 <= lipschitz_K < math.inf:
+                raise ValueError("K must be nonnegative and finite")
             K = float(lipschitz_K)
             source = "user"
         else:
@@ -200,23 +201,25 @@ def _forward_substitution(A: MaximalMonotone, pre: Preconditioner,
     return x
 
 
-def _check_metric_condition(pre: Preconditioner, beta: float,
-                            strict: bool = True, inflate: float = 0.0,
-                            label: str = "") -> None:
-    """Enforce K^2 < rho (rho - 1/(2 beta)): the fixed-metric iteration needs
-    the strict form, the variable-metric one the non-strict variant with rho
-    deflated to rho/(1+inflate)."""
-    if pre.rho <= 0:
-        raise ConfigurationError(f"{label}U is not strongly monotone: rho = {pre.rho:.6g} <= 0")
-    r = pre.rho / (1.0 + inflate)
-    rhs = r * (r - half_inverse(beta))
-    lhs = pre.K ** 2
-    if not (strictly_below(lhs, rhs) if strict else at_most(lhs, rhs)):
-        op = "<" if strict else "<="
-        raise ConfigurationError(
-            f"{label}metric condition violated: K^2 = {lhs:.12g} must be {op} "
-            f"rho(rho - 1/(2 beta)) = {rhs:.12g} (rho = {pre.rho:.6g}, "
-            f"K = {pre.K:.6g}, beta = {beta:.6g})")
+def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, strict: bool = True,
+                          inflate: float = 0.0, label: str = "") -> None:
+    """Admit ``pre`` for ``spec``: matching dimensions, a K that accounts for
+    B2 (from its matrix, or explicit for a nonlinear B2) and the metric
+    condition, non-strict at rho/(1+inflate) for the variable metric."""
+    if pre.dim != spec.dimension:
+        raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
+    if spec.B2 is not None:
+        if spec.B2.matrix is None:
+            if pre.k_source != "user":
+                raise ConfigurationError(
+                    f"{label}B2 is nonlinear: build the preconditioner with an explicit K")
+        elif pre.k_source == "skew_only":
+            raise ConfigurationError(
+                f"{label}preconditioner was built without the B2 matrix; K is wrong")
+    why = metric_violation(pre.rho / (1.0 + inflate), pre.K, spec.beta, strict)
+    if why is not None:
+        raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
+                                 f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
 
 
 # Relative and absolute slack of the sampled Lipschitz check of a supplied K,
@@ -291,18 +294,9 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     subject to K^2 < rho (rho - 1/(2 beta)).  With P = Id/gamma this is the
     constant-stepsize main iteration and the run delegates to it step by step.
     """
-    if pre.dim != spec.dimension:
-        raise ConfigurationError("preconditioner dimension does not match the problem")
-    if spec.B2 is not None:
-        if spec.B2.matrix is None:
-            if pre.k_source != "user":
-                raise ConfigurationError(
-                    "B2 is nonlinear: build the preconditioner with an explicit K")
-            _validate_sampled_K(spec, pre, cfg.seed)
-        elif pre.k_source == "skew_only":
-            raise ConfigurationError(
-                "preconditioner was built without the B2 matrix; K is wrong")
-    _check_metric_condition(pre, spec.beta, strict=True)
+    _check_preconditioner(spec, pre)
+    if spec.B2 is not None and spec.B2.matrix is None:
+        _validate_sampled_K(spec, pre, cfg.seed)
 
     z_start = _default_start(spec.dimension, z0)
     gamma = pre.scalar_step
@@ -337,8 +331,8 @@ class MetricSchedule:
     lambdas: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.norm_sup <= 0:
-            raise ValueError("norm_sup must be positive")
+        if not 0 < self.norm_sup < math.inf:
+            raise ValueError("norm_sup must be positive and finite")
         cap = 1.0 / (2.0 * self.norm_sup)
         if self.epsilon is None:
             self.epsilon = min(0.01, cap / 2.0)
@@ -375,7 +369,8 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
         x   = J_{P_k^{-1}A}(z - P_k^{-1}(B1 + B2) z)
         z^+ = z + lambda_k (P_k (x - z) + B2 z - B2 x)
 
-    Needs X = H and B2 with full domain; each P_k must satisfy the inflated
+    Needs X = H and B2 with full domain; each P_k is admitted as
+    ``solve_precond_fbhf`` admits its preconditioner, but under the inflated
     metric condition K_k^2 <= r_k (r_k - 1/(2 beta)), r_k = rho_k/(1+eps).
     """
     if not spec.X.is_whole_space:
@@ -391,14 +386,12 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     def step(z):
         k = k_state["k"]
         pre = sched.at(k)
-        if pre.dim != spec.dimension:
-            raise ConfigurationError(f"P_{k} dimension does not match the problem")
+        _check_preconditioner(spec, pre, strict=False, inflate=sched.epsilon,
+                              label=f"P_{k}: ")
         if not at_most(pre.norm_U, sched.norm_sup):
             raise ConfigurationError(
                 f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
                 f"M = {sched.norm_sup:.6g}")
-        _check_metric_condition(pre, spec.beta, strict=False,
-                                inflate=sched.epsilon, label=f"P_{k}: ")
         lam = sched.lambda_at(k, pre)
         k_state["k"] = k + 1
 

@@ -24,7 +24,7 @@ from .linalg import (BlockLayout, as_matrix, as_vector, at_most, operator_norm,
                      strictly_below, symmetric_min_eig)
 from .operators import CocoerciveMap, MaximalMonotone, MonotoneMap
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _default_start, _run, half_inverse)
+                   _default_start, _run, half_inverse, metric_violation)
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,13 @@ class BlockPreconditioner:
     def __post_init__(self):
         object.__setattr__(self, "diag_scalars",
                            tuple(float(c) for c in self.diag_scalars))
-        if any(c <= 0 for c in self.diag_scalars):
-            raise ValueError("diagonal scalars must be positive")
-        for (i, j) in self.off_diag:
+        if not all(0 < c < math.inf for c in self.diag_scalars):
+            raise ValueError("diagonal scalars must be positive and finite")
+        for (i, j), blk in self.off_diag.items():
             if not (0 <= j < i <= self.m):
                 raise ValueError("off-diagonal blocks must sit strictly below the diagonal")
+            if not np.all(np.isfinite(blk)):
+                raise ValueError(f"off-diagonal block {(i, j)} has non-finite entries")
 
     @property
     def m(self) -> int:
@@ -154,8 +156,8 @@ class BlockPreconditioner:
         sig = [float(s) for s in sigmas]
         if len(sig) != pdp.m + 1:
             raise ValueError("need exactly m+1 stepsizes")
-        if any(s <= 0 for s in sig):
-            raise ValueError("stepsizes must be positive")
+        if not all(0 < s < math.inf for s in sig):
+            raise ValueError("stepsizes must be positive and finite")
         off = {}
         for i, blk in enumerate(pdp.blocks, start=1):
             Pi0 = -(1.0 + theta) * blk.L
@@ -220,16 +222,10 @@ def check_pd_conditions(bp: BlockPreconditioner, L_mats, delta: float,
     rho = symmetric_min_eig(dlt - ups)
     norm_ups = operator_norm(ups) if np.any(ups) else 0.0
     M = max(bp.diag_scalars) + norm_ups
-    if rho <= 0:
-        return PdCheck(rho, M, False,
-                       f"Delta - Upsilon is not positive definite (rho = {rho:.6g})")
     norm_sig = operator_norm(sig) if np.any(sig) else 0.0
-    lhs = (norm_sig + delta) ** 2
-    rhs = rho * (rho - half_inverse(beta))
-    if not strictly_below(lhs, rhs):
-        return PdCheck(rho, M, False,
-                       f"(||Sigma|| + delta)^2 = {lhs:.12g} must be < "
-                       f"rho(rho - 1/(2 beta)) = {rhs:.12g}")
+    why = metric_violation(rho, norm_sig + delta, beta, lhs_name="(||Sigma|| + delta)")
+    if why is not None:
+        return PdCheck(rho, M, False, f"{why} (rho = lambda_min(Delta - Upsilon))")
     return PdCheck(rho, M, True, "ok")
 
 
@@ -241,8 +237,8 @@ def rho_v(theta: float, sigmas, L_norms) -> float:
     The scalar-diagonal pattern always achieves rho >= rho_v.
     """
     sig = [float(s) for s in sigmas]
-    if any(s <= 0 for s in sig):
-        raise ValueError("stepsizes must be positive")
+    if not all(0 < s < math.inf for s in sig):
+        raise ValueError("stepsizes must be positive and finite")
     nl = [float(v) for v in L_norms]
     if len(nl) != len(sig) - 1:
         raise ValueError("need one ||L_i|| per dual stepsize")
@@ -263,8 +259,8 @@ class CorollaryParams:
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("stepsizes must be positive")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError("stepsizes must be positive and finite")
 
     def omega(self, L_norms) -> np.ndarray:
         """The (m+1)x(m+1) comparison matrix of the pattern: 1/sigma_i on the
@@ -287,20 +283,18 @@ class CorollaryParams:
     def validate(self, pdp: PrimalDualProblem) -> tuple[float, float]:
         L_norms = pdp.norms_L()
         rho, M = self.constants(L_norms)
-        if rho <= 0:
+        K = pdp.delta + (1.0 - self.theta) / 2.0 * math.sqrt(sum(n * n for n in L_norms))
+        why = metric_violation(rho, K, pdp.beta,
+                               lhs_name="(delta + (1-theta)/2 sqrt(sum ||L_i||^2))")
+        if why is not None:
             raise ConfigurationError(
-                f"Omega is not positive definite (rho = {rho:.6g})")
-        lhs = (pdp.delta + (1.0 - self.theta) / 2.0
-               * math.sqrt(sum(n * n for n in L_norms))) ** 2
-        rhs = rho * (rho - half_inverse(pdp.beta))
-        if not strictly_below(lhs, rhs):
-            raise ConfigurationError(
-                f"stepsize condition violated: (delta + (1-theta)/2 sqrt(sum ||L_i||^2))^2 "
-                f"= {lhs:.12g} must be < rho(rho - 1/(2 beta)) = {rhs:.12g}")
+                f"stepsize condition violated: {why} (rho = lambda_min(Omega))")
         return rho, M
 
 
-def _check_lambda(lam: float, M: float) -> float:
+def _check_lambda(lam: Optional[float], M: float) -> float:
+    """The relaxation ``lam`` (default 0.99/M) checked to lie in ]0, 1/M[."""
+    lam = 0.99 / M if lam is None else lam
     bound = 1.0 / M
     if not (0.0 < lam and strictly_below(lam, bound)):
         raise ConfigurationError(
@@ -335,7 +329,7 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                                 pdp.delta, pdp.beta)
     if not check.ok:
         raise ConfigurationError(f"block preconditioner rejected: {check.detail}")
-    lam = _check_lambda(0.99 / check.M if lam is None else lam, check.M)
+    lam = _check_lambda(lam, check.M)
     return _sweep(pdp, bp, lam, cfg, start)
 
 
@@ -426,7 +420,7 @@ def solve_corollary(pdp: PrimalDualProblem, params: CorollaryParams,
     if len(params.sigmas) != pdp.m + 1:
         raise ConfigurationError("need exactly m+1 stepsizes")
     _, M = params.validate(pdp)
-    lam = _check_lambda(0.99 / M if params.lam is None else params.lam, M)
+    lam = _check_lambda(params.lam, M)
     bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
     return _sweep(pdp, bp, lam, cfg, start)
 
@@ -441,8 +435,9 @@ def check_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas) -> list[float]:
         sig = [float(sigmas)] * pdp.m
     else:
         sig = [float(s) for s in sigmas]
-    if len(sig) != pdp.m or any(s <= 0 for s in sig) or tau <= 0:
-        raise ConfigurationError("tau and the sigma_i must be positive, one per block")
+    if len(sig) != pdp.m or not all(0 < s < math.inf for s in [tau, *sig]):
+        raise ConfigurationError("tau and the sigma_i must be positive and finite, "
+                                 "one per block")
     load = tau * (half_inverse(pdp.beta)
                   + sum(s * n * n for s, n in zip(sig, pdp.norms_L())))
     if not at_most(load, 1.0):

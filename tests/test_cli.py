@@ -177,6 +177,22 @@ sigma_factor = 0.99999999999999
         assert diags == [f"[solver typo] unknown field '{key}' for {algorithm} "
                          f"(allowed: {allowed})"]
 
+    @pytest.mark.parametrize("config, cell, unsafe, diag", [
+        # validated, then ran at gamma = inf and wrote {"delta": Infinity}
+        (CUSTOM_BEYOND_BOUND, "algorithm = fbhf\ndelta = inf", True,
+         "[solver typo] field 'delta': 'inf' is not a finite number"),
+        # validated, then every run row was an error
+        (DEMO_CONFIGS["distributed"], "algorithm = consensus\ngamma = nan", False,
+         "[solver typo] field 'gamma': 'nan' is not a finite number"),
+        # every solve stopped after one iteration as converged
+        (LIN_INEQ_SMALL.replace("tolerance = 1e-6", "tolerance = inf"), "algorithm = fbhf",
+         False, "bad field value in [experiment]: 'inf' is not a finite number"),
+    ], ids=["fbhf-delta-inf", "consensus-gamma-nan", "tolerance-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, config, cell, unsafe, diag):
+        text = config + f"\n[solver typo]\n{cell}\n"
+        _, diags = validate_config(write(tmp_path, text), unsafe_stepsize=unsafe)
+        assert diags == [diag]
+
     def test_empty_r_fractions_rejected(self, tmp_path):
         text = """\
 [experiment]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
-                            LineSearchError, SolveConfig, chi, fbhf_step,
+                            LineSearchError, SolveConfig, check_step, chi, fbhf_step,
                             phi_z_profile, solve_fbhf, solve_forward_backward,
                             solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
@@ -182,7 +182,10 @@ class TestLineSearch:
             LineSearch(epsilon=0.88, sigma=0.9, theta=0.707)
 
     def test_parameter_ranges(self):
-        for bad in ({"epsilon": 0.0}, {"sigma": 1.0}, {"theta": 1.5}):
+        # gamma_init = 0 used to report a converged run at gamma = 0, and
+        # gamma_init = -1 to run at gamma = -0.9
+        for bad in ({"epsilon": 0.0}, {"sigma": 1.0}, {"theta": 1.5},
+                    {"gamma_init": 0.0}, {"gamma_init": -1.0}):
             with pytest.raises(ValueError):
                 LineSearch(**{"epsilon": 0.5, "sigma": 0.5, "theta": 0.3, **bad})
 
@@ -357,6 +360,46 @@ class TestSolveFbhf:
         assert len(full.iterates) == full.iterations + 1
         assert len(full.residuals) == len(full.gammas) == full.iterations
         assert full.residuals[-1] == full.residual and full.gammas == [1.0] * full.iterations
+
+
+class TestStepBounds:
+    """check_step's Tseng and forward-backward bounds are chi of their own
+    constants, with the bits of their closed forms."""
+
+    @staticmethod
+    def spec(beta, L):
+        return ProblemSpec(
+            A=MaximalMonotone.zero(),
+            B1=None if math.isinf(beta) else shift_map(np.zeros(2), beta=beta),
+            B2=None if L == 0.0 else MonotoneMap(evaluate=lambda x: 0.0 * x, lipschitz=L),
+            X=ClosedConvexSet.whole_space(), dimension=2)
+
+    @pytest.mark.parametrize("beta", [0.7, 3.1, 1e-3, math.inf])
+    @pytest.mark.parametrize("L", [0.0, 1.3, 17.0])
+    def test_tseng_bound_is_one_over_inverse_beta_plus_L(self, beta, L):
+        spec = self.spec(beta, L)
+        if math.isinf(beta) and L == 0.0:
+            with pytest.raises(ConfigurationError, match="no finite default"):
+                check_step(spec, ConstantStep(), "tseng")
+            assert check_step(spec, ConstantStep(gamma=1e300), "tseng") == 1e300
+            return
+        bound = 1.0 / ((0.0 if math.isinf(beta) else 1.0 / beta) + L)
+        assert check_step(spec, ConstantStep(), "tseng") == 0.99 * bound
+        with pytest.raises(ConfigurationError, match="of the Tseng bound"):
+            check_step(spec, ConstantStep(gamma=bound), "tseng")
+
+    @pytest.mark.parametrize("beta", [0.7, 3.1, 1e-3, math.inf])
+    def test_forward_backward_bound_is_two_beta(self, beta):
+        spec = ProblemSpec(A=MaximalMonotone.zero(), B1=shift_map(np.zeros(2), beta=beta),
+                           B2=None, X=ClosedConvexSet.whole_space(), dimension=2)
+        if math.isinf(beta):
+            with pytest.raises(ConfigurationError, match="no finite default"):
+                check_step(spec, ConstantStep(), "fb")
+            assert check_step(spec, ConstantStep(gamma=1e300), "fb") == 1e300
+            return
+        assert check_step(spec, ConstantStep(), "fb") == 0.99 * (2.0 * beta)
+        with pytest.raises(ConfigurationError, match="of the forward-backward bound"):
+            check_step(spec, ConstantStep(gamma=2.0 * beta), "fb")
 
 
 class TestForwardBackward:

@@ -6,7 +6,7 @@ import pytest
 
 from splitmono import precond
 from splitmono.fbhf import (ConfigurationError, ConstantStep, SolveConfig, fbhf_step,
-                            solve_fbhf, solve_tseng_fbf)
+                            metric_violation, solve_fbhf, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, ProblemSpec, normal_cone_box,
                                  quadratic_gradient)
@@ -407,6 +407,57 @@ class TestSolvePrecondFbhf:
         with pytest.raises(ConfigurationError, match="Lipschitz"):
             solve_precond_fbhf(spec, lying, SolveConfig(max_iterations=10,
                                                         tolerance=1e-9, seed=0))
+
+
+class TestOneAdmissionCheck:
+    """Both preconditioned solvers admit a preconditioner by the same rules;
+    the variable-metric one names the iteration whose P_k fails them."""
+
+    @staticmethod
+    def run(solver, spec, pre, max_iterations=10):
+        cfg = SolveConfig(max_iterations=max_iterations, tolerance=1e-10, seed=0)
+        if solver == "precond":
+            return solve_precond_fbhf(spec, pre, cfg)
+        return solve_variable_metric(spec, MetricSchedule.constant(pre), cfg)
+
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_k_that_ignores_linear_b2_rejected(self, solver, label):
+        # K = ||S|| passes the (inflated) metric condition, the true
+        # K = ||B2 - S|| fails it; the variable-metric run used to diverge
+        n = 6
+        rng = np.random.default_rng(1)
+
+        def skew():
+            G = rng.standard_normal((n, n))
+            return (G - G.T) / 2
+
+        B2 = 3.0 * skew()
+        G = rng.standard_normal((n, n))
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(0.5 * np.eye(n)),
+                           B1=quadratic_gradient(0.1 * G.T @ G / n, rng.standard_normal(n)),
+                           B2=MonotoneMap.from_matrix(B2),
+                           X=ClosedConvexSet.whole_space(), dimension=n)
+        P = 5.0 * np.eye(n) + 0.3 * skew()
+        pre = Preconditioner.from_matrix(P)
+        true_K = Preconditioner.from_matrix(P, b2_matrix=B2).K
+        r = pre.rho / (1.0 + MetricSchedule.constant(pre).epsilon)
+        assert metric_violation(r, pre.K, spec.beta, strict=False) is None
+        assert metric_violation(r, true_K, spec.beta, strict=False) is not None
+        with pytest.raises(ConfigurationError,
+                           match=f"^{label}preconditioner was built without the B2 matrix"):
+            self.run(solver, spec, pre)
+
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_nonlinear_b2_needs_explicit_k(self, solver, label):
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(2)), B1=None,
+                           B2=MonotoneMap(evaluate=lambda w: 0.1 * np.tanh(w)),
+                           X=ClosedConvexSet.whole_space(), dimension=2)
+        P = 2.0 * np.eye(2) + np.array([[0.0, 0.1], [-0.1, 0.0]])
+        with pytest.raises(ConfigurationError, match=f"^{label}B2 is nonlinear.*explicit K"):
+            self.run(solver, spec, Preconditioner.from_matrix(P))
+        r = self.run(solver, spec, Preconditioner.from_matrix(P, lipschitz_K=0.25),
+                     max_iterations=500)
+        assert r.reason == "tolerance"
 
 
 class TestScheduleMarginRule:

@@ -13,7 +13,7 @@ from splitmono.operators import (CocoerciveMap, MaximalMonotone,
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
-                                   _counted, _sweep, check_pd_conditions,
+                                   _check_lambda, _counted, _sweep, check_pd_conditions,
                                    kkt_residual, rho_v, solve_block_triangular,
                                    solve_condat_vu, solve_corollary)
 
@@ -511,6 +511,11 @@ class TestCorollarySolver:
             solve_corollary(pdp, CorollaryParams(theta=0.0, sigmas=(s, s),
                                                  lam=1.0 / M),
                             SolveConfig(max_iterations=10, tolerance=1e-9))
+
+    @pytest.mark.parametrize("M", [0.3, 1.0, 2.0 / 3.0, 1234.5])
+    def test_default_relaxation_is_099_over_M(self, M):
+        assert _check_lambda(None, M) == 0.99 / M
+        assert _check_lambda(0.5 / M, M) == 0.5 / M
 
 
 class TestCondatVu:
