@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,15 +142,15 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     def step(zvec):
         x, u = zvec[:d], zvec[d:]
         u_buf[:] = u
-        ax, u_list = (a @ x).tolist(), u.tolist()
+        ax, u_list = a.dot(x).tolist(), u.tolist()
         for i, (g_fresh, v_fresh, g_stale, u_stale, s, inv_s, prox) in enumerate(samples):
-            mix = float(g_fresh @ v_fresh) + float(g_stale @ u_stale)
+            mix = float(g_fresh.dot(v_fresh)) + float(g_stale.dot(u_stale))
             w = u_list[i] + s * (ax[i] - sig0 * mix)
             # Moreau: prox of the conjugate loss from the loss prox
             v[i] = w - s * prox(inv_s, w / s)
-        new_x = x - lam * (a.T @ v)
+        new_x = x - lam * a.T.dot(v)
         dv = v - u
-        new_u = u + lam * (dv / sig_tail + sig0 * (G_lower @ dv))
+        new_u = u + lam * (dv / sig_tail + sig0 * G_lower.dot(dv))
         return layout.concat([new_x, new_u])
 
     return _run(step, z0, cfg, counters, layout=layout)
@@ -165,7 +166,8 @@ class NlpProblem:
 
     ``f`` is given by its prox (a resolvent oracle), ``h`` by its gradient
     (cocoercive, with the function value attached for reporting), and each
-    constraint by value and gradient oracles.
+    constraint by value and gradient oracles.  Its parts are not meant to
+    change after construction: the saddle inclusion is built once.
     """
 
     f: MaximalMonotone
@@ -193,7 +195,16 @@ class NlpProblem:
 
     def saddle_spec(self) -> ProblemSpec:
         """Lagrangian inclusion on (x, u): A = prox-part x nonneg cone,
-        B1 = (grad h, 0), B2 = the constraint saddle map, X = Y x R^p_+."""
+        B1 = (grad h, 0), B2 = the constraint saddle map, X = Y x R^p_+.
+
+        Built on the first call (the saddle map of affine constraints takes
+        an SVD for its Lipschitz constant) and returned as is afterwards;
+        its oracles keep no state between calls.  ``solve_nlp`` reaches it
+        through the instance, so a caller may rebind it there to wrap it."""
+        return self._saddle_spec
+
+    @cached_property
+    def _saddle_spec(self) -> ProblemSpec:
         p = self.p
         n = self.dim
         f_res, h_eval, y_proj = self.f.resolvent, self.h.evaluate, self.Y.project

@@ -54,12 +54,17 @@ def as_vector(x) -> np.ndarray:
 
 
 def as_matrix(M) -> np.ndarray:
+    """``M`` as a finite, nonempty 2-D float array in C or Fortran order.
+
+    A matrix in neither order (a column-strided view such as ``M[:, ::2]``)
+    is copied to C order: on it ``ndarray.dot``, which the hot products
+    use, and ``@`` give different bits, while on the two orders they agree."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("matrix must be 2-D and nonempty")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    return A
+    return A if A.flags.forc else np.ascontiguousarray(A)
 
 
 @dataclass(frozen=True)

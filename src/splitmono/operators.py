@@ -110,9 +110,13 @@ class MonotoneMap:
 
     @classmethod
     def from_matrix(cls, M, tag: str = "linear") -> "MonotoneMap":
+        """Linear map ``x -> M x``, evaluated by ``M.dot``: the same bits as
+        ``M @ x`` on the C- or Fortran-ordered M that ``as_matrix`` stores,
+        at a lower per-call dispatch cost.  The two differ on a
+        column-strided matrix such as ``M[:, ::2]`` or its transpose, so a
+        product moves from ``@`` to ``.dot`` only after its own bit check."""
         A = as_matrix(M)
-        return cls(evaluate=lambda x: A @ x, lipschitz=operator_norm(A),
-                   tag=tag, matrix=A)
+        return cls(evaluate=A.dot, lipschitz=operator_norm(A), tag=tag, matrix=A)
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def quadratic_gradient(A_mat, b) -> CocoerciveMap:
     beta = operator_norm(A) ** (-2)
 
     def grad(x):
-        return A.T @ (A @ x - rhs)
+        return A.T.dot(A.dot(x) - rhs)
 
     def val(x):
         r = A @ x - rhs
@@ -372,11 +376,18 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
         matrix = np.zeros((n + p, n + p))
         matrix[:n, n:] = D.T
         matrix[n:, :n] = -D
+        DT = D.T
 
         def evaluate(w):  # noqa: F811 - affine fast path, same contract
+            # both GEMVs write into one fresh output, the same bits as
+            # concatenating D^T u and -(D x); a fresh array per call, as
+            # callers hold an earlier value while evaluating the next
             w = np.asarray(w, dtype=float)
-            x, u = w[:-p], w[-p:]
-            return np.concatenate([D.T @ u, -(D @ x)])
+            out = np.empty(n + p)
+            np.dot(DT, w[n:], out=out[:n])
+            np.dot(D, w[:n], out=out[n:])
+            np.negative(out[n:], out=out[n:])
+            return out
 
     return MonotoneMap(evaluate=evaluate, lipschitz=lip, tag="saddle",
                        domain=None if all_affine else

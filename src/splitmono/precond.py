@@ -67,6 +67,10 @@ class Preconditioner:
     # first one's R
     _resolvent_slot: Optional[tuple] = field(default=None, init=False, repr=False,
                                              compare=False)
+    # the counters of the last solve whose sampled check admitted a user K,
+    # matched by identity so that a solve samples each preconditioner once
+    _sampled_in: Optional[_Counters] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @classmethod
     def from_matrix(cls, P, b2_matrix=None,
@@ -112,11 +116,11 @@ class Preconditioner:
 
     def solve_U(self, b: np.ndarray) -> np.ndarray:
         U_inv = self._U_inverse
-        return np.linalg.solve(self.U, b) if U_inv is None else U_inv @ b
+        return np.linalg.solve(self.U, b) if U_inv is None else U_inv.dot(b)
 
     def solve_P(self, b: np.ndarray) -> np.ndarray:
         P_inv = self._P_inverse
-        return np.linalg.solve(self.P, b) if P_inv is None else P_inv @ b
+        return np.linalg.solve(self.P, b) if P_inv is None else P_inv.dot(b)
 
     @cached_property
     def scalar_step(self) -> Optional[float]:
@@ -154,7 +158,7 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
         if slot is None or slot[0] is not M_A:
             slot = pre._resolvent_slot = (M_A, _linear_resolvent(pre.P, M_A))
         R = slot[1]
-        return np.linalg.solve(pre.P + M_A, pre.P @ zv) if R is None else R @ zv
+        return np.linalg.solve(pre.P + M_A, pre.P @ zv) if R is None else R.dot(zv)
     if A.blocks is not None:
         return _forward_substitution(A, pre, zv)
     raise ConfigurationError(
@@ -201,11 +205,14 @@ def _forward_substitution(A: MaximalMonotone, pre: Preconditioner,
     return x
 
 
-def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, strict: bool = True,
-                          inflate: float = 0.0, label: str = "") -> None:
-    """Admit ``pre`` for ``spec``: matching dimensions, a K that accounts for
-    B2 (from its matrix, or explicit for a nonlinear B2) and the metric
-    condition, non-strict at rho/(1+inflate) for the variable metric."""
+def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counters,
+                          seed: Optional[int], strict: bool = True, inflate: float = 0.0,
+                          label: str = "") -> None:
+    """Admit ``pre`` for ``spec`` in the solve counted by ``solve``: matching
+    dimensions, a K that accounts for B2 (from its matrix, or explicit for a
+    nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
+    the variable metric, and for a nonlinear B2 the sampled check of the
+    explicit K (``seed`` draws the pairs), once per solve and preconditioner."""
     if pre.dim != spec.dimension:
         raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
     if spec.B2 is not None:
@@ -220,6 +227,9 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, strict: bool =
     if why is not None:
         raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
                                  f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
+    if spec.B2 is not None and spec.B2.matrix is None and pre._sampled_in is not solve:
+        _validate_sampled_K(spec, pre, seed, label)
+        pre._sampled_in = solve
 
 
 # Relative and absolute slack of the sampled Lipschitz check of a supplied K,
@@ -230,7 +240,7 @@ K_SAMPLE_ATOL = 1e-12
 
 
 def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, seed: Optional[int],
-                        n_pairs: int = 1000) -> None:
+                        label: str = "", n_pairs: int = 1000) -> None:
     """Spot-check a user-supplied K by sampling ||(B2-S)u - (B2-S)v||."""
     rng = np.random.default_rng(0 if seed is None else seed)
     tested = 0
@@ -248,7 +258,7 @@ def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, seed: Optional[i
         tested += 1
         if np.linalg.norm(cu - cv) > pre.K * gap * (1.0 + K_SAMPLE_RTOL) + K_SAMPLE_ATOL:
             raise ConfigurationError(
-                f"supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
+                f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
                 f"(violated on a sampled pair)")
     if tested < n_pairs // 20:
         warnings.warn("K validation sampled too few in-domain pairs to be meaningful",
@@ -294,9 +304,8 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     subject to K^2 < rho (rho - 1/(2 beta)).  With P = Id/gamma this is the
     constant-stepsize main iteration and the run delegates to it step by step.
     """
-    _check_preconditioner(spec, pre)
-    if spec.B2 is not None and spec.B2.matrix is None:
-        _validate_sampled_K(spec, pre, cfg.seed)
+    counters = _Counters()
+    _check_preconditioner(spec, pre, counters, cfg.seed)
 
     z_start = _default_start(spec.dimension, z0)
     gamma = pre.scalar_step
@@ -304,13 +313,12 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
         # the metric condition above is the chi bound for this gamma
         return _iterate_fbhf(spec, gamma, cfg, z_start)
 
-    counters = _Counters()
     project = counters.count("proj", _metric_projector(spec, pre.U))
     backward = _counted_backward(spec, counters)
 
     def step(z):
         x, b2_diff = backward(pre, z)
-        corr = -(pre.S @ (z - x))
+        corr = -pre.S.dot(z - x)
         if b2_diff is not None:
             corr = b2_diff + corr
         return project(x + pre.solve_U(corr))
@@ -372,6 +380,7 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     Needs X = H and B2 with full domain; each P_k is admitted as
     ``solve_precond_fbhf`` admits its preconditioner, but under the inflated
     metric condition K_k^2 <= r_k (r_k - 1/(2 beta)), r_k = rho_k/(1+eps).
+    The sampled check of a user K runs once per solve for each distinct P_k.
     """
     if not spec.X.is_whole_space:
         raise ConfigurationError("the no-inversion iteration requires X = H")
@@ -386,8 +395,8 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     def step(z):
         k = k_state["k"]
         pre = sched.at(k)
-        _check_preconditioner(spec, pre, strict=False, inflate=sched.epsilon,
-                              label=f"P_{k}: ")
+        _check_preconditioner(spec, pre, counters, cfg.seed, strict=False,
+                              inflate=sched.epsilon, label=f"P_{k}: ")
         if not at_most(pre.norm_U, sched.norm_sup):
             raise ConfigurationError(
                 f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
@@ -396,7 +405,7 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
         k_state["k"] = k + 1
 
         x, b2_diff = backward(pre, z)
-        corr = pre.P @ (x - z)
+        corr = pre.P.dot(x - z)
         if b2_diff is not None:
             corr = corr + b2_diff
         return z + lam * corr

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,7 +111,12 @@ class PrimalDualProblem:
         return BlockLayout.from_dims([self.dim] + [b.dim for b in self.blocks])
 
     def norms_L(self) -> list[float]:
-        return [operator_norm(blk.L) for blk in self.blocks]
+        """||L_i|| per dual block, from one SVD each on the first call."""
+        return list(self._norms_L)
+
+    @cached_property
+    def _norms_L(self) -> tuple[float, ...]:
+        return tuple(operator_norm(blk.L) for blk in self.blocks)
 
     def primal_resolvent(self, sigma: float, w: np.ndarray) -> np.ndarray:
         """Resolvent of the shifted block A - z at step sigma."""
@@ -370,7 +376,7 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
 
     def step(zvec):
         x, u = zvec[:d], zvec[d:]
-        forward = K.T @ u
+        forward = K.T.dot(u)
         if C1 is not None:
             forward += C1.evaluate(x)
         if C2 is not None:
@@ -379,7 +385,7 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
         y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
         xy = x - y
 
-        t = K @ x + P0 @ xy - r
+        t = K.dot(x) + P0.dot(xy) - r
         for sl, D_inv in d_inv:
             t[sl] -= D_inv(u[sl])
         w = u + sig * t
@@ -388,7 +394,8 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
         q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
         for sl, s, inv_s, resolvent, row in sweep:
             if row:
-                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
+                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks; the
+                # caller's P_ij may be column-strided, where .dot and @ differ
                 q[sl] = sum(P @ (u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
                 w[sl] += s * q[sl]
                 ws[sl] = w[sl] / s
@@ -396,11 +403,11 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
         v = w - sig * p
 
         new_z = np.empty_like(zvec)
-        corr0 = bp.diag_scalars[0] * (y - x) + K.T @ (u - v)
+        corr0 = bp.diag_scalars[0] * (y - x) + K.T.dot(u - v)
         if C2 is not None:
             corr0 += c2x - C2.evaluate(y)
         new_z[:d] = x + lam * corr0
-        new_z[d:] = u + lam * (c * (v - u) - KP0 @ xy - q)
+        new_z[d:] = u + lam * (c * (v - u) - KP0.dot(xy) - q)
         return new_z
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
@@ -466,12 +473,12 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         if pdp.C1 is not None:
             forward = forward + pdp.C1.evaluate(x)
         for blk, u in zip(pdp.blocks, us):
-            forward = forward + blk.L.T @ u
+            forward = forward + blk.L.T.dot(u)
         new_x = pdp.primal_resolvent(tau, x - tau * forward)
         refl = 2.0 * new_x - x
         new_us = []
         for s, blk, u in zip(sig, pdp.blocks, us):
-            inner = blk.L @ refl
+            inner = blk.L.dot(refl)
             div = blk.d_inv_at(u)
             if div is not None:
                 inner = inner - div

@@ -7,6 +7,8 @@ import importlib
 from pathlib import Path
 
 from splitmono import distributed, linalg, precond
+from splitmono.applications import gen_lin_ineq_qp, solve_nlp
+from splitmono.fbhf import ConstantStep, SolveConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -24,3 +26,22 @@ def test_traced_run_rebinds_and_restores_library_names(monkeypatch):
     with workloads.Traced(spans.Spans()).patched():
         assert all(a is not b for a, b in zip(names(), before))
     assert names() == before
+
+
+def test_traced_nlp_rebinding_reaches_solve_nlp_after_the_spec_is_cached(monkeypatch):
+    # Traced.nlp rebinds saddle_spec on the instance; solve_nlp must call the
+    # rebound one even when the problem has already built its spec
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    prob = gen_lin_ineq_qp(20, 2, 0)
+    spec = prob.saddle_spec()
+    assert prob.saddle_spec() is spec
+    recorder = spans.Spans()
+    traced = workloads.Traced(recorder).nlp(prob)
+    report = solve_nlp(traced, ConstantStep(), SolveConfig(max_iterations=3, tolerance=1e-300))
+    calls = {name: t["calls"] for name, t in recorder.totals().items()}
+    assert report.iterations == 3
+    assert calls == {"operators.resolvent": report.resolvent_evals,
+                     "operators.b1": report.b1_evals, "operators.b2": report.b2_evals,
+                     "operators.project": report.projections}

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from splitmono.fbhf import _norm
 from splitmono.operators import (ClosedConvexSet, DomainError, MaximalMonotone,
-                                 affine_constraints, entropy_constraint,
+                                 MonotoneMap, affine_constraints, entropy_constraint,
                                  lagrangian_saddle_map, normal_cone_box,
                                  prox_abs_deviation, prox_hinge,
                                  quadratic_gradient, scalar_monotone)
@@ -233,6 +234,70 @@ class TestQuadraticGradient:
         A = np.array([[1.0, 2.0]])
         grad = quadratic_gradient(A, np.array([3.0]))
         assert grad.value(np.array([1.0, 1.0])) == pytest.approx(0.0)
+
+
+class TestMatrixOraclesMatchMatmulBitwise:
+    """The hot matrix oracles multiply by ``ndarray.dot``.  On their operands,
+    C-contiguous matrices, their transposes and contiguous vectors (slices of
+    a longer vector included), that gives the bits of ``@``."""
+
+    SHAPES = [(1, 1), (3, 7), (10, 20), (100, 200), (37, 5)]
+
+    @staticmethod
+    def vectors(rng, n):
+        # a fresh vector and a slice of a longer one
+        return [rng.standard_normal(n), rng.standard_normal(n + 7)[3:3 + n]]
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_quadratic_gradient(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        A, b = rng.standard_normal((rows, cols)), rng.standard_normal(rows)
+        grad = quadratic_gradient(A, b).evaluate
+        for x in self.vectors(rng, cols):
+            assert np.array_equal(grad(x), A.T @ (A @ x - b))
+
+    @pytest.mark.parametrize("n", [1, 6, 200])
+    def test_monotone_map_from_matrix(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        op = MonotoneMap.from_matrix(M)
+        for x in self.vectors(rng, n):
+            assert np.array_equal(op.evaluate(x), M @ x)
+
+    @pytest.mark.parametrize("p, n", SHAPES)
+    def test_affine_saddle_map(self, p, n):
+        rng = np.random.default_rng(p + n)
+        D = rng.standard_normal((p, n))
+        smap = lagrangian_saddle_map(affine_constraints(D))
+        for w in self.vectors(rng, n + p):
+            ref = np.concatenate([D.T @ w[n:], -(D @ w[:n])])
+            assert np.array_equal(smap.evaluate(w), ref)
+
+    def test_column_strided_matrix_is_stored_in_c_order(self):
+        # on M[:, ::2], .dot and @ differ; the stored copy makes them agree
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((30, 60))[:, ::2]
+        op = MonotoneMap.from_matrix(M)
+        assert op.matrix.flags.c_contiguous
+        x = rng.standard_normal(30)
+        assert np.array_equal(op.evaluate(x), np.ascontiguousarray(M) @ x)
+        assert np.array_equal(op.evaluate(x), op.matrix @ x)
+
+    def test_affine_saddle_map_returns_a_fresh_array_per_call(self):
+        # callers hold one value while they evaluate the next
+        rng = np.random.default_rng(5)
+        smap = lagrangian_saddle_map(affine_constraints(rng.standard_normal((4, 9))))
+        first = smap.evaluate(rng.standard_normal(13))
+        kept = first.copy()
+        second = smap.evaluate(rng.standard_normal(13))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("n", [1, 7, 220, 1000])
+    def test_norm_matches_linalg_norm(self, n):
+        rng = np.random.default_rng(n)
+        for v in self.vectors(rng, n) + [1e-200 * rng.standard_normal(n)]:
+            assert _norm(v) == np.linalg.norm(v)
 
 
 class TestClosedConvexSet:

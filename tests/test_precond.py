@@ -459,6 +459,49 @@ class TestOneAdmissionCheck:
                      max_iterations=500)
         assert r.reason == "tolerance"
 
+    @staticmethod
+    def tanh_spec(n, calls=None):
+        """B2 = 5 tanh(w), 5-Lipschitz, with a linear A and a quadratic B1;
+        ``calls`` counts every B2 evaluation, sampled or iterated."""
+        rng = np.random.default_rng(0)
+
+        def b2(w):
+            if calls is not None:
+                calls.append(1)
+            return 5.0 * np.tanh(w)
+
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(n)),
+                           B1=quadratic_gradient(0.3 * rng.standard_normal((n, n)),
+                                                 rng.standard_normal(n)),
+                           B2=MonotoneMap(evaluate=b2),
+                           X=ClosedConvexSet.whole_space(), dimension=n)
+        G = rng.standard_normal((n, n))
+        return spec, 2.0 * np.eye(n) + 0.1 * (G - G.T) / 2
+
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_user_k_below_the_true_constant_rejected(self, solver, label):
+        # K = 1e-6 passes the metric condition; sampling B2 - S refutes it
+        spec, P = self.tanh_spec(6)
+        pre = Preconditioner.from_matrix(P, lipschitz_K=1e-6)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{label}supplied K = 1e-06 is not a Lipschitz constant"):
+            self.run(solver, spec, pre)
+
+    def test_each_distinct_preconditioner_sampled_once_per_solve(self):
+        # the sampled check evaluates B2 twice per pair, 1000 pairs; a solve
+        # cycling over two preconditioners samples each once, and the next
+        # solve samples them again
+        calls = []
+        spec, P = self.tanh_spec(4, calls)
+        pres = [Preconditioner.from_matrix(4.0 * P, lipschitz_K=5.5),
+                Preconditioner.from_matrix(4.0 * P + 0.5 * np.eye(4), lipschitz_K=5.5)]
+        cfg = SolveConfig(max_iterations=7, tolerance=1e-300, seed=0)
+        for _ in range(2):
+            calls.clear()
+            r = solve_variable_metric(spec, MetricSchedule.cycle(pres), cfg)
+            assert r.iterations == 7
+            assert len(calls) == r.b2_evals + 2 * 2000
+
 
 class TestScheduleMarginRule:
     """lo <= lambda_k <= hi and ||U_k|| <= M are decided by the margin rule,
