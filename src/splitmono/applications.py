@@ -139,7 +139,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     samples = [(G[i, :i], v[:i], G[i, i:], u_buf[i:], s, 1.0 / s, counters.count("res", prox))
                for i, (s, prox) in enumerate(zip(sig[1:], p.proxes))]
 
-    def step(zvec):
+    def step(k, zvec):
         x, u = zvec[:d], zvec[d:]
         u_buf[:] = u
         ax, u_list = a.dot(x).tolist(), u.tolist()
@@ -151,7 +151,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
         new_x = x - lam * a.T.dot(v)
         dv = v - u
         new_u = u + lam * (dv / sig_tail + sig0 * G_lower.dot(dv))
-        return layout.concat([new_x, new_u])
+        return layout.concat([new_x, new_u]), None
 
     return _run(step, z0, cfg, counters, layout=layout)
 

@@ -341,7 +341,7 @@ def _build_distributed_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
         mean = report.block(0).reshape(n, h).mean(axis=0)
         objective = 0.5 * float(sum(np.linalg.norm(mean - centers[i]) ** 2
                                     for i in range(n)))
-        return report, objective, trace[-1] if trace else 0.0
+        return report, objective, trace[-1]
     return run
 
 

@@ -273,8 +273,10 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     ConfigurationError naming the round otherwise.  ``report.block(0)`` holds
     the stacked x and ``report.block(1)`` the stacked w, which at the
     solution is the graph-independent certificate w_i = -grad f_i(x*).
-    Returns the report together with the per-round consensus-error trace
-    max_{i,j} ||x_i - x_j||.
+    Returns the report together with the consensus-error trace
+    max_{i,j} ||x_i - x_j||, computed from the report once the rounds end:
+    one value per round under ``cfg.keep_iterates``, else the final round's
+    value alone, so memory stays bounded however many rounds run.
     """
     n = gs.n
     proxes = list(proxes)
@@ -288,17 +290,13 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     layout = BlockLayout.from_dims([m, m])
     counters = _Counters()
     proxes = [counters.count("res", prox) for prox in proxes]
-    trace: list[float] = []
-    rounds = itertools.count()
 
-    def step(z):
-        k = next(rounds)
+    def step(k, z):
         g = gs.at(k)
         _check_round(g, gamma, tau, k)
-        zn = _round(z, proxes, g, gamma, tau)
-        trace.append(_spread(zn[:m].reshape(n, block_dim)))
-        return zn
+        return _round(z, proxes, g, gamma, tau), None
 
     z0 = np.concatenate([X.ravel(), W.ravel()])
     report = _run(step, z0, cfg, counters, layout=layout)
-    return report, trace
+    rounds = [report.z] if report.iterates is None else report.iterates[1:]
+    return report, [_spread(z[:m].reshape(n, block_dim)) for z in rounds]

@@ -151,7 +151,6 @@ class SolveConfig:
     max_iterations: int = 100_000
     tolerance: float = 1e-7        # relative-change stopping threshold
     keep_iterates: bool = False
-    seed: Optional[int] = None     # for randomized sub-utilities only
 
     def __post_init__(self):
         if not 1 <= self.max_iterations < math.inf:
@@ -175,12 +174,14 @@ class SolveReport:
 
     ``residual`` is the last relative change ||z+ - z|| / ||z|| (the
     absolute change at the origin); it is non-finite when the run diverged.
-    ``gamma`` is the last step of the solvers that run a scalar step (the
-    main iteration, its forward-backward and Tseng baselines and the
+    ``gamma`` is the step the last iteration returned to the iteration loop
+    (``_run``): a float for the solvers that run a scalar step (the main
+    iteration, its forward-backward and Tseng baselines and the
     preconditioned solver at P = Id/gamma), and None for the others.  The
     per-iteration history (``iterates``, ``residuals`` and ``gammas``, one
-    entry per iteration after the starting point) is kept only under
-    ``SolveConfig.keep_iterates`` and is None otherwise.
+    entry per iteration after the starting point) is kept by ``_run``
+    only under ``SolveConfig.keep_iterates`` and is None otherwise;
+    ``gammas`` is also None for a solver without a scalar step.
     """
 
     z: np.ndarray
@@ -261,45 +262,31 @@ def _relative_change(z_new: np.ndarray, z: np.ndarray) -> float:
     return num if den < 1e-30 else num / den
 
 
-class _StepLog:
-    """The line-search steps of one solve: the last one, and every one when
-    the history is kept."""
+def _run(step: Callable[[int, np.ndarray], tuple[np.ndarray, Optional[float]]],
+         z0: np.ndarray, cfg: SolveConfig, counters: _Counters,
+         layout: Optional[BlockLayout] = None) -> SolveReport:
+    """Iterate ``z_{k+1}, gamma_k = step(k, z_k)`` from ``z0`` until the
+    relative-change stop.
 
-    __slots__ = ("last", "history")
-
-    def __init__(self, keep: bool):
-        self.last: Optional[float] = None
-        self.history: Optional[list[float]] = [] if keep else None
-
-    def record(self, gamma: float) -> None:
-        self.last = gamma
-        if self.history is not None:
-            self.history.append(gamma)
-
-
-def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveConfig,
-         counters: _Counters, layout: Optional[BlockLayout] = None,
-         steps: float | _StepLog | None = None) -> SolveReport:
-    """Iterate ``step`` from ``z0`` until the relative-change stop.
-
-    ``steps`` is the solver's constant scalar step, the ``_StepLog`` its step
-    closure records into, or None when it runs no scalar step.  Without
-    ``cfg.keep_iterates`` the loop keeps no per-iteration state."""
+    ``gamma_k`` is iteration k's scalar step, or None for a solver that runs
+    none; the report carries the last one.  The loop is the only owner of
+    per-iteration state: it supplies k, and without ``cfg.keep_iterates`` it
+    keeps nothing per iteration."""
     z = np.asarray(z0, dtype=float).copy()
     keep = cfg.keep_iterates
     iterates = [z.copy()] if keep else None
     residuals = [] if keep else None
+    gammas = [] if keep else None
     reason = "max_iter"
-    iterations = 0
     t0 = time.perf_counter()
-    for _ in range(cfg.max_iterations):
-        z_new = step(z)
-        iterations += 1
+    for k in range(cfg.max_iterations):
+        z_new, gamma = step(k, z)
         rel = _relative_change(z_new, z)
         z = z_new
         if keep:
             residuals.append(rel)
             iterates.append(np.array(z))
+            gammas.append(gamma)
         if rel < cfg.tolerance:
             reason = "tolerance"
             break
@@ -308,18 +295,14 @@ def _run(step: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, cfg: SolveCon
             reason = "diverged"
             break
     wall = time.perf_counter() - t0
-    if isinstance(steps, _StepLog):
-        gamma, gammas = steps.last, steps.history
-    else:
-        gamma = steps
-        gammas = [steps] * iterations if keep and steps is not None else None
     calls = counters.calls
-    return SolveReport(z=z, iterations=iterations, reason=reason,
+    return SolveReport(z=z, iterations=k + 1, reason=reason,
                        residual=rel, b1_evals=calls("b1"),
                        b2_evals=calls("b2"), resolvent_evals=calls("res"),
                        projections=calls("proj"), backtracks=counters.backtracks,
                        wall_time=wall, gamma=gamma, iterates=iterates,
-                       residuals=residuals, gammas=gammas, layout=layout)
+                       residuals=residuals, gammas=None if gamma is None else gammas,
+                       layout=layout)
 
 
 def _default_start(dim: int, z0) -> np.ndarray:
@@ -499,20 +482,12 @@ def _iterate_fbhf(spec: ProblemSpec, policy, cfg: SolveConfig,
     ``policy`` (a float) or with the ``LineSearch`` policy."""
     counters = _Counters()
     spec = _counted(spec, counters)
-    if isinstance(policy, LineSearch):
-        steps = _StepLog(cfg.keep_iterates)
 
-        def step(z):
-            gamma, _, z_next = _fbhf_iteration(spec, z, policy, counters)
-            steps.record(gamma)
-            return z_next
-    else:
-        steps = policy
+    def step(k, z):
+        gamma, _, z_next = _fbhf_iteration(spec, z, policy, counters)
+        return z_next, gamma
 
-        def step(z):
-            return _fbhf_iteration(spec, z, policy, counters)[2]
-
-    return _run(step, z_start, cfg, counters, steps=steps)
+    return _run(step, z_start, cfg, counters)
 
 
 def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
@@ -526,23 +501,21 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
     z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     spec = _counted(spec, counters)
-    steps = _StepLog(cfg.keep_iterates) if isinstance(policy, LineSearch) else policy
 
     def b_at(w):
         return _forward(spec, w)[1]
 
-    def step(z):
+    def step(k, z):
         bz = b_at(z)
         if isinstance(policy, LineSearch):
             gamma, x, bx = _backtrack(spec, z, policy, bz, bz, b_at, counters)
-            steps.record(gamma)
         else:
             gamma = policy
             x = _backward(spec, z, gamma, bz)
             bx = b_at(x)
-        return spec.X.project(x if bz is None else x + gamma * (bz - bx))
+        return spec.X.project(x if bz is None else x + gamma * (bz - bx)), gamma
 
-    return _run(step, z_start, cfg, counters, steps=steps)
+    return _run(step, z_start, cfg, counters)
 
 
 def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
@@ -556,10 +529,10 @@ def solve_forward_backward(spec: ProblemSpec, gamma: float, cfg: SolveConfig,
     counters = _Counters()
     spec = _counted(spec, counters)
 
-    def step(z):
-        return spec.A.resolvent(gamma, z - gamma * spec.B1.evaluate(z))
+    def step(k, z):
+        return spec.A.resolvent(gamma, z - gamma * spec.B1.evaluate(z)), gamma
 
-    return _run(step, z_start, cfg, counters, steps=gamma)
+    return _run(step, z_start, cfg, counters)
 
 
 def phi_z_profile(spec: ProblemSpec, z, gamma_grid) -> list[float]:

@@ -206,13 +206,13 @@ def _forward_substitution(A: MaximalMonotone, pre: Preconditioner,
 
 
 def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counters,
-                          seed: Optional[int], strict: bool = True, inflate: float = 0.0,
+                          strict: bool = True, inflate: float = 0.0,
                           label: str = "") -> None:
     """Admit ``pre`` for ``spec`` in the solve counted by ``solve``: matching
     dimensions, a K that accounts for B2 (from its matrix, or explicit for a
     nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
     the variable metric, and for a nonlinear B2 the sampled check of the
-    explicit K (``seed`` draws the pairs), once per solve and preconditioner."""
+    explicit K, once per solve and preconditioner."""
     if pre.dim != spec.dimension:
         raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
     if spec.B2 is not None:
@@ -228,7 +228,7 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
         raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
                                  f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
     if spec.B2 is not None and spec.B2.matrix is None and pre._sampled_in is not solve:
-        _validate_sampled_K(spec, pre, seed, label)
+        _validate_sampled_K(spec, pre, label)
         pre._sampled_in = solve
 
 
@@ -239,10 +239,12 @@ K_SAMPLE_RTOL = 1e-8
 K_SAMPLE_ATOL = 1e-12
 
 
-def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, seed: Optional[int],
-                        label: str = "", n_pairs: int = 1000) -> None:
-    """Spot-check a user-supplied K by sampling ||(B2-S)u - (B2-S)v||."""
-    rng = np.random.default_rng(0 if seed is None else seed)
+def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, label: str = "",
+                        n_pairs: int = 1000) -> None:
+    """Spot-check a user-supplied K by sampling ||(B2-S)u - (B2-S)v|| on
+    ``n_pairs`` standard-normal pairs drawn from a fixed seed, so every solve
+    samples the same pairs."""
+    rng = np.random.default_rng(0)
     tested = 0
     for _ in range(n_pairs):
         u = rng.standard_normal(spec.dimension)
@@ -305,7 +307,7 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     constant-stepsize main iteration and the run delegates to it step by step.
     """
     counters = _Counters()
-    _check_preconditioner(spec, pre, counters, cfg.seed)
+    _check_preconditioner(spec, pre, counters)
 
     z_start = _default_start(spec.dimension, z0)
     gamma = pre.scalar_step
@@ -316,12 +318,12 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     project = counters.count("proj", _metric_projector(spec, pre.U))
     backward = _counted_backward(spec, counters)
 
-    def step(z):
+    def step(k, z):
         x, b2_diff = backward(pre, z)
         corr = -pre.S.dot(z - x)
         if b2_diff is not None:
             corr = b2_diff + corr
-        return project(x + pre.solve_U(corr))
+        return project(x + pre.solve_U(corr)), None
 
     return _run(step, z_start, cfg, counters)
 
@@ -390,24 +392,21 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     backward = _counted_backward(spec, counters)
-    k_state = {"k": 0}
 
-    def step(z):
-        k = k_state["k"]
+    def step(k, z):
         pre = sched.at(k)
-        _check_preconditioner(spec, pre, counters, cfg.seed, strict=False,
+        _check_preconditioner(spec, pre, counters, strict=False,
                               inflate=sched.epsilon, label=f"P_{k}: ")
         if not at_most(pre.norm_U, sched.norm_sup):
             raise ConfigurationError(
                 f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
                 f"M = {sched.norm_sup:.6g}")
         lam = sched.lambda_at(k, pre)
-        k_state["k"] = k + 1
 
         x, b2_diff = backward(pre, z)
         corr = pre.P.dot(x - z)
         if b2_diff is not None:
             corr = corr + b2_diff
-        return z + lam * corr
+        return z + lam * corr, None
 
     return _run(step, z_start, cfg, counters)

@@ -132,7 +132,9 @@ class PrimalDualProblem:
 @dataclass(frozen=True)
 class BlockPreconditioner:
     """Lower block triangle (P_ij)_{0<=j<=i<=m} with scalar diagonal blocks
-    P_ii = diag_scalars[i] * Id, so every dual resolvent stays prox-friendly."""
+    P_ii = diag_scalars[i] * Id, so every dual resolvent stays prox-friendly.
+    The off-diagonal blocks are stored through ``as_matrix``, in C or Fortran
+    order, so ``.dot`` applies them with the same bits as ``@``."""
 
     diag_scalars: tuple[float, ...]
     off_diag: dict  # (i, j), i > j  ->  matrix G_j -> G_i
@@ -147,6 +149,8 @@ class BlockPreconditioner:
                 raise ValueError("off-diagonal blocks must sit strictly below the diagonal")
             if not np.all(np.isfinite(blk)):
                 raise ValueError(f"off-diagonal block {(i, j)} has non-finite entries")
+        object.__setattr__(self, "off_diag",
+                           {key: as_matrix(blk) for key, blk in self.off_diag.items()})
 
     @property
     def m(self) -> int:
@@ -374,7 +378,7 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
     sweep = [(sl, s, 1.0 / s, blk.B.resolvent, row)
              for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
 
-    def step(zvec):
+    def step(k, zvec):
         x, u = zvec[:d], zvec[d:]
         forward = K.T.dot(u)
         if C1 is not None:
@@ -394,9 +398,8 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
         q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
         for sl, s, inv_s, resolvent, row in sweep:
             if row:
-                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks; the
-                # caller's P_ij may be column-strided, where .dot and @ differ
-                q[sl] = sum(P @ (u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
+                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
+                q[sl] = sum(P.dot(u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
                 w[sl] += s * q[sl]
                 ws[sl] = w[sl] / s
             p[sl] = resolvent(inv_s, ws[sl])
@@ -408,7 +411,7 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
             corr0 += c2x - C2.evaluate(y)
         new_z[:d] = x + lam * corr0
         new_z[d:] = u + lam * (c * (v - u) - KP0.dot(xy) - q)
-        return new_z
+        return new_z, None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
@@ -466,7 +469,7 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
     counters = _Counters()
     pdp = _counted(pdp, counters)
 
-    def step(zvec):
+    def step(k, zvec):
         x = layout.block(zvec, 0)
         us = [layout.block(zvec, i) for i in range(1, pdp.m + 1)]
         forward = np.zeros_like(x)
@@ -485,7 +488,7 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
             if blk.r is not None:
                 inner = inner - blk.r
             new_us.append(blk.dual_resolvent(s, u + s * inner))
-        return layout.concat([new_x] + new_us)
+        return layout.concat([new_x] + new_us), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 

@@ -40,7 +40,7 @@ def elementwise_incremental(p, sigma, lam, cfg, start):
     def dual_prox(i, sigma, w):
         return w - sigma * proxes[i](1.0 / sigma, w / sigma)
 
-    def step(zvec):
+    def step(k, zvec):
         x = layout.block(zvec, 0)
         u = zvec[p.d:]
         ax = p.a @ x
@@ -52,7 +52,7 @@ def elementwise_incremental(p, sigma, lam, cfg, start):
         new_x = x - lam * (p.a.T @ v)
         dv = v - u
         new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))
-        return layout.concat([new_x, new_u])
+        return layout.concat([new_x, new_u]), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 

@@ -235,6 +235,20 @@ class TestRunDistributed:
             report, _ = run_distributed(proxes, gs, 0.1, 0.1, cfg)
             assert report.iterations == 3 and len(calls) == 3
 
+    def test_run_loop_supplies_the_round_index(self):
+        # the graph sequence sees t = 0, 1, ..., iterations - 1, once each,
+        # in order
+        seen = []
+
+        def at(t):
+            seen.append(t)
+            return Graph.ring(4)
+
+        proxes = [quad_prox(c) for c in (1.0, -2.0, 0.5, 3.0)]
+        report, _ = run_distributed(proxes, GraphSequence(at=at, n=4), 0.2, 0.2,
+                                    SolveConfig(max_iterations=25, tolerance=1e-300))
+        assert report.iterations == 25 and seen == list(range(25))
+
     def test_consensual_start_is_fixed_point(self):
         c = 1.0
         proxes = [quad_prox(c) for _ in range(4)]

@@ -400,13 +400,13 @@ class TestSolvePrecondFbhf:
         pre = Preconditioner.from_matrix(np.eye(2) * 2.0 + np.array(
             [[0.0, 0.1], [-0.1, 0.0]]), lipschitz_K=0.25)
         r = solve_precond_fbhf(spec, pre, SolveConfig(max_iterations=50,
-                                                      tolerance=1e-10, seed=0))
+                                                      tolerance=1e-10))
         assert r.reason == "tolerance"
         lying = Preconditioner.from_matrix(np.eye(2) * 2.0 + np.array(
             [[0.0, 0.1], [-0.1, 0.0]]), lipschitz_K=1e-6)
         with pytest.raises(ConfigurationError, match="Lipschitz"):
             solve_precond_fbhf(spec, lying, SolveConfig(max_iterations=10,
-                                                        tolerance=1e-9, seed=0))
+                                                        tolerance=1e-9))
 
 
 class TestOneAdmissionCheck:
@@ -415,7 +415,7 @@ class TestOneAdmissionCheck:
 
     @staticmethod
     def run(solver, spec, pre, max_iterations=10):
-        cfg = SolveConfig(max_iterations=max_iterations, tolerance=1e-10, seed=0)
+        cfg = SolveConfig(max_iterations=max_iterations, tolerance=1e-10)
         if solver == "precond":
             return solve_precond_fbhf(spec, pre, cfg)
         return solve_variable_metric(spec, MetricSchedule.constant(pre), cfg)
@@ -495,7 +495,7 @@ class TestOneAdmissionCheck:
         spec, P = self.tanh_spec(4, calls)
         pres = [Preconditioner.from_matrix(4.0 * P, lipschitz_K=5.5),
                 Preconditioner.from_matrix(4.0 * P + 0.5 * np.eye(4), lipschitz_K=5.5)]
-        cfg = SolveConfig(max_iterations=7, tolerance=1e-300, seed=0)
+        cfg = SolveConfig(max_iterations=7, tolerance=1e-300)
         for _ in range(2):
             calls.clear()
             r = solve_variable_metric(spec, MetricSchedule.cycle(pres), cfg)
@@ -606,6 +606,21 @@ class TestVariableMetric:
         r_alt = solve_variable_metric(spec, MetricSchedule.cycle([pre1, pre2]), cfg)
         r_1 = solve_variable_metric(spec, MetricSchedule.constant(pre1), cfg)
         assert np.linalg.norm(r_alt.z - r_1.z) <= 1e-8
+
+    def test_run_loop_supplies_the_iteration_index(self):
+        # the schedule sees k = 0, 1, ..., iterations - 1, once each, in order
+        rng = np.random.default_rng(41)
+        spec, B2m = self._strong_problem(rng)
+        pre = Preconditioner.from_matrix(1.5 * np.eye(4), b2_matrix=B2m)
+        seen = []
+
+        def at(k):
+            seen.append(k)
+            return pre
+
+        r = solve_variable_metric(spec, MetricSchedule(at=at, norm_sup=pre.norm_U),
+                                  SolveConfig(max_iterations=25, tolerance=1e-300))
+        assert r.iterations == 25 and seen == list(range(25))
 
     def test_violating_schedule_names_iteration(self):
         rng = np.random.default_rng(35)

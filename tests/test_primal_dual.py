@@ -92,7 +92,7 @@ def reference_sweep(pdp, bp, lam, cfg, start):
     counters = _Counters()
     pdp = _counted(pdp, counters)
 
-    def step(zvec):
+    def step(k, zvec):
         x = layout.block(zvec, 0)
         us = [layout.block(zvec, i) for i in range(1, m + 1)]
         forward = np.zeros_like(x)
@@ -139,7 +139,7 @@ def reference_sweep(pdp, bp, lam, cfg, start):
                 if Pij is not None:
                     corr = corr + Pij @ (vs[j - 1] - us[j - 1])
             new_us.append(u + lam * corr)
-        return layout.concat([x + lam * corr0] + new_us)
+        return layout.concat([x + lam * corr0] + new_us), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
@@ -169,7 +169,7 @@ def per_block_moreau_sweep(pdp, bp, lam, cfg, start):
     sweep = [(sl, s, blk.dual_resolvent, row)
              for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
 
-    def step(zvec):
+    def step(k, zvec):
         x, u = zvec[:d], zvec[d:]
         forward = K.T @ u
         if C1 is not None:
@@ -196,7 +196,7 @@ def per_block_moreau_sweep(pdp, bp, lam, cfg, start):
             corr0 += c2x - C2.evaluate(y)
         new_z[:d] = x + lam * corr0
         new_z[d:] = u + lam * (c * (v - u) - KP0 @ xy - q)
-        return new_z
+        return new_z, None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
@@ -468,6 +468,23 @@ class TestBlockTriangularSolver:
         assert (r.b1_evals, r.b2_evals, r.resolvent_evals, r.iterations) == \
             (ref.b1_evals, ref.b2_evals, ref.resolvent_evals, ref.iterations)
         assert r.resolvent_evals == 200 * (pdp.m + 1)
+
+    def test_column_strided_interior_block_gives_the_c_order_iterates(self):
+        # on a column-strided P_ij, .dot and @ give other bits than on its
+        # C-order copy; the preconditioner stores every block through
+        # as_matrix, so the two runs agree bit for bit
+        cfg = SolveConfig(max_iterations=30, tolerance=1e-300, keep_iterates=True)
+        for seed in range(20):
+            pdp, bp = coupled_instance(seed)
+            strided = {(i, j): np.repeat(P, 2, axis=1)[:, ::2] if j > 0 else P
+                       for (i, j), P in bp.off_diag.items()}
+            assert sum(not P.flags.forc for P in strided.values()) == 3
+            lam = 0.99 / check_pd_conditions(bp, [b.L for b in pdp.blocks],
+                                              pdp.delta, pdp.beta).M
+            r = solve_block_triangular(pdp, replace(bp, off_diag=strided), lam, cfg)
+            ref = solve_block_triangular(pdp, bp, lam, cfg)
+            for a, b in zip(r.iterates, ref.iterates):
+                assert np.array_equal(a, b)
 
     def test_rejects_failing_condition(self):
         pdp = lasso_instance(seed=4)

@@ -14,7 +14,7 @@ from splitmono.applications import (erm_uniform_sigma_bound, gen_entropy_ls,
                                     gen_erm_hinge, gen_lin_ineq_qp,
                                     solve_erm_incremental)
 from splitmono.distributed import Graph, GraphSequence, _spread, run_distributed
-from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig, SolveReport,
+from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig,
                             _relative_change, chi, half_inverse, solve_fbhf,
                             solve_forward_backward, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone, ProblemSpec,
@@ -64,6 +64,14 @@ def erm_incremental(cfg):
     return solve_erm_incremental(ERM, [0.99 * erm_uniform_sigma_bound(7)], None, cfg)
 
 
+def distributed_consensus(cfg):
+    # a path of 8 agents at step 0.05 is still moving after 2000 rounds
+    # (consensus error about 5e-9), so a stop at 1e-300 runs to the cap
+    centers = np.random.default_rng(7).standard_normal((8, 1))
+    proxes = [lambda g, v, c=c: (v + g * c) / (1.0 + g) for c in centers]
+    return run_distributed(proxes, GraphSequence.fixed(Graph.path(8)), 0.05, 0.05, cfg)
+
+
 def forward_backward(cfg):
     rng = np.random.default_rng(3)
     grad = quadratic_gradient(rng.standard_normal((6, 8)), rng.standard_normal(6))
@@ -72,34 +80,41 @@ def forward_backward(cfg):
     return solve_forward_backward(spec, 0.9 * grad.beta, cfg)
 
 
-def retained_bytes(solve) -> tuple[int, SolveReport]:
-    """Bytes still allocated after ``solve()`` returns, its report alive."""
+def retained_bytes(solve):
+    """Bytes still allocated after ``solve()`` returns, and its output, kept
+    alive while the bytes are counted: a report, or the (report, trace)
+    pair of ``run_distributed``."""
     was_tracing = tracemalloc.is_tracing()
     gc.collect()
     if not was_tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = solve()
+        out = solve()
         gc.collect()
-        return tracemalloc.get_traced_memory()[0] - before, report
+        return tracemalloc.get_traced_memory()[0] - before, out
     finally:
         if not was_tracing:
             tracemalloc.stop()
 
 
 @pytest.mark.parametrize("solve", [fbhf_line_search, tseng_constant, condat_vu,
-                                   erm_incremental])
+                                   erm_incremental, distributed_consensus])
 def test_report_memory_does_not_grow_with_iterations(solve):
-    # a stop at 1e-300 runs to the cap; the first run fills lazy caches.  The
-    # history lists held one float per iteration (64 kB or more at 2000).
-    # What may differ is a few counter ints beyond the small-int cache.
+    # a stop at 1e-300 runs to the cap; the first run fills lazy caches.  A
+    # history list or a consensus trace holding one float per iteration would
+    # retain 64 kB or more at 2000.  What may differ is a few counter ints
+    # beyond the small-int cache.
     def run(n):
         return solve(SolveConfig(max_iterations=n, tolerance=1e-300))
+
+    def report_of(out):
+        return out[0] if isinstance(out, tuple) else out
 
     run(2000)
     short_bytes, short = retained_bytes(lambda: run(20))
     long_bytes, long = retained_bytes(lambda: run(2000))
+    short, long = report_of(short), report_of(long)
     assert long.iterations >= 100 * short.iterations
     assert long.residuals is None and long.iterates is None and long.gammas is None
     assert long_bytes - short_bytes < 1024
@@ -149,17 +164,25 @@ def test_fields_the_benchmark_reads():
 
 def test_distributed_trace_has_one_consensus_value_per_round():
     # the benchmark's consensus error and criterion 12 read this trace; an
-    # empty one would pass both without checking anything
+    # empty one would pass both without checking anything.  The trace follows
+    # keep_iterates: one value per round when kept, else the last one alone.
     rng = np.random.default_rng(7)
     n, h = 4, 2
     centers = rng.standard_normal((n, h))
     proxes = [lambda g, v, c=c: (v + g * c) / (1.0 + g) for c in centers]
-    out = run_distributed(proxes, GraphSequence.fixed(Graph.ring(n)), 0.2, 0.2,
-                          SolveConfig(max_iterations=60, tolerance=1e-300),
-                          block_dim=h)
+
+    def run(keep):
+        return run_distributed(proxes, GraphSequence.fixed(Graph.ring(n)), 0.2, 0.2,
+                               SolveConfig(max_iterations=60, tolerance=1e-300,
+                                           keep_iterates=keep),
+                               block_dim=h)
+
+    out = run(True)
     assert isinstance(out, tuple) and len(out) == 2
     report, trace = out
     assert len(trace) == report.iterations == 60
     assert all(math.isfinite(v) for v in trace)
     assert trace[-1] == _spread(report.block(0).reshape(n, h))
     assert trace[-1] < trace[0]
+    _, default_trace = run(False)
+    assert default_trace == [trace[-1]]
