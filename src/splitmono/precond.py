@@ -47,7 +47,8 @@ class Preconditioner:
 
     ``K`` is the Lipschitz constant of ``B2 - S`` for the problem the
     preconditioner will be used on; ``k_source`` records how it was obtained
-    ("b2_matrix", "user", or "skew_only" when B2 is absent).
+    ("b2_matrix", "user", or "skew_only" when B2 is absent), and
+    ``b2_matrix`` the matrix it was computed from, if any.
 
     The inverses behind ``solve_U``, ``solve_P`` and ``resolvent_via_P`` are
     built on first use (see the module docstring).  ``solve_U`` and
@@ -62,15 +63,16 @@ class Preconditioner:
     K: float
     norm_U: float
     k_source: str = "skew_only"
+    b2_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # (M_A, R) for the last linear A passed to resolvent_via_P, matched by
     # identity so that a second A on this preconditioner never reads the
     # first one's R
     _resolvent_slot: Optional[tuple] = field(default=None, init=False, repr=False,
                                              compare=False)
-    # the counters of the last solve whose sampled check admitted a user K,
-    # matched by identity so that a solve samples each preconditioner once
-    _sampled_in: Optional[_Counters] = field(default=None, init=False, repr=False,
-                                             compare=False)
+    # the counters of the last solve that checked where K came from, matched
+    # by identity so that a solve runs that check once per preconditioner
+    _admitted_in: Optional[_Counters] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     @classmethod
     def from_matrix(cls, P, b2_matrix=None,
@@ -84,7 +86,8 @@ class Preconditioner:
         rho = symmetric_min_eig(U)
         norm_U = operator_norm(U)
         if b2_matrix is not None:
-            C = as_matrix(b2_matrix) - S
+            b2_matrix = as_matrix(b2_matrix)
+            C = b2_matrix - S
             K = operator_norm(C) if np.any(C) else 0.0
             source = "b2_matrix"
         elif lipschitz_K is not None:
@@ -95,7 +98,8 @@ class Preconditioner:
         else:
             K = operator_norm(S) if np.any(S) else 0.0
             source = "skew_only"
-        return cls(P=Pm, U=U, S=S, rho=rho, K=K, norm_U=norm_U, k_source=source)
+        return cls(P=Pm, U=U, S=S, rho=rho, K=K, norm_U=norm_U, k_source=source,
+                   b2_matrix=b2_matrix)
 
     @property
     def dim(self) -> int:
@@ -211,8 +215,9 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
     """Admit ``pre`` for ``spec`` in the solve counted by ``solve``: matching
     dimensions, a K that accounts for B2 (from its matrix, or explicit for a
     nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
-    the variable metric, and for a nonlinear B2 the sampled check of the
-    explicit K, once per solve and preconditioner."""
+    the variable metric, and, once per solve and preconditioner, the check
+    that K came from this B2: a K computed from a matrix must come from
+    ``spec.B2.matrix``, and an explicit K for a nonlinear B2 is sampled."""
     if pre.dim != spec.dimension:
         raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
     if spec.B2 is not None:
@@ -227,9 +232,15 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
     if why is not None:
         raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
                                  f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
-    if spec.B2 is not None and spec.B2.matrix is None and pre._sampled_in is not solve:
-        _validate_sampled_K(spec, pre, label)
-        pre._sampled_in = solve
+    if spec.B2 is not None and pre._admitted_in is not solve:
+        M = spec.B2.matrix
+        if M is None:
+            _validate_sampled_K(spec, pre, label)
+        elif pre.k_source == "b2_matrix" and not (pre.b2_matrix is M
+                                                  or np.array_equal(pre.b2_matrix, M)):
+            raise ConfigurationError(
+                f"{label}preconditioner's K was computed from another B2 matrix; K is wrong")
+        pre._admitted_in = solve
 
 
 # Relative and absolute slack of the sampled Lipschitz check of a supplied K,

@@ -64,9 +64,6 @@ class DualBlock:
         """J_{sigma B^{-1}}(w) = w - sigma * J_{B/sigma}(w / sigma) (Moreau)."""
         return w - sigma * self.B.resolvent(1.0 / sigma, w / sigma)
 
-    def d_inv_at(self, u: np.ndarray) -> Optional[np.ndarray]:
-        return None if self.D_inv is None else self.D_inv(u)
-
 
 @dataclass(frozen=True)
 class PrimalDualProblem:
@@ -109,6 +106,23 @@ class PrimalDualProblem:
     @property
     def layout(self) -> BlockLayout:
         return BlockLayout.from_dims([self.dim] + [b.dim for b in self.blocks])
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The stacked dual operator K = [L_1; ...; L_m], built on first use."""
+        return np.vstack([blk.L for blk in self.blocks])
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """The stacked r = (r_1, ..., r_m), zero where a block has none."""
+        return np.concatenate([np.zeros(blk.dim) if blk.r is None else blk.r
+                               for blk in self.blocks])
+
+    @cached_property
+    def rows(self) -> tuple[slice, ...]:
+        """Each block's row slice of K, r and the stacked dual vector."""
+        ends = np.cumsum([blk.dim for blk in self.blocks]).tolist()
+        return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     def norms_L(self) -> list[float]:
         """||L_i|| per dual block, from one SVD each on the first call."""
@@ -165,7 +179,7 @@ class BlockPreconditioner:
         """P_ii = Id/sigma_i, P_i0 = -(1+theta) L_i, interior blocks zero."""
         sig = [float(s) for s in sigmas]
         if len(sig) != pdp.m + 1:
-            raise ValueError("need exactly m+1 stepsizes")
+            raise ConfigurationError("need exactly m+1 stepsizes")
         if not all(0 < s < math.inf for s in sig):
             raise ValueError("stepsizes must be positive and finite")
         off = {}
@@ -259,7 +273,8 @@ def rho_v(theta: float, sigmas, L_norms) -> float:
 @dataclass(frozen=True)
 class CorollaryParams:
     """Scalar-diagonal pattern: stepsizes sigma_0..sigma_m and the reflection
-    weight theta in [-1, 1]; lam defaults to 0.99/M."""
+    weight theta in [-1, 1]; lam defaults to 0.99/M, with M the relaxation
+    bound ``check_pd_conditions`` gives for ``corollary_pattern``."""
 
     theta: float
     sigmas: tuple[float, ...]
@@ -282,24 +297,6 @@ class CorollaryParams:
         for i, n in enumerate(L_norms, start=1):
             om[i, 0] = om[0, i] = -(1.0 + self.theta) / 2.0 * float(n)
         return om
-
-    def constants(self, L_norms) -> tuple[float, float]:
-        """(rho, M): smallest eigenvalue of Omega and the relaxation bound."""
-        rho = symmetric_min_eig(self.omega(L_norms))
-        M = 1.0 / min(self.sigmas) + (1.0 + self.theta) / 2.0 * math.sqrt(
-            sum(float(n) ** 2 for n in L_norms))
-        return rho, M
-
-    def validate(self, pdp: PrimalDualProblem) -> tuple[float, float]:
-        L_norms = pdp.norms_L()
-        rho, M = self.constants(L_norms)
-        K = pdp.delta + (1.0 - self.theta) / 2.0 * math.sqrt(sum(n * n for n in L_norms))
-        why = metric_violation(rho, K, pdp.beta,
-                               lhs_name="(delta + (1-theta)/2 sqrt(sum ||L_i||^2))")
-        if why is not None:
-            raise ConfigurationError(
-                f"stepsize condition violated: {why} (rho = lambda_min(Omega))")
-        return rho, M
 
 
 def _check_lambda(lam: Optional[float], M: float) -> float:
@@ -332,7 +329,18 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     """Gauss-Seidel sweep: primal resolvent, then the dual resolvents in
     order i = 1..m (each consuming the freshly updated earlier blocks),
     then the m+1 relaxed correction updates.  The product-space metric
-    condition and the relaxation range are checked first."""
+    condition and the relaxation range are checked first.
+
+    The sweep runs on the problem's stacked layout (``pdp.K``, ``pdp.r``,
+    ``pdp.rows``), with the P_i0 stacked once per solve (zero rows where
+    absent) and per-row vectors of P_ii = 1/sigma_i and sigma_i.  An
+    iteration is then a few GEMVs with K and P_.0 plus a sequential pass that
+    applies each row's nonzero interior blocks P_ij to the fresh duals
+    v_1..v_{i-1} and makes the i-th block's one counted resolvent call.  The
+    Moreau identity J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma)
+    runs once over the stacked rows: ``w / sigma`` before the pass,
+    ``w - sigma p`` after it, elementwise the same bits as
+    ``DualBlock.dual_resolvent`` per block."""
     if bp.m != pdp.m:
         raise ConfigurationError("preconditioner block count does not match the problem")
     check = check_pd_conditions(bp, [blk.L for blk in pdp.blocks],
@@ -340,31 +348,11 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     if not check.ok:
         raise ConfigurationError(f"block preconditioner rejected: {check.detail}")
     lam = _check_lambda(lam, check.M)
-    return _sweep(pdp, bp, lam, cfg, start)
 
-
-def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
-           cfg: SolveConfig, start) -> SolveReport:
-    """The block-triangular iteration itself, for a pairing whose conditions
-    and relaxation ``lam`` the caller has already checked.
-
-    The dual blocks are stacked once per solve: K = [L_1; ...; L_m], the
-    P_i0 (zero rows where absent), and per-row vectors of P_ii = 1/sigma_i,
-    sigma_i and r_i.  An iteration is then a few GEMVs with K and P_.0 plus
-    a sequential pass that applies each row's nonzero interior blocks P_ij
-    to the fresh duals v_1..v_{i-1} and makes the i-th block's one counted
-    resolvent call.  The Moreau identity
-    J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma) runs once over the
-    stacked rows: ``w / sigma`` before the pass, ``w - sigma p`` after it,
-    elementwise the same bits as ``DualBlock.dual_resolvent`` per block."""
-    layout = pdp.layout
-    d = pdp.dim
-    rows = [slice(a - d, b - d) for a, b in zip(layout.offsets[1:], layout.offsets[2:])]
+    layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
     dims = [blk.dim for blk in pdp.blocks]
     sigmas = [1.0 / c for c in bp.diag_scalars]
     c, sig = np.repeat(bp.diag_scalars[1:], dims), np.repeat(sigmas[1:], dims)
-    r = np.concatenate([np.zeros(blk.dim) if blk.r is None else blk.r for blk in pdp.blocks])
-    K = np.vstack([blk.L for blk in pdp.blocks])
     P0 = np.vstack([np.zeros_like(blk.L) if (P := bp.block(i, 0)) is None else P
                     for i, blk in enumerate(pdp.blocks, start=1)])
     KP0 = K + P0
@@ -418,21 +406,13 @@ def _sweep(pdp: PrimalDualProblem, bp: BlockPreconditioner, lam: float,
 
 def solve_corollary(pdp: PrimalDualProblem, params: CorollaryParams,
                     cfg: SolveConfig, start=None) -> SolveReport:
-    """Scalar-diagonal scheme with reflection weight theta.
-
-    Runs the block-triangular sweep with P_ii = Id/sigma_i and
-    P_i0 = -(1+theta) L_i, which reproduces it iterate for iterate.  The
-    stepsize condition is validated on the Omega matrix only: for this
-    pattern Omega = Delta - Upsilon, ||Sigma|| = (1-theta)/2 sqrt(sum ||L_i||^2)
-    and both relaxation bounds M agree, so ``check_pd_conditions`` would
-    reach the same verdict.
-    """
-    if len(params.sigmas) != pdp.m + 1:
-        raise ConfigurationError("need exactly m+1 stepsizes")
-    _, M = params.validate(pdp)
-    lam = _check_lambda(params.lam, M)
+    """Scalar-diagonal scheme with reflection weight theta: the
+    block-triangular sweep on ``BlockPreconditioner.corollary_pattern``
+    (P_ii = Id/sigma_i, P_i0 = -(1+theta) L_i), admitted by the same
+    ``check_pd_conditions``.  For this pattern Delta - Upsilon is
+    ``params.omega`` and ||Sigma|| = (1-theta)/2 sqrt(sum ||L_i||^2)."""
     bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
-    return _sweep(pdp, bp, lam, cfg, start)
+    return solve_block_triangular(pdp, bp, params.lam, cfg, start)
 
 
 def check_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas) -> list[float]:
@@ -463,32 +443,35 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
     dual ascent steps against the reflected primal 2 x^+ - x.
 
     Requires C2 absent and tau (1/(2 beta) + sum_i sigma_i ||L_i||^2) <= 1.
+    An iteration is one ``K.T.dot`` and one ``K.dot`` on the problem's
+    stacked layout, then one counted resolvent call per block, with the
+    Moreau identity over the stacked rows as in ``solve_block_triangular``.
     """
-    sig = check_condat_vu(pdp, tau, sigmas)
-    layout = pdp.layout
+    sig_blocks = check_condat_vu(pdp, tau, sigmas)
+    layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
+    sig = np.repeat(sig_blocks, [blk.dim for blk in pdp.blocks])
     counters = _Counters()
     pdp = _counted(pdp, counters)
+    C1 = pdp.C1
+    d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
+    duals = [(sl, 1.0 / s, blk.B.resolvent) for blk, sl, s in zip(pdp.blocks, rows, sig_blocks)]
 
     def step(k, zvec):
-        x = layout.block(zvec, 0)
-        us = [layout.block(zvec, i) for i in range(1, pdp.m + 1)]
-        forward = np.zeros_like(x)
-        if pdp.C1 is not None:
-            forward = forward + pdp.C1.evaluate(x)
-        for blk, u in zip(pdp.blocks, us):
-            forward = forward + blk.L.T.dot(u)
+        x, u = zvec[:d], zvec[d:]
+        forward = K.T.dot(u)
+        if C1 is not None:
+            forward += C1.evaluate(x)
         new_x = pdp.primal_resolvent(tau, x - tau * forward)
-        refl = 2.0 * new_x - x
-        new_us = []
-        for s, blk, u in zip(sig, pdp.blocks, us):
-            inner = blk.L.dot(refl)
-            div = blk.d_inv_at(u)
-            if div is not None:
-                inner = inner - div
-            if blk.r is not None:
-                inner = inner - blk.r
-            new_us.append(blk.dual_resolvent(s, u + s * inner))
-        return layout.concat([new_x] + new_us), None
+        t = K.dot(2.0 * new_x - x)
+        for sl, D_inv in d_inv:
+            t[sl] -= D_inv(u[sl])
+        t -= r
+        w = u + sig * t
+        ws = w / sig
+        p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
+        for sl, inv_s, resolvent in duals:
+            p[sl] = resolvent(inv_s, ws[sl])
+        return np.concatenate([new_x, w - sig * p]), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
@@ -496,23 +479,25 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
 def kkt_residual(pdp: PrimalDualProblem, x, us) -> float:
     """Optimality certificate at (x, u_1..u_m) for optimization instances:
     the primal prox-stationarity residual combined with the dual
-    resolvent-feasibility residuals (all at unit step)."""
+    resolvent-feasibility residuals (all at unit step), evaluated on the
+    problem's stacked layout.  ``us`` holds one vector per dual block, of
+    that block's length; anything else raises ValueError."""
     x = as_vector(x)
     us = [as_vector(u) for u in us]
-    forward = np.zeros_like(x)
+    dims, got = [blk.dim for blk in pdp.blocks], [u.shape[0] for u in us]
+    if got != dims:
+        raise ValueError(f"need one dual vector per block, of lengths {dims}; got {got}")
+    u = np.concatenate(us)
+    forward = pdp.K.T.dot(u)
     if pdp.C1 is not None:
-        forward = forward + pdp.C1.evaluate(x)
+        forward += pdp.C1.evaluate(x)
     if pdp.C2 is not None:
-        forward = forward + pdp.C2.evaluate(x)
-    for blk, u in zip(pdp.blocks, us):
-        forward = forward + blk.L.T @ u
-    r2 = float(np.linalg.norm(x - pdp.primal_resolvent(1.0, x - forward))) ** 2
-    for blk, u in zip(pdp.blocks, us):
-        w = blk.L @ x
-        if blk.r is not None:
-            w = w - blk.r
-        div = blk.d_inv_at(u)
-        if div is not None:
-            w = w - div
-        r2 += float(np.linalg.norm(u - blk.dual_resolvent(1.0, u + w))) ** 2
-    return math.sqrt(r2)
+        forward += pdp.C2.evaluate(x)
+    w = pdp.K.dot(x) - pdp.r
+    for blk, sl in zip(pdp.blocks, pdp.rows):
+        if blk.D_inv is not None:
+            w[sl] -= blk.D_inv(u[sl])
+    w += u
+    v = np.concatenate([blk.dual_resolvent(1.0, w[sl]) for blk, sl in zip(pdp.blocks, pdp.rows)])
+    return float(np.linalg.norm(np.concatenate(
+        [x - pdp.primal_resolvent(1.0, x - forward), u - v])))

@@ -447,6 +447,49 @@ class TestOneAdmissionCheck:
                            match=f"^{label}preconditioner was built without the B2 matrix"):
             self.run(solver, spec, pre)
 
+    @staticmethod
+    def skew_spec(b2_scale):
+        """Linear B2 = b2_scale * skew with ||skew|| = 2, beta = 0.075, and
+        P = 20 I + 0.1 skew."""
+        n = 6
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((n, n))
+        skew = 2.0 * (G - G.T) / np.linalg.norm(G - G.T, 2)
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(n)),
+                           B1=shift_map(rng.standard_normal(n), beta=0.075),
+                           B2=MonotoneMap.from_matrix(b2_scale * skew),
+                           X=ClosedConvexSet.whole_space(), dimension=n)
+        return spec, skew, 20.0 * np.eye(n) + 0.1 * skew
+
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_k_from_another_b2_matrix_rejected(self, solver, label):
+        # K = ||0.01 skew - S|| = 0.18 passes the metric condition, while the
+        # K of the problem's B2 = 20 skew fails it; both solvers used to run
+        # to diverged
+        spec, skew, P = self.skew_spec(20.0)
+        stale = Preconditioner.from_matrix(P, b2_matrix=0.01 * skew)
+        assert stale.K == pytest.approx(0.18)
+        with pytest.raises(ConfigurationError, match=f"^{label}preconditioner's K was "
+                                                     f"computed from another B2 matrix"):
+            self.run(solver, spec, stale)
+        with pytest.raises(ConfigurationError, match=f"^{label}metric condition violated"):
+            self.run(solver, spec, Preconditioner.from_matrix(P, b2_matrix=20.0 * skew))
+
+    def test_b2_matrix_compared_once_per_solve(self, monkeypatch):
+        # an equal copy of B2's matrix is admitted; the variable metric
+        # compares it once per solve, not once per iteration
+        spec, skew, P = self.skew_spec(0.5)
+        pre = Preconditioner.from_matrix(P, b2_matrix=0.5 * skew)
+        assert pre.b2_matrix is not spec.B2.matrix
+        calls = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(precond.np, "array_equal",
+                            lambda a, b: calls.append(1) or array_equal(a, b))
+        for _ in range(2):
+            r = self.run("variable-metric", spec, pre, max_iterations=7)
+            assert r.iterations == 7
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
     def test_nonlinear_b2_needs_explicit_k(self, solver, label):
         spec = ProblemSpec(A=MaximalMonotone.from_matrix(np.eye(2)), B1=None,

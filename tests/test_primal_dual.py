@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
-                            _default_start, _run)
+                            _default_start, _run, metric_violation)
 from splitmono.linalg import symmetric_min_eig
 from splitmono.applications import gen_erm_hinge
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
@@ -13,7 +13,7 @@ from splitmono.operators import (CocoerciveMap, MaximalMonotone,
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
-                                   _check_lambda, _counted, _sweep, check_pd_conditions,
+                                   _check_lambda, _counted, check_pd_conditions,
                                    kkt_residual, rho_v, solve_block_triangular,
                                    solve_condat_vu, solve_corollary)
 
@@ -109,7 +109,7 @@ def reference_sweep(pdp, bp, lam, cfg, start):
         vs = []
         for i, (blk, u) in enumerate(zip(pdp.blocks, us), start=1):
             inner = -(blk.L @ x)
-            div = blk.d_inv_at(u)
+            div = None if blk.D_inv is None else blk.D_inv(u)
             if div is not None:
                 inner = inner + div
             Pi0 = bp.block(i, 0)
@@ -147,7 +147,7 @@ def reference_sweep(pdp, bp, lam, cfg, start):
 def per_block_moreau_sweep(pdp, bp, lam, cfg, start):
     """The stacked sweep with the Moreau identity evaluated block by block,
     through ``DualBlock.dual_resolvent``: the bit-level reference for the
-    stacked evaluation of ``_sweep``."""
+    stacked evaluation of ``solve_block_triangular``."""
     layout = pdp.layout
     d = pdp.dim
     rows = [slice(a - d, b - d) for a, b in zip(layout.offsets[1:], layout.offsets[2:])]
@@ -201,6 +201,54 @@ def per_block_moreau_sweep(pdp, bp, lam, cfg, start):
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
+def reference_condat_vu(pdp, tau, sigmas, cfg, start):
+    """The Condat-Vu iteration transcribed block by block: one product with
+    each L_i and one ``DualBlock.dual_resolvent`` call per block."""
+    layout = pdp.layout
+    counters = _Counters()
+    pdp = _counted(pdp, counters)
+
+    def step(k, zvec):
+        x = layout.block(zvec, 0)
+        us = [layout.block(zvec, i) for i in range(1, pdp.m + 1)]
+        forward = np.zeros_like(x)
+        if pdp.C1 is not None:
+            forward = forward + pdp.C1.evaluate(x)
+        for blk, u in zip(pdp.blocks, us):
+            forward = forward + blk.L.T.dot(u)
+        new_x = pdp.primal_resolvent(tau, x - tau * forward)
+        refl = 2.0 * new_x - x
+        new_us = []
+        for s, blk, u in zip(sigmas, pdp.blocks, us):
+            inner = blk.L.dot(refl)
+            if blk.D_inv is not None:
+                inner = inner - blk.D_inv(u)
+            if blk.r is not None:
+                inner = inner - blk.r
+            new_us.append(blk.dual_resolvent(s, u + s * inner))
+        return layout.concat([new_x] + new_us), None
+
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
+
+
+def reference_kkt_residual(pdp, x, us):
+    """``kkt_residual`` evaluated block by block."""
+    forward = pdp.C1.evaluate(x) if pdp.C1 is not None else np.zeros_like(x)
+    if pdp.C2 is not None:
+        forward = forward + pdp.C2.evaluate(x)
+    for blk, u in zip(pdp.blocks, us):
+        forward = forward + blk.L.T @ u
+    r2 = float(np.linalg.norm(x - pdp.primal_resolvent(1.0, x - forward))) ** 2
+    for blk, u in zip(pdp.blocks, us):
+        w = blk.L @ x
+        if blk.r is not None:
+            w = w - blk.r
+        if blk.D_inv is not None:
+            w = w - blk.D_inv(u)
+        r2 += float(np.linalg.norm(u - blk.dual_resolvent(1.0, u + w))) ** 2
+    return math.sqrt(r2)
+
+
 def erm_corollary_instance(d=6, m=15):
     """The hinge-loss ERM instance of the benchmark, dualized one sample per
     block, with its corollary pattern (theta = 1, every sigma_i = 0.1)."""
@@ -229,8 +277,15 @@ def feasible_sigma(pdp, theta):
     half_inv_beta = 0.0 if math.isinf(pdp.beta) else 1.0 / (2.0 * pdp.beta)
     rho_target = half_inv_beta + norm_l + 1.0
     s = 1.0 / (rho_target + (1.0 + theta) / 2.0 * norm_l)
-    CorollaryParams(theta=theta, sigmas=(s, s)).validate(pdp)
+    assert corollary_check(pdp, CorollaryParams(theta=theta, sigmas=(s, s))).ok
     return s
+
+
+def corollary_check(pdp, params):
+    """The check ``solve_corollary`` admits ``params`` by: the block check on
+    the corollary pattern."""
+    bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
+    return check_pd_conditions(bp, [b.L for b in pdp.blocks], pdp.delta, pdp.beta)
 
 
 class TestComparisonMatrices:
@@ -298,16 +353,15 @@ class TestConditions:
         pdp = minimal_instance()
         sigma = 0.45
         params = CorollaryParams(theta=1.0, sigmas=(sigma, sigma))
-        rho, _ = params.constants(pdp.norms_L())
+        rho = symmetric_min_eig(params.omega(pdp.norms_L()))
         beta = pdp.beta
         if 2.0 * beta * rho > 1.0 + 1e-9:
-            params.validate(pdp)
+            assert corollary_check(pdp, params).ok
         sigma_bad = 0.7  # rho = 1/0.7 - 1 = 0.4286 < 0.5
         bad = CorollaryParams(theta=1.0, sigmas=(sigma_bad, sigma_bad))
-        rho_bad, _ = bad.constants(pdp.norms_L())
+        rho_bad = symmetric_min_eig(bad.omega(pdp.norms_L()))
         assert 2.0 * beta * rho_bad < 1.0
-        with pytest.raises(ConfigurationError):
-            bad.validate(pdp)
+        assert not corollary_check(pdp, bad).ok
 
     def test_rho_exceeds_reference_on_eta_grid(self):
         alpha, sigma = 2.0, 0.4
@@ -316,7 +370,7 @@ class TestConditions:
             assert eta < 1.0 / (alpha * sigma)
             sig = (eta * eta * sigma, sigma)
             params = CorollaryParams(theta=1.0, sigmas=sig)
-            rho, _ = params.constants([alpha])
+            rho = symmetric_min_eig(params.omega([alpha]))
             ref = rho_v(1.0, sig, [alpha])
             assert rho > ref + 1e-12
             # closed form of the pattern eigenvalue as an independent check
@@ -332,13 +386,13 @@ class TestConditions:
                                  sigmas=(0.010070785432754496, 0.5634853329875733,
                                          0.19332662307850448, 0.2441876643772199,
                                          0.564331806056783))
-        rho, _ = params.constants([2.3219522798527064, 3.5521511968066375,
-                                   2.55156942498802, 3.0217626862691707])
+        rho = symmetric_min_eig(params.omega([2.3219522798527064, 3.5521511968066375,
+                                              2.55156942498802, 3.0217626862691707]))
         assert rho == pytest.approx(1.763549662606195, abs=1e-12)
 
     def test_validate_agrees_with_block_check_on_pattern(self):
-        # solve_corollary runs the sweep on CorollaryParams.validate alone;
-        # the general check on the same pattern must reach the same verdict
+        # solve_corollary is admitted by the block check on its pattern; the
+        # closed form on Omega must reach the same rho and the same verdict
         rng = np.random.default_rng(8)
         identity = MaximalMonotone(resolvent=lambda g, y: y)
         verdicts = []
@@ -353,16 +407,12 @@ class TestConditions:
                 blocks=blocks, dim=dim)
             params = CorollaryParams(theta=rng.uniform(-1.0, 1.0),
                                      sigmas=tuple(rng.uniform(0.01, 0.6, m + 1)))
-            bp = BlockPreconditioner.corollary_pattern(params.theta, params.sigmas, pdp)
-            check = check_pd_conditions(bp, [b.L for b in blocks], pdp.delta, pdp.beta)
-            rho, M = params.constants(pdp.norms_L())
+            check = corollary_check(pdp, params)
+            norms = pdp.norms_L()
+            rho = symmetric_min_eig(params.omega(norms))
             assert abs(rho - check.rho) <= 1e-12 * max(1.0, abs(rho))
-            assert M == pytest.approx(check.M, rel=1e-12)
-            try:
-                params.validate(pdp)
-                accepted = True
-            except ConfigurationError:
-                accepted = False
+            K = pdp.delta + (1.0 - params.theta) / 2.0 * math.sqrt(sum(n * n for n in norms))
+            accepted = metric_violation(rho, K, pdp.beta) is None
             assert accepted == check.ok
             verdicts.append(accepted)
         assert any(verdicts) and not all(verdicts)
@@ -370,7 +420,7 @@ class TestConditions:
     def test_rho_equals_reference_at_eta_one(self):
         alpha, sigma = 2.0, 0.4
         params = CorollaryParams(theta=1.0, sigmas=(sigma, sigma))
-        rho, _ = params.constants([alpha])
+        rho = symmetric_min_eig(params.omega([alpha]))
         assert rho == pytest.approx(rho_v(1.0, (sigma, sigma), [alpha]), abs=1e-9)
 
 
@@ -439,7 +489,7 @@ class TestBlockTriangularSolver:
         lam = 0.99 / check.M
         start = np.random.default_rng(6).standard_normal(pdp.layout.dim)
         cfg = SolveConfig(max_iterations=300, tolerance=1e-300, keep_iterates=True)
-        r = _sweep(pdp, bp, lam, cfg, start)
+        r = solve_block_triangular(pdp, bp, lam, cfg, start)
         ref = reference_sweep(pdp, bp, lam, cfg, start)
         assert len(r.iterates) == len(ref.iterates) == 301
         for a, b in zip(r.iterates, ref.iterates):
@@ -460,7 +510,7 @@ class TestBlockTriangularSolver:
                                          pdp.delta, pdp.beta).M
         start = np.random.default_rng(7).standard_normal(pdp.layout.dim)
         cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
-        r = _sweep(pdp, bp, lam, cfg, start)
+        r = solve_block_triangular(pdp, bp, lam, cfg, start)
         ref = per_block_moreau_sweep(pdp, bp, lam, cfg, start)
         assert len(r.iterates) == len(ref.iterates) == 201
         for a, b in zip(r.iterates, ref.iterates):
@@ -515,15 +565,19 @@ class TestCorollarySolver:
         pdp = PrimalDualProblem(A=soft_threshold(0.2), C1=None, C2=None,
                                 blocks=(blk,), dim=2)
         good = CorollaryParams(theta=0.0, sigmas=(0.99, 0.99))
-        good.validate(pdp)
+        assert corollary_check(pdp, good).ok
         bad = CorollaryParams(theta=0.0, sigmas=(1.01, 1.01))
-        with pytest.raises(ConfigurationError):
-            bad.validate(pdp)
+        assert not corollary_check(pdp, bad).ok
+        cfg = SolveConfig(max_iterations=10, tolerance=1e-9)
+        with pytest.raises(ConfigurationError, match="block preconditioner rejected"):
+            solve_corollary(pdp, bad, cfg)
+        with pytest.raises(ConfigurationError, match=r"need exactly m\+1 stepsizes"):
+            solve_corollary(pdp, CorollaryParams(theta=0.0, sigmas=(0.5,) * 3), cfg)
 
     def test_lambda_range_enforced(self):
         pdp = lasso_instance(seed=2)
         s = feasible_sigma(pdp, 0.0)
-        _, M = CorollaryParams(theta=0.0, sigmas=(s, s)).constants(pdp.norms_L())
+        M = corollary_check(pdp, CorollaryParams(theta=0.0, sigmas=(s, s))).M
         with pytest.raises(ConfigurationError):
             solve_corollary(pdp, CorollaryParams(theta=0.0, sigmas=(s, s),
                                                  lam=1.0 / M),
@@ -571,6 +625,29 @@ class TestCondatVu:
                                             tolerance=1e-11))
         assert r.reason == "tolerance"
 
+    def test_stacked_matches_blockwise_reference_on_three_blocks(self):
+        # three blocks of 3, 2 and 1 rows, r_i on two of them, D^{-1} on the
+        # first and one sigma per block
+        pdp, _ = coupled_instance()
+        pdp = replace(pdp, C2=None)
+        sigmas = [0.3, 0.2, 0.1]
+        tau = 0.9 / (1.0 / (2.0 * pdp.beta)
+                     + sum(s * n * n for s, n in zip(sigmas, pdp.norms_L())))
+        start = np.random.default_rng(9).standard_normal(pdp.layout.dim)
+        cfg = SolveConfig(max_iterations=60, tolerance=1e-300, keep_iterates=True)
+        r = solve_condat_vu(pdp, tau, sigmas, cfg, start)
+        ref = reference_condat_vu(pdp, tau, sigmas, cfg, start)
+        assert len(r.iterates) == len(ref.iterates) == 61
+        for a, b in zip(r.iterates, ref.iterates):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        for i in range(pdp.m + 1):
+            assert np.linalg.norm(r.block(i) - pdp.layout.block(start, i)) > 1e-3
+        assert (r.b1_evals, r.b2_evals, r.resolvent_evals) == \
+            (ref.b1_evals, ref.b2_evals, ref.resolvent_evals) == (60, 0, 240)
+        us = [r.block(i) for i in range(1, pdp.m + 1)]
+        assert kkt_residual(pdp, r.block(0), us) == pytest.approx(
+            reference_kkt_residual(pdp, r.block(0), us), rel=1e-12)
+
     def test_agrees_with_corollary_solver(self):
         pdp = lasso_instance(seed=6)
         cfg = SolveConfig(max_iterations=500_000, tolerance=1e-11)
@@ -603,3 +680,16 @@ class TestKktResidual:
                              cfg, start=np.zeros(2))
         res2 = kkt_residual(mini, r2.block(0), [r2.block(1)])
         assert res2 <= 10.0 * tol * (1.0 + 0.0)
+
+    def test_rejects_wrong_block_count_or_length(self):
+        # zip used to drop the missing blocks and return a smaller residual
+        pdp, _ = coupled_instance()
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(pdp.dim)
+        us = [rng.standard_normal(blk.dim) for blk in pdp.blocks]
+        assert kkt_residual(pdp, x, us) == pytest.approx(
+            reference_kkt_residual(pdp, x, us), rel=1e-12)
+        for bad in (us[:2], us[:1], [], us + [np.ones(1)],
+                    [us[0], us[1], np.ones(2)], [us[0][:2], us[1], us[2]]):
+            with pytest.raises(ValueError, match="one dual vector per block"):
+                kkt_residual(pdp, x, bad)
