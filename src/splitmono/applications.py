@@ -6,7 +6,7 @@ the seeded random generators behind the benchmark experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -205,37 +205,23 @@ class NlpProblem:
 
     @cached_property
     def _saddle_spec(self) -> ProblemSpec:
+        """A and X are the product operators of the blocks (x, u): when f
+        is the normal cone of a box and Y a box, as in every generator
+        here, A's resolvent and the projection onto X are each one clamp
+        over the stacked bounds, the u-block's bounds being [0, +inf)."""
         p = self.p
         n = self.dim
-        f_res, h_eval, y_proj = self.f.resolvent, self.h.evaluate, self.Y.project
+        h_eval = self.h.evaluate
 
-        # A, B1 and X act blockwise on (x, u): each fills the two blocks of
-        # one output vector rather than splitting and concatenating through
-        # the product operators, whose block metadata and metric projection
-        # the spec keeps
-        def a_res(gamma, y):
-            out = np.empty(n + p)
-            out[:n] = f_res(gamma, y[:n])
-            np.maximum(y[n:], 0.0, out=out[n:])
-            return out
-
+        # B1 fills the x-block of one zeroed output vector
         def b1_eval(w):
             out = np.zeros(n + p)
             out[:n] = h_eval(w[:n])
             return out
 
-        def x_proj(v):
-            out = np.empty(n + p)
-            out[:n] = y_proj(v[:n])
-            np.maximum(v[n:], 0.0, out=out[n:])
-            return out
-
-        A = replace(MaximalMonotone.product([(self.f, n), (nonneg_cone(p), p)],
-                                            tag="saddle-A"), resolvent=a_res)
+        A = MaximalMonotone.product([(self.f, n), (nonneg_cone(p), p)], tag="saddle-A")
         B1 = CocoerciveMap(evaluate=b1_eval, beta=self.h.beta, tag="saddle-B1")
-        X = replace(ClosedConvexSet.product([(self.Y, n),
-                                             (ClosedConvexSet.nonneg_orthant(), p)]),
-                    project=x_proj)
+        X = ClosedConvexSet.product([(self.Y, n), (ClosedConvexSet.nonneg_orthant(), p)])
         return ProblemSpec(A=A, B1=B1, B2=lagrangian_saddle_map(self.constraints), X=X,
                            dimension=n + p)
 

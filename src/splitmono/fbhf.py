@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import sys
 import time
 import warnings
@@ -88,6 +89,20 @@ def metric_violation(rho: float, K: float, beta: float, strict: bool = True,
 # policies, config, report
 
 
+def _count(owner, name: str) -> None:
+    """Store ``owner.name`` as an int count >= 1.  Any integer type passes
+    (numpy's included); a float, even an integral one, does not, as
+    ``range()`` would reject it mid-solve."""
+    value = getattr(owner, name)
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} = {value!r} must be an integer count") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    object.__setattr__(owner, name, n)
+
+
 @dataclass(frozen=True)
 class ConstantStep:
     """Fixed stepsize; ``gamma=None`` selects 0.99 * chi(beta, L).
@@ -124,8 +139,7 @@ class LineSearch:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} = {v} must lie in ]0, 1[")
-        if not self.max_backtracks >= 1:
-            raise ValueError("max_backtracks must be >= 1")
+        _count(self, "max_backtracks")
         if self.gamma_init is not None and not (
                 self.gamma_init > 0 and math.isfinite(self.gamma_init)):
             raise ValueError(f"gamma_init = {self.gamma_init} must be a positive, finite step")
@@ -153,8 +167,7 @@ class SolveConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.max_iterations < math.inf:
-            raise ValueError("max_iterations must be a finite count >= 1")
+        _count(self, "max_iterations")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
 

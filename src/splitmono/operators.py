@@ -32,13 +32,17 @@ class MaximalMonotone:
 
     ``resolvent(gamma, y)`` returns ``J_{gamma A}(y) = (Id + gamma A)^{-1} y``.
     ``matrix`` is set when the operator is linear (``A x = matrix @ x``);
-    ``blocks`` records block-separable structure as ``(operator, dim)`` pairs.
+    ``blocks`` records block-separable structure as ``(operator, dim)`` pairs;
+    ``bounds`` is set when the operator is the normal cone of the box
+    ``[lo, hi]``, as ``(lo, hi)``: vectors, or scalars that a product
+    broadcasts to its block's dimension.
     """
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     tag: str = ""
     matrix: Optional[np.ndarray] = None
     blocks: Optional[tuple] = None
+    bounds: Optional[tuple] = None
 
     @classmethod
     def zero(cls, tag: str = "zero") -> "MaximalMonotone":
@@ -68,13 +72,21 @@ class MaximalMonotone:
 
     @classmethod
     def product(cls, parts, tag: str = "product") -> "MaximalMonotone":
-        """Block-separable operator acting independently on each block."""
+        """Block-separable operator acting independently on each block.
+
+        When every part is the normal cone of a box, so is the product: its
+        resolvent is one clamp over the stacked bounds.  Otherwise each
+        part's resolvent fills its block of one output."""
         ops = tuple((op, int(dim)) for op, dim in parts)
-        layout = BlockLayout.from_dims([d for _, d in ops])
+        bounds = _stacked_bounds(ops)
+        if bounds is not None:
+            clamp = _clamp(*bounds)
+            return cls(resolvent=lambda gamma, y: clamp(y), tag=tag, blocks=ops,
+                       bounds=bounds)
+        fill = _blockwise(ops)
 
         def res(gamma, y):
-            return layout.concat([op.resolvent(gamma, layout.block(y, i))
-                                  for i, (op, _) in enumerate(ops)])
+            return fill(y, lambda op, sl: op.resolvent(gamma, y[sl]))
 
         return cls(resolvent=res, tag=tag, blocks=ops)
 
@@ -125,12 +137,15 @@ class ClosedConvexSet:
 
     ``metric_project(U, v)`` is the projection in the inner product
     ``<U., .>`` and is only available for sets where it is closed-form.
+    ``bounds`` is set when the set is the box ``[lo, hi]``, as for
+    ``MaximalMonotone``.
     """
 
     project: Callable[[np.ndarray], np.ndarray]
     tag: str = ""
     metric_project: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     is_whole_space: bool = False
+    bounds: Optional[tuple] = None
 
     @classmethod
     def whole_space(cls) -> "ClosedConvexSet":
@@ -139,46 +154,46 @@ class ClosedConvexSet:
 
     @classmethod
     def box(cls, lo, hi) -> "ClosedConvexSet":
-        lo, hi = _box_bounds(lo, hi)
+        return cls._box(_box_bounds(lo, hi), "box")
 
-        def proj(v):
-            return np.minimum(np.maximum(v, lo), hi)
-
+    @classmethod
+    def _box(cls, bounds, tag) -> "ClosedConvexSet":
+        proj = _clamp(*bounds)
         # a diagonal metric separates coordinates, so the metric projection
         # onto a box is still the componentwise clamp
-        return cls(project=proj, tag="box",
-                   metric_project=lambda U, v: proj(v))
+        return cls(project=proj, tag=tag, metric_project=lambda U, v: proj(v),
+                   bounds=bounds)
 
     @classmethod
     def nonneg_orthant(cls) -> "ClosedConvexSet":
         def proj(v):
             return np.maximum(v, 0.0)
 
-        return cls(project=proj, tag="R+", metric_project=lambda U, v: proj(v))
+        return cls(project=proj, tag="R+", metric_project=lambda U, v: proj(v),
+                   bounds=_NONNEG_BOUNDS)
 
     @classmethod
     def product(cls, parts) -> "ClosedConvexSet":
+        """Product of the sets of ``parts`` ((set, dim) pairs).  A product of
+        boxes is a box, projected by one clamp over the stacked bounds;
+        otherwise each set's projection fills its block of one output."""
         sets = tuple((s, int(d)) for s, d in parts)
-        layout = BlockLayout.from_dims([d for _, d in sets])
+        bounds = _stacked_bounds(sets)
+        if bounds is not None:
+            return cls._box(bounds, "product")
+        fill = _blockwise(sets)
 
         def proj(v):
-            return layout.concat([s.project(layout.block(v, i))
-                                  for i, (s, _) in enumerate(sets)])
-
-        whole = all(s.is_whole_space for s, _ in sets)
+            return fill(v, lambda s, sl: s.project(v[sl]))
 
         def mproj(U, v):
             # only valid for diagonal U; every factor set must support it
-            return layout.concat([
-                s.metric_project(U[layout.offsets[i]:layout.offsets[i + 1],
-                                   layout.offsets[i]:layout.offsets[i + 1]],
-                                 layout.block(v, i))
-                for i, (s, _) in enumerate(sets)])
+            return fill(v, lambda s, sl: s.metric_project(U[sl, sl], v[sl]))
 
         ok_metric = all(s.metric_project is not None for s, _ in sets)
         return cls(project=proj, tag="product",
                    metric_project=mproj if ok_metric else None,
-                   is_whole_space=whole)
+                   is_whole_space=all(s.is_whole_space for s, _ in sets))
 
 
 @dataclass(frozen=True)
@@ -216,6 +231,10 @@ class ProblemSpec:
 # catalog constructors
 
 
+# bounds of the nonnegative orthant, broadcast to its dimension by a product
+_NONNEG_BOUNDS = (0.0, math.inf)
+
+
 def _box_bounds(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Validate box bounds; infinite entries are allowed (half-open boxes)."""
     lo = np.asarray(lo, dtype=float)
@@ -227,18 +246,73 @@ def _box_bounds(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _clamp(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
+    """Projection onto the box [lo, hi]: ``maximum`` with lo, then
+    ``minimum`` with hi in place, so NaN entries stay NaN."""
+
+    def clamp(v):
+        out = np.maximum(v, lo)
+        np.minimum(out, hi, out=out)
+        return out
+
+    return clamp
+
+
+def _stacked_bounds(parts) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Bounds of the product of the (part, dim) pairs ``parts``, each part's
+    bounds broadcast to its dim, or None unless every part carries bounds.
+    Bounds that do not broadcast to their dim raise ValueError."""
+    stacked = []
+    for i, (part, d) in enumerate(parts):
+        if part.bounds is None:
+            continue
+        try:
+            stacked.append([np.broadcast_to(b, (d,)) for b in part.bounds])
+        except ValueError:
+            shapes = [np.shape(b) for b in part.bounds]
+            raise ValueError(f"block {i}: bounds of shapes {shapes} do not broadcast "
+                             f"to its dimension {d}") from None
+    if len(stacked) < len(parts):
+        return None
+    return tuple(np.concatenate(side) for side in zip(*stacked))
+
+
+def _blockwise(parts) -> Callable:
+    """``fill(v, block)`` for the (part, dim) pairs ``parts``: one output
+    whose i-th block is ``block(part_i, slice_i)`` for an input v of the
+    product's dimension.  A block result of any shape other than
+    ``(dim_i,)`` raises ValueError naming the block."""
+    layout = BlockLayout.from_dims([d for _, d in parts])
+    dim, off = layout.dim, layout.offsets
+    slices = [(i, part, d, slice(off[i], off[i + 1])) for i, (part, d) in enumerate(parts)]
+
+    def fill(v, block):
+        if np.shape(v) != (dim,):
+            raise ValueError(f"product of dimension {dim} applied to shape {np.shape(v)}")
+        out = np.empty(dim)
+        for i, part, d, sl in slices:
+            value = block(part, sl)
+            if np.shape(value) != (d,):
+                raise ValueError(f"block {i} of the product returned shape "
+                                 f"{np.shape(value)}, expected ({d},)")
+            out[sl] = value
+        return out
+
+    return fill
+
+
 def normal_cone_box(lo, hi) -> MaximalMonotone:
     """Normal cone of the box [lo, hi]; its resolvent is the projection,
     independent of the step size."""
-    lo, hi = _box_bounds(lo, hi)
-    return MaximalMonotone(resolvent=lambda gamma, y: np.minimum(np.maximum(y, lo), hi),
-                           tag="N_box")
+    bounds = _box_bounds(lo, hi)
+    clamp = _clamp(*bounds)
+    return MaximalMonotone(resolvent=lambda gamma, y: clamp(y), tag="N_box", bounds=bounds)
 
 
 def nonneg_cone(p: int) -> MaximalMonotone:
     """Normal cone of the nonnegative orthant of dimension p."""
     return MaximalMonotone(resolvent=lambda gamma, y: np.maximum(y, 0.0),
-                           tag="N_R+")
+                           tag="N_R+", bounds=_NONNEG_BOUNDS)
 
 
 def quadratic_gradient(A_mat, b) -> CocoerciveMap:

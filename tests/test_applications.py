@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from splitmono.applications import (ErmProblem, NlpProblem, erm_condition,
                                     gen_entropy_ls, gen_erm_hinge, gen_lin_ineq_qp,
                                     solve_erm_incremental, solve_nlp)
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
-                            SolveConfig, _Counters, _default_start, _run, chi)
+                            SolveConfig, _Counters, _default_start, _run, chi,
+                            solve_fbhf, solve_tseng_fbf)
 from splitmono.linalg import operator_norm
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
-                                 affine_constraints, nonneg_cone,
+                                 affine_constraints,
                                  prox_abs_deviation, quadratic_gradient,
                                  scalar_monotone)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
@@ -267,30 +269,79 @@ class TestNlpSolver:
                       SolveConfig(max_iterations=10, tolerance=1e-9))
 
 
-class TestSaddleSpecOracles:
-    """The saddle spec's A, B1 and X fill one output vector; they must equal,
-    bit for bit, the product-space operators they stand in for."""
+def transcribed_a_x(prob):
+    """The saddle spec's A resolvent and X projection as they were written by
+    hand before A and X became product operators, with each box's clamp
+    spelled out from its bounds: the bit-level reference for the products."""
+    n, p = prob.dim, prob.p
+    (f_lo, f_hi), (y_lo, y_hi) = prob.f.bounds, prob.Y.bounds
 
-    @pytest.mark.parametrize("prob", [gen_lin_ineq_qp(20, 3, seed=0),
-                                      gen_entropy_ls(10, -0.4, seed=0)],
-                             ids=["lin-ineq", "entropy"])
-    def test_matches_product_references(self, prob):
+    def a_res(gamma, y):
+        out = np.empty(n + p)
+        out[:n] = np.minimum(np.maximum(y[:n], f_lo), f_hi)
+        np.maximum(y[n:], 0.0, out=out[n:])
+        return out
+
+    def x_proj(v):
+        out = np.empty(n + p)
+        out[:n] = np.minimum(np.maximum(v[:n], y_lo), y_hi)
+        np.maximum(v[n:], 0.0, out=out[n:])
+        return out
+
+    return a_res, x_proj
+
+
+SADDLE_PROBLEMS = {"lin-ineq": lambda: gen_lin_ineq_qp(20, 3, seed=0),
+                   "entropy": lambda: gen_entropy_ls(10, -0.4, seed=0)}
+
+
+class TestSaddleSpecOracles:
+    """The saddle spec's A and X are products of boxes, each one clamp; they
+    must equal, bit for bit, the hand-written blockwise oracles."""
+
+    @pytest.mark.parametrize("name", sorted(SADDLE_PROBLEMS))
+    def test_matches_transcribed_oracles(self, name):
+        prob = SADDLE_PROBLEMS[name]()
         n, p = prob.dim, prob.p
         spec = prob.saddle_spec()
-        A_ref = MaximalMonotone.product([(prob.f, n), (nonneg_cone(p), p)])
-        X_ref = ClosedConvexSet.product([(prob.Y, n),
-                                         (ClosedConvexSet.nonneg_orthant(), p)])
+        a_res, x_proj = transcribed_a_x(prob)
         rng = np.random.default_rng(0)
-        for _ in range(20):
+        special = np.resize([-0.0, np.nan, -np.inf, np.inf, 0.0005, 1.5, -2.0], n + p)
+        for w in [special, special[::-1].copy()] + [2.0 * rng.standard_normal(n + p)
+                                                   for _ in range(20)]:
             # points outside the box and with negative multipliers
-            w = 2.0 * rng.standard_normal(n + p)
             gamma = float(rng.uniform(0.01, 2.0))
-            assert np.array_equal(spec.A.resolvent(gamma, w), A_ref.resolvent(gamma, w))
-            assert np.array_equal(spec.B1.evaluate(w),
-                                  np.concatenate([prob.h.evaluate(w[:n]), np.zeros(p)]))
-            assert np.array_equal(spec.X.project(w), X_ref.project(w))
+            assert spec.A.resolvent(gamma, w).tobytes() == a_res(gamma, w).tobytes()
+            assert spec.X.project(w).tobytes() == x_proj(w).tobytes()
+            assert spec.X.metric_project(np.eye(n + p), w).tobytes() == x_proj(w).tobytes()
+            if np.all(np.isfinite(w)):
+                assert np.array_equal(spec.B1.evaluate(w),
+                                      np.concatenate([prob.h.evaluate(w[:n]), np.zeros(p)]))
         assert [d for _, d in spec.A.blocks] == [n, p] and spec.A.blocks[0][0] is prob.f
-        assert spec.X.metric_project is not None
+        assert spec.A.bounds is not None and spec.X.bounds is not None
+
+    @pytest.mark.parametrize("name,baseline,policy", [
+        ("lin-ineq", "fbhf", "constant"), ("lin-ineq", "tseng", "constant"),
+        ("lin-ineq", "fbhf", "ls"), ("lin-ineq", "tseng", "ls"),
+        ("entropy", "fbhf", "ls"), ("entropy", "tseng", "ls")])
+    def test_solves_match_transcribed_oracles(self, name, baseline, policy):
+        prob = SADDLE_PROBLEMS[name]()
+        spec = prob.saddle_spec()
+        a_res, x_proj = transcribed_a_x(prob)
+        hand = replace(spec, A=replace(spec.A, resolvent=a_res),
+                       X=replace(spec.X, project=x_proj))
+        step = ConstantStep() if policy == "constant" else ls_policy()
+        solve = solve_fbhf if baseline == "fbhf" else solve_tseng_fbf
+        # up to 1,000 iterations: thousands of A and X calls, line-search
+        # candidates included
+        cfg = SolveConfig(max_iterations=1000, tolerance=1e-9)
+        z0 = prob.default_start()
+        r, ref = solve(spec, step, cfg, z0), solve(hand, step, cfg, z0)
+        assert r.z.tobytes() == ref.z.tobytes()
+        assert r.iterations > 1
+        for key in ("iterations", "reason", "b1_evals", "b2_evals", "resolvent_evals",
+                    "projections", "backtracks"):
+            assert getattr(r, key) == getattr(ref, key), key
 
 
 class TestGenerators:

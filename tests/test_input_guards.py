@@ -79,3 +79,30 @@ ENTRY_POINTS = {
 def test_non_finite_parameter_rejected_before_iterating(entry, value):
     with pytest.raises(ValueError):
         ENTRY_POINTS[entry](value)
+
+
+COUNTS = {
+    "SolveConfig.max_iterations": lambda v: SolveConfig(max_iterations=v).max_iterations,
+    "LineSearch.max_backtracks": lambda v: LineSearch(**LS, max_backtracks=v).max_backtracks,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None], ids=["2.5", "2.0", "str", "None"])
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_non_integral_count_rejected(entry, value):
+    # range() would raise TypeError on the first iteration of the solve
+    with pytest.raises(ValueError, match="integer count"):
+        COUNTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3)], ids=["int", "int64", "int32"])
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_integer_count_accepted_as_int(entry, value):
+    count = COUNTS[entry](value)
+    assert count == 3 and type(count) is int
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_count_below_one_rejected(entry):
+    with pytest.raises(ValueError, match=">= 1"):
+        COUNTS[entry](0)

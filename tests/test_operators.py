@@ -6,7 +6,7 @@ import pytest
 from splitmono.fbhf import _norm
 from splitmono.operators import (ClosedConvexSet, DomainError, MaximalMonotone,
                                  MonotoneMap, affine_constraints, entropy_constraint,
-                                 lagrangian_saddle_map, normal_cone_box,
+                                 lagrangian_saddle_map, nonneg_cone, normal_cone_box,
                                  prox_abs_deviation, prox_hinge,
                                  quadratic_gradient, scalar_monotone)
 
@@ -319,6 +319,135 @@ class TestClosedConvexSet:
         assert np.array_equal(prod.project(v), [1.0, 0.0, 0.0, 4.0])
         assert not prod.is_whole_space
         assert ClosedConvexSet.whole_space().is_whole_space
+
+
+def _clip(v, lo, hi):
+    """Per-block reference clamp, written as the single-box oracles were."""
+    return np.minimum(np.maximum(v, lo), hi)
+
+
+# entries the clamp must carry through: signed zeros, NaN, values outside
+# every box and infinities
+SPECIAL = np.array([-0.0, 0.0, np.nan, -3.0, 7.0, -np.inf, np.inf, 0.5, 1.0, -np.nan])
+
+
+def _counting(op, calls):
+    def res(gamma, y):
+        calls.append(gamma)
+        return op.resolvent(gamma, y)
+    return replace(op, resolvent=res)
+
+
+class TestBoxProduct:
+    """A product of boxes is one clamp over the stacked bounds, bit for bit
+    the per-block clamps; any other product fills its blocks one by one."""
+
+    LO = np.array([0.0, -np.inf, 0.001, -1.0, 0.5])
+    HI = np.array([1.0, 2.0, np.inf, 1.0, 0.5])
+
+    def samples(self, dim):
+        rng = np.random.default_rng(dim)
+        out = [np.resize(SPECIAL, dim), np.resize(SPECIAL[::-1], dim)]
+        return out + [3.0 * rng.standard_normal(dim) for _ in range(20)]
+
+    def reference(self, v):
+        # box block (5), orthant block (3), nested box x orthant block (2 + 2)
+        return np.concatenate([_clip(v[:5], self.LO, self.HI), np.maximum(v[5:8], 0.0),
+                               _clip(v[8:10], -1.0, np.inf * np.ones(2)),
+                               np.maximum(v[10:], 0.0)])
+
+    def test_operator_product_equals_per_block_clamps(self):
+        inner = MaximalMonotone.product([(normal_cone_box(-np.ones(2), np.full(2, np.inf)), 2),
+                                         (nonneg_cone(2), 2)])
+        prod = MaximalMonotone.product([(normal_cone_box(self.LO, self.HI), 5),
+                                        (nonneg_cone(3), 3), (inner, 4)], tag="t")
+        for v in self.samples(12):
+            for gamma in (1e-3, 1.0, 50.0):
+                assert prod.resolvent(gamma, v).tobytes() == self.reference(v).tobytes()
+        assert [d for _, d in prod.blocks] == [5, 3, 4] and prod.tag == "t"
+        lo, hi = prod.bounds
+        assert np.array_equal(lo, np.concatenate([self.LO, np.zeros(3), -np.ones(2), np.zeros(2)]))
+        assert np.array_equal(hi, np.concatenate([self.HI, np.full(3, np.inf), np.full(4, np.inf)]))
+
+    def test_set_product_equals_per_block_clamps(self):
+        inner = ClosedConvexSet.product([(ClosedConvexSet.box(-np.ones(2), np.full(2, np.inf)), 2),
+                                         (ClosedConvexSet.nonneg_orthant(), 2)])
+        prod = ClosedConvexSet.product([(ClosedConvexSet.box(self.LO, self.HI), 5),
+                                        (ClosedConvexSet.nonneg_orthant(), 3), (inner, 4)])
+        U = np.diag(np.linspace(1.0, 2.0, 12))
+        for v in self.samples(12):
+            ref = self.reference(v).tobytes()
+            assert prod.project(v).tobytes() == ref
+            assert prod.metric_project(U, v).tobytes() == ref
+        assert prod.bounds is not None and not prod.is_whole_space
+
+    def test_orthant_bounds_are_scalars_broadcast_by_the_product(self):
+        for part in (nonneg_cone(4), ClosedConvexSet.nonneg_orthant()):
+            assert part.bounds == (0.0, np.inf)
+        prod = MaximalMonotone.product([(nonneg_cone(4), 4)])
+        assert np.array_equal(prod.bounds[0], np.zeros(4))
+        assert np.array_equal(prod.bounds[1], np.full(4, np.inf))
+        v = np.resize(SPECIAL, 4)
+        assert prod.resolvent(1.0, v).tobytes() == np.maximum(v, 0.0).tobytes()
+
+    def test_a_non_box_part_takes_the_generic_path(self):
+        box_calls, lin_calls = [], []
+        box = _counting(normal_cone_box(np.zeros(2), np.ones(2)), box_calls)
+        lin = _counting(MaximalMonotone.from_matrix(np.diag([1.0, 3.0])), lin_calls)
+        prod = MaximalMonotone.product([(box, 2), (lin, 2)])
+        assert prod.bounds is None
+        v = np.array([2.0, -0.0, 4.0, -8.0])
+        ref = np.concatenate([_clip(v[:2], 0.0, 1.0), v[2:] / (1.0 + 0.5 * np.array([1.0, 3.0]))])
+        assert prod.resolvent(0.5, v).tobytes() == ref.tobytes()
+        assert box_calls == [0.5] and lin_calls == [0.5]
+        # with every part a box the product clamps by itself and calls no part
+        only_box = MaximalMonotone.product([(box, 2)])
+        assert only_box.resolvent(0.5, v[:2]).tobytes() == _clip(v[:2], 0.0, 1.0).tobytes()
+        assert box_calls == [0.5]
+
+    def test_set_product_with_a_non_box_part_takes_the_generic_path(self):
+        prod = ClosedConvexSet.product([(ClosedConvexSet.box(np.zeros(2), np.ones(2)), 2),
+                                        (ClosedConvexSet.whole_space(), 2)])
+        assert prod.bounds is None
+        v = np.array([2.0, -1.0, -3.0, 4.0])
+        assert np.array_equal(prod.project(v), [1.0, 0.0, -3.0, 4.0])
+        assert np.array_equal(prod.metric_project(np.eye(4), v), [1.0, 0.0, -3.0, 4.0])
+
+    @pytest.mark.parametrize("kind", ["operator", "set"])
+    def test_misaligned_blocks_raise(self, kind):
+        # a 2-block that grows by one and a 3-block that shrinks by one used
+        # to fill the layout as [0, 1, 9, 2, 3]
+        grow, shrink = (lambda y: np.append(y, 9.0)), (lambda y: y[:-1])
+        if kind == "operator":
+            def make(*fns):
+                return MaximalMonotone.product(
+                    [(MaximalMonotone(resolvent=lambda g, y, f=f: f(y)), d)
+                     for f, d in zip(fns, (2, 3))]).resolvent(1.0, np.arange(5.0))
+        else:
+            def make(*fns):
+                return ClosedConvexSet.product(
+                    [(ClosedConvexSet(project=f), d) for f, d in zip(fns, (2, 3))]
+                ).project(np.arange(5.0))
+        with pytest.raises(ValueError, match="block 0"):
+            make(grow, shrink)
+        # a length-1 result is not broadcast into its block
+        with pytest.raises(ValueError, match="block 1"):
+            make(lambda y: y, lambda y: np.ones(1))
+
+    def test_input_of_the_wrong_dimension_raises(self):
+        prod = MaximalMonotone.product([(MaximalMonotone.zero(), 2), (MaximalMonotone.zero(), 3)])
+        with pytest.raises(ValueError, match="dimension 5"):
+            prod.resolvent(1.0, np.arange(6.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: MaximalMonotone.product([(normal_cone_box(np.zeros(2), np.ones(2)), 3)]),
+        lambda: MaximalMonotone.product([(MaximalMonotone.zero(), 1),
+                                         (normal_cone_box(np.zeros(2), np.ones(2)), 3)]),
+        lambda: ClosedConvexSet.product([(ClosedConvexSet.box(np.zeros(3), np.ones(3)), 2)]),
+    ], ids=["operator", "operator-mixed", "set"])
+    def test_bounds_that_do_not_broadcast_raise_when_built(self, make):
+        with pytest.raises(ValueError, match="do not broadcast"):
+            make()
 
 
 class TestScalarProxes:
