@@ -130,6 +130,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     layout = p.layout
     z0 = _default_start(layout.dim, None if start is None else as_vector(start))
     a, d, m = p.a, p.d, p.m
+    halves = BlockLayout.from_dims([d, m])   # (x, u): the step's two parts
     G = a @ a.T                        # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
     sig0, sig_tail = sig[0], np.asarray(sig[1:])
@@ -151,7 +152,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
         new_x = x - lam * a.T.dot(v)
         dv = v - u
         new_u = u + lam * (dv / sig_tail + sig0 * G_lower.dot(dv))
-        return layout.concat([new_x, new_u]), None
+        return halves.concat([new_x, new_u]), None
 
     return _run(step, z0, cfg, counters, layout=layout)
 

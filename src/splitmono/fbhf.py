@@ -89,18 +89,17 @@ def metric_violation(rho: float, K: float, beta: float, strict: bool = True,
 # policies, config, report
 
 
-def _count(owner, name: str) -> None:
-    """Store ``owner.name`` as an int count >= 1.  Any integer type passes
-    (numpy's included); a float, even an integral one, does not, as
-    ``range()`` would reject it mid-solve."""
-    value = getattr(owner, name)
+def _count(name: str, value) -> int:
+    """``value`` checked to be a count >= 1 and returned as an int.  Any
+    integer type passes (numpy's included); a float, even an integral one,
+    does not, as ``range()`` would reject it mid-solve."""
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} = {value!r} must be an integer count") from None
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
-    object.__setattr__(owner, name, n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ class LineSearch:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} = {v} must lie in ]0, 1[")
-        _count(self, "max_backtracks")
+        object.__setattr__(self, "max_backtracks",
+                           _count("max_backtracks", self.max_backtracks))
         if self.gamma_init is not None and not (
                 self.gamma_init > 0 and math.isfinite(self.gamma_init)):
             raise ValueError(f"gamma_init = {self.gamma_init} must be a positive, finite step")
@@ -167,7 +167,8 @@ class SolveConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        _count(self, "max_iterations")
+        object.__setattr__(self, "max_iterations",
+                           _count("max_iterations", self.max_iterations))
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
 

@@ -97,10 +97,17 @@ class BlockLayout:
         return x[self.offsets[i]:self.offsets[i + 1]]
 
     def concat(self, blocks) -> np.ndarray:
-        out = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
-        if out.size != self.dim:
-            raise ValueError("blocks do not fill the layout")
-        return out
+        """The blocks, flattened and joined; each must have its block's
+        length, so that no block lands at another's offsets."""
+        parts = [np.asarray(b, dtype=float).ravel() for b in blocks]
+        off = self.offsets
+        if len(parts) != len(off) - 1:
+            raise ValueError(f"{len(parts)} blocks given for a layout of {len(off) - 1}")
+        for i, part in enumerate(parts):
+            if part.size != off[i + 1] - off[i]:
+                raise ValueError(f"block {i} has length {part.size}, "
+                                 f"its layout block {off[i + 1] - off[i]}")
+        return np.concatenate(parts)
 
 
 def operator_norm(M) -> float:

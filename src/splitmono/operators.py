@@ -35,7 +35,10 @@ class MaximalMonotone:
     ``blocks`` records block-separable structure as ``(operator, dim)`` pairs;
     ``bounds`` is set when the operator is the normal cone of the box
     ``[lo, hi]``, as ``(lo, hi)``: vectors, or scalars that a product
-    broadcasts to its block's dimension.
+    broadcasts to its block's dimension.  A product of such parts clamps by
+    their ``bounds`` and never calls their ``resolvent``, so a wrapper (a
+    call counter, a tracer) must wrap the built product, not a part:
+    ``dataclasses.replace`` keeps ``bounds``, and a wrapped part is bypassed.
     """
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
@@ -138,7 +141,9 @@ class ClosedConvexSet:
     ``metric_project(U, v)`` is the projection in the inner product
     ``<U., .>`` and is only available for sets where it is closed-form.
     ``bounds`` is set when the set is the box ``[lo, hi]``, as for
-    ``MaximalMonotone``.
+    ``MaximalMonotone``.  A product of boxes clamps by its parts' ``bounds``
+    and never calls their ``project``, so a wrapper must wrap the built
+    product, not a part.
     """
 
     project: Callable[[np.ndarray], np.ndarray]

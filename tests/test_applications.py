@@ -54,7 +54,7 @@ def elementwise_incremental(p, sigma, lam, cfg, start):
         new_x = x - lam * (p.a.T @ v)
         dv = v - u
         new_u = u + lam * (dv / sig_tail + sig[0] * (G_lower @ dv))
-        return layout.concat([new_x, new_u]), None
+        return np.concatenate([new_x, new_u]), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 

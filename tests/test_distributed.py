@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from splitmono import distributed
-from splitmono.distributed import Graph, GraphSequence, _spread, run_distributed
+from splitmono.distributed import Graph, GraphSequence, _check_round, _spread, run_distributed
 from splitmono.fbhf import ConfigurationError, SolveConfig
-from splitmono.linalg import operator_norm
+from splitmono.linalg import operator_norm, strictly_below
 from splitmono.operators import ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec
 from splitmono.fbhf import ConstantStep, solve_fbhf
 
@@ -68,6 +68,24 @@ def reference_random_edges(n, rng):
             continue
 
 
+def reference_check_round(graph, gamma, tau, k):
+    """The per-round step check without the n <= 1/(2 gamma tau) screen:
+    always the eigenvalue test."""
+    lam = float(np.linalg.eigvalsh(graph.laplacian())[-1]) if graph.edges else 0.0
+    if not strictly_below(lam, 1.0 / (gamma * tau)):
+        raise ConfigurationError(
+            f"round {k}: stepsize condition violated: 1/(gamma tau) = "
+            f"{1.0 / (gamma * tau):.6g} must exceed lambda_max(L_{k}) = {lam:.6g}")
+
+
+def check_round_outcome(check, graph, gamma, tau, k):
+    try:
+        check(graph, gamma, tau, k)
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
 class TestGraph:
     def test_laplacian_annihilates_constants_exactly(self):
         for g in (Graph.path(5), Graph.ring(5), Graph.star(4)):
@@ -92,6 +110,16 @@ class TestGraph:
                 assert Graph.random_connected(n, rng).edges == reference_random_edges(n, ref)
                 # rejected attempts consumed the same draws too
                 assert rng.random() == ref.random()
+
+    def test_random_sequence_pins_the_stream(self):
+        # round t of seed s is the first connected draw of default_rng((s, t)),
+        # one uniform per vertex pair in lexicographic order
+        for n in (2, 3, 5, 8):
+            for seed in (0, 11):
+                gs = GraphSequence.random(n, seed)
+                for t in range(200):
+                    ref = reference_random_edges(n, np.random.default_rng((seed, t)))
+                    assert gs.at(t).edges == ref
 
     def test_norm_laplacian_matches_svd_norm(self):
         rng = np.random.default_rng(4)
@@ -308,6 +336,39 @@ class TestRunDistributed:
             with pytest.raises(ConfigurationError, match=where):
                 run_distributed(proxes, gs, s, s,
                                 SolveConfig(max_iterations=10, tolerance=1e-300))
+
+    def test_screened_round_check_matches_the_eigenvalue_test(self):
+        # the screen passes a round with n <= 1/(2 gamma tau) unseen; every
+        # verdict and message must equal the eigenvalue test's, on both sides
+        # of 1/lambda_max (within 1e-12 included) and of the screen's n
+        rng = np.random.default_rng(8)
+        graphs = [make(n) for n in range(1, 9)
+                  for make in (Graph.path, Graph.ring, Graph.star)]
+        graphs += [Graph.random_connected(n, rng) for n in range(1, 9) for _ in range(3)]
+        raised = passed = 0
+        for g in graphs:
+            lam = float(np.linalg.eigvalsh(g.laplacian())[-1]) if g.edges else 0.0
+            limits = [2.0 * g.n, float(g.n)] + ([lam] if lam > 0 else [1.0])
+            for limit in limits:
+                for rel in (-1e-3, -1e-11, -1e-12, -2e-13, 0.0, 2e-13, 1e-12, 1e-11, 1e-3):
+                    rhs = limit * (1.0 + rel)
+                    for gamma in (1.0, 0.37, 1e-3):
+                        tau = 1.0 / (rhs * gamma)
+                        fresh = Graph(g.n, g.edges)
+                        got = check_round_outcome(_check_round, fresh, gamma, tau, 4)
+                        want = check_round_outcome(reference_check_round, g, gamma, tau, 4)
+                        assert got == want, (g, gamma, tau)
+                        raised += want is not None
+                        passed += want is None
+        assert raised > 100 and passed > 100
+
+    def test_screened_round_needs_no_laplacian(self):
+        # a round far inside the step condition passes on n alone
+        g = Graph.random_connected(8, np.random.default_rng(0))
+        _check_round(g, 0.1, 0.1, 0)
+        assert "laplacian" not in g._cache and "norm_laplacian" not in g._cache
+        _check_round(g, 0.3, 0.3, 0)
+        assert "norm_laplacian" in g._cache
 
     def test_distance_to_limit_nonincreasing(self):
         rng = np.random.default_rng(21)

@@ -106,3 +106,27 @@ def test_integer_count_accepted_as_int(entry, value):
 def test_count_below_one_rejected(entry):
     with pytest.raises(ValueError, match=">= 1"):
         COUNTS[entry](0)
+
+
+def run_distributed(**kwargs):
+    return distributed.run_distributed(PROXES, GRAPHS, 0.1, 0.1, ONE_STEP, **kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", None], ids=["2.5", "2.0", "str", "None"])
+def test_distributed_block_dim_must_be_an_integer_count(value):
+    with pytest.raises(ValueError, match="block_dim = .* must be an integer count"):
+        run_distributed(block_dim=value)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_distributed_block_dim_below_one_rejected(value):
+    with pytest.raises(ValueError, match="block_dim must be >= 1"):
+        run_distributed(block_dim=value)
+
+
+@pytest.mark.parametrize("x0, block_dim", [(np.zeros(2), 1), (np.zeros(4), 1),
+                                           (np.zeros(3), 2), (np.zeros((3, 1)), 2)],
+                         ids=["short", "long", "short-blocks", "short-matrix"])
+def test_distributed_start_of_wrong_dimension_rejected(x0, block_dim):
+    with pytest.raises(ValueError, match="starting point has the wrong dimension"):
+        run_distributed(x0=x0, block_dim=block_dim)

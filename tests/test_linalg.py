@@ -201,3 +201,11 @@ class TestBlockLayout:
         layout = BlockLayout.from_dims([2, 2])
         with pytest.raises(ValueError):
             layout.concat([np.zeros(2), np.zeros(3)])
+
+    def test_concat_checks_each_block(self):
+        # the lengths sum to the layout's dimension but are swapped
+        layout = BlockLayout.from_dims([2, 3])
+        with pytest.raises(ValueError, match="block 0 has length 3"):
+            layout.concat([np.arange(3), np.arange(2)])
+        with pytest.raises(ValueError, match="1 blocks given for a layout of 2"):
+            layout.concat([np.arange(5)])
