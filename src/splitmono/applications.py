@@ -18,10 +18,10 @@ from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
                         lagrangian_saddle_map, normal_cone_box, nonneg_cone,
-                        quadratic_gradient)
+                        quadratic_gradient, scalar_monotone)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, StepPolicy,
                    _Counters, _default_start, _run, solve_fbhf, solve_tseng_fbf)
-from .primal_dual import _check_lambda
+from .primal_dual import DualBlock, PrimalDualProblem, _check_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +33,12 @@ class ErmProblem:
     """min (1/m) sum_i f_i(a_i^T x) with per-sample scalar prox oracles.
 
     ``proxes[i](gamma, t)`` evaluates prox of gamma * f_i at t; ``values[i]``
-    evaluates f_i for objective reporting.  When ``normalized`` is set every
-    a_i has unit norm (losses rescaled accordingly by the caller).
+    evaluates f_i for objective reporting.
     """
 
     a: np.ndarray                       # m x d data rows
     proxes: tuple[Callable[[float, float], float], ...]
     values: tuple[Callable[[float], float], ...]
-    normalized: bool = False
 
     def __post_init__(self):
         A = as_matrix(self.a)
@@ -65,6 +63,16 @@ class ErmProblem:
     @property
     def layout(self) -> BlockLayout:
         return BlockLayout.from_dims([self.d] + [1] * self.m)
+
+    def as_primal_dual(self) -> PrimalDualProblem:
+        """The problem as a composite primal-dual inclusion: A = 0, no C1 or
+        C2, and one scalar dual block per sample, B_i = d f_i (through its
+        prox) with L_i = a_i^T.  Its zeros 0 in sum_i a_i d f_i(a_i^T x) are
+        the minimizers of sum_i f_i(a_i^T x), hence of (1/m) sum_i f_i."""
+        return PrimalDualProblem(
+            A=MaximalMonotone.zero(), C1=None, C2=None, dim=self.d,
+            blocks=tuple(DualBlock(B=scalar_monotone(prox), L=self.a[i:i + 1])
+                         for i, prox in enumerate(self.proxes)))
 
 
 def erm_condition(sigmas, a_norms) -> tuple[float, float]:
@@ -238,6 +246,26 @@ class NlpProblem:
         x0 = self.Y.project(np.zeros(self.dim))
         return np.concatenate([x0, np.zeros(self.p)])
 
+    def as_primal_dual(self) -> PrimalDualProblem:
+        """The problem as a composite primal-dual inclusion (the product-space
+        view of Condat 2013 and Vu 2013): A = f, C1 = h, C2 = None and one
+        dual block B = N_{R^p_-}, the normal cone of the nonpositive orthant,
+        with L = D the stacked rows of the constraints g_i(x) = d_i^T x.  Its
+        term L^T N_{R^p_-}(L x) encodes D x <= 0.
+
+        Every constraint must be affine (carry ``affine_row``); any other
+        raises ConfigurationError.  Y is a localization set: known to contain
+        a solution, it is where the saddle iteration projects, and it is not
+        part of this form."""
+        if any(c.affine_row is None for c in self.constraints):
+            raise ConfigurationError(
+                "the primal-dual form needs affine constraints (affine_row on each)")
+        D = np.vstack([c.affine_row for c in self.constraints])
+        neg_orthant = MaximalMonotone(resolvent=lambda gamma, y: np.minimum(y, 0.0),
+                                      tag="N-")
+        return PrimalDualProblem(A=self.f, C1=self.h, C2=None,
+                                 blocks=(DualBlock(B=neg_orthant, L=D),), dim=self.dim)
+
 
 def solve_nlp(p: NlpProblem, policy: StepPolicy, cfg: SolveConfig,
               start=None, baseline: str = "fbhf") -> SolveReport:
@@ -329,5 +357,4 @@ def gen_erm_hinge(d: int, m: int, seed: int) -> ErmProblem:
     labels = np.where(rng.standard_normal(m) >= 0.0, 1.0, -1.0)
     proxes = tuple(prox_hinge(float(b)) for b in labels)
     values = tuple((lambda t, b=float(b): max(0.0, 1.0 - b * t)) for b in labels)
-    prob = ErmProblem(a=a, proxes=proxes, values=values, normalized=True)
-    return prob
+    return ErmProblem(a=a, proxes=proxes, values=values)

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -272,10 +271,10 @@ def _build_nlp_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
     else:
         prob = applications.gen_entropy_ls(cfg.dims["n"], params["r_fraction"], seed)
     if algorithm == "condat-vu":
-        L = prob.data["L"]
+        pdp = prob.as_primal_dual()
+        L = pdp.norms_L()[0]
         sigma_bar = params["sigma_bar"]
         tau = 1.0 / (half_inverse(prob.beta) + sigma_bar * L * L)
-        pdp = _lin_ineq_as_primal_dual(prob)
         primal_dual.check_condat_vu(pdp, tau, sigma_bar)
         solve = functools.partial(primal_dual.solve_condat_vu, pdp, tau, sigma_bar)
     else:
@@ -291,17 +290,6 @@ def _build_nlp_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
         x = report.block(0)
         return report, prob.objective(x), prob.max_constraint(x)
     return run
-
-
-def _lin_ineq_as_primal_dual(prob: applications.NlpProblem) -> primal_dual.PrimalDualProblem:
-    """Cast the linear-inequality problem as one stacked dual block with the
-    nonpositive-orthant indicator."""
-    D = prob.data["D"]
-    neg_orthant = operators.MaximalMonotone(
-        resolvent=lambda gamma, y: np.minimum(y, 0.0), tag="N-")
-    block = primal_dual.DualBlock(B=neg_orthant, L=D)
-    return primal_dual.PrimalDualProblem(A=prob.f, C1=prob.h, C2=None,
-                                         blocks=(block,), dim=prob.dim)
 
 
 def _build_erm_cell(cfg: ExperimentConfig, algorithm: str, params: dict,
@@ -386,7 +374,6 @@ def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
         report, objective, constraint = RUNNERS[cfg.kind](cfg, cell.algorithm, params,
                                                           seed, unsafe)()
     except Exception as exc:  # record the failure, keep the run going
-        # one write per line, so that worker threads do not interleave
         sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
         return {**row, **ERROR_FIELDS}
     return {**row, "objective": _fmt(objective), "max-constraint": _fmt(constraint),
@@ -401,25 +388,16 @@ def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
 # run + reporting
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
+def run_experiment(cfg: ExperimentConfig, out_dir,
                    unsafe_stepsize: bool = False) -> int:
     """Execute every (solver cell, variant, seed) and write report.csv and
     summary.md under out_dir.  Returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(cell, variant, seed)
-             for cell in cfg.cells
-             for variant in cfg.variants()
-             for seed in cfg.seeds]
-
-    def run(task):
-        return _run_cell(cfg, *task, unsafe_stepsize)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(task) for task in tasks]
+    rows = [_run_cell(cfg, cell, variant, seed, unsafe_stepsize)
+            for cell in cfg.cells
+            for variant in cfg.variants()
+            for seed in cfg.seeds]
 
     csv_path = out / "report.csv"
     with csv_path.open("w", newline="") as fh:
@@ -557,7 +535,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", default=None,
                        help="comma-separated seed override")
     p_run.add_argument("--unsafe-stepsize", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_demo = sub.add_parser("demo", help="write and run a canned config")
     p_demo.add_argument("kind", choices=sorted(DEMO_CONFIGS))
@@ -594,8 +571,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "run":
         out = Path(args.out)
-        code = run_experiment(cfg, out, threads=max(1, args.threads),
-                              unsafe_stepsize=args.unsafe_stepsize)
+        code = run_experiment(cfg, out, unsafe_stepsize=args.unsafe_stepsize)
         print(f"wrote {out / 'report.csv'} and {out / 'summary.md'}")
         return code
     code = run_experiment(cfg, out)

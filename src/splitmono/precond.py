@@ -217,7 +217,8 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
     nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
     the variable metric, and, once per solve and preconditioner, the check
     that K came from this B2: a K computed from a matrix must come from
-    ``spec.B2.matrix``, and an explicit K for a nonlinear B2 is sampled."""
+    ``spec.B2.matrix``, an explicit K for a linear B2 must bound
+    ``||B2.matrix - S||``, and an explicit K for a nonlinear B2 is sampled."""
     if pre.dim != spec.dimension:
         raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
     if spec.B2 is not None:
@@ -240,6 +241,13 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
                                                   or np.array_equal(pre.b2_matrix, M)):
             raise ConfigurationError(
                 f"{label}preconditioner's K was computed from another B2 matrix; K is wrong")
+        elif pre.k_source == "user":
+            C = M - pre.S
+            true_K = operator_norm(C) if np.any(C) else 0.0
+            if not at_most(true_K, pre.K):
+                raise ConfigurationError(
+                    f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
+                    f"(||B2 - S|| = {true_K:.6g})")
         pre._admitted_in = solve
 
 

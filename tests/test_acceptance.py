@@ -20,13 +20,12 @@ from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
 from splitmono.linalg import symmetric_min_eig
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, ProblemSpec, normal_cone_box,
-                                 prox_abs_deviation, quadratic_gradient,
-                                 scalar_monotone)
+                                 prox_abs_deviation, quadratic_gradient)
 from splitmono.precond import (MetricSchedule, Preconditioner, resolvent_via_P,
                                solve_precond_fbhf, solve_variable_metric)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
-                                   DualBlock, PrimalDualProblem, rho_v,
-                                   solve_block_triangular, solve_condat_vu,
+                                   DualBlock, PrimalDualProblem, check_pd_conditions,
+                                   rho_v, solve_block_triangular, solve_condat_vu,
                                    solve_corollary)
 
 
@@ -248,6 +247,80 @@ def test_criterion_10_cross_solver_agreement():
                 f"seed {seed}"
 
 
+def _product_space_step(pdp, bp, lam):
+    """The variable-metric no-inversion step on the primal-dual product space,
+
+        z+ = z + lam (P (x - z) + B2 z - B2 x),
+        x  = J_{P^{-1} A}(z - P^{-1} (B1 + B2) z),
+
+    with A the product of the primal operator and the B_i^{-1} + r_i,
+    B1 (x, u) = (C1 x, 0), B2 (x, u) = (K^T u, -K x) and P the full matrix of
+    the block preconditioner (instances without D_i^{-1} or C2)."""
+    assert pdp.C2 is None and all(blk.D_inv is None for blk in pdp.blocks)
+    d, K = pdp.dim, pdp.K
+    n = d + K.shape[0]
+    spans = [slice(0, d)] + [slice(d + sl.start, d + sl.stop) for sl in pdp.rows]
+    P = np.zeros((n, n))
+    for i, rows in enumerate(spans):
+        P[rows, rows] = bp.diag_scalars[i] * np.eye(rows.stop - rows.start)
+        for j in range(i):
+            if bp.block(i, j) is not None:
+                P[rows, spans[j]] = bp.block(i, j)
+    pre = Preconditioner.from_matrix(P)
+
+    def dual_operator(blk):
+        r = 0.0 if blk.r is None else blk.r
+        return MaximalMonotone(resolvent=lambda g, w: blk.dual_resolvent(g, w - g * r))
+
+    A = MaximalMonotone.product([(MaximalMonotone(resolvent=pdp.primal_resolvent), d)]
+                                + [(dual_operator(blk), blk.dim) for blk in pdp.blocks])
+
+    def B2(z):
+        return np.concatenate([K.T @ z[d:], -K @ z[:d]])
+
+    def B(z):
+        out = B2(z)
+        if pdp.C1 is not None:
+            out[:d] += pdp.C1.evaluate(z[:d])
+        return out
+
+    def step(z):
+        x = resolvent_via_P(A, pre, z - pre.solve_P(B(z)))
+        return z + lam * (P @ (x - z) + B2(z) - B2(x))
+
+    return step
+
+
+def _assert_sweep_is_product_space_step(pdp, bp, iterations, seed):
+    lam = 0.99 / check_pd_conditions(bp, [blk.L for blk in pdp.blocks], pdp.delta,
+                                     pdp.beta).M
+    z = np.random.default_rng(seed).standard_normal(pdp.layout.dim)
+    cfg = SolveConfig(max_iterations=iterations, tolerance=1e-300, keep_iterates=True)
+    sweep = solve_block_triangular(pdp, bp, lam, cfg, z).iterates
+    assert len(sweep) == iterations + 1
+    step = _product_space_step(pdp, bp, lam)
+    for k, ref in enumerate(sweep[1:], start=1):
+        z = step(z)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref), f"iteration {k}"
+
+
+def test_block_triangular_sweep_is_the_variable_metric_step():
+    # the Gauss-Seidel primal-dual sweep is the preconditioned iteration on
+    # the product space with the block-lower-triangular P: criterion 10's
+    # lasso instances over the theta range, and the hinge ERM at theta = 1.
+    # At theta = -1 with equal steps P is Id/s, so resolvent_via_P takes its
+    # scalar route; every other case takes forward substitution.
+    for seed in range(3):
+        pdp = _lasso_instance(seed)
+        for theta in (-1.0, 0.0, 0.5, 1.0):
+            s = _feasible_sigma(pdp, theta)
+            bp = BlockPreconditioner.corollary_pattern(theta, (s, s), pdp)
+            _assert_sweep_is_product_space_step(pdp, bp, 500, seed)
+    pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
+    bp = BlockPreconditioner.corollary_pattern(1.0, (0.1,) * 16, pdp)
+    _assert_sweep_is_product_space_step(pdp, bp, 200, 0)
+
+
 def test_criterion_11_erm():
     # analytic two-sample instance
     from splitmono.applications import ErmProblem
@@ -257,8 +330,7 @@ def test_criterion_11_erm():
                           proxes=(prox_abs_deviation(b[0]),
                                   prox_abs_deviation(b[1])),
                           values=(lambda t: abs(t - b[0]),
-                                  lambda t: abs(t - b[1])),
-                          normalized=True)
+                                  lambda t: abs(t - b[1])))
     sigma = 0.99 * erm_uniform_sigma_bound(2)
     r = solve_erm_incremental(analytic, [sigma], None,
                               SolveConfig(max_iterations=500_000,
@@ -276,11 +348,7 @@ def test_criterion_11_erm():
                                 SolveConfig(max_iterations=150_000,
                                             tolerance=1e-5))
     obj = prob.objective(run.block(0))
-    blocks = tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
-                             L=prob.a[i][None, :]) for i in range(m))
-    pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None,
-                            blocks=blocks, dim=d)
-    oracle = solve_corollary(pdp,
+    oracle = solve_corollary(prob.as_primal_dual(),
                              CorollaryParams(theta=1.0, sigmas=(0.1,) * (m + 1)),
                              SolveConfig(max_iterations=150_000,
                                          tolerance=1e-5))

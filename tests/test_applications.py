@@ -10,7 +10,7 @@ from splitmono.applications import (ErmProblem, NlpProblem, erm_condition,
                                     solve_erm_incremental, solve_nlp)
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch,
                             SolveConfig, _Counters, _default_start, _run, chi,
-                            solve_fbhf, solve_tseng_fbf)
+                            half_inverse, solve_fbhf, solve_tseng_fbf)
 from splitmono.linalg import operator_norm
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
                                  affine_constraints,
@@ -18,7 +18,8 @@ from splitmono.operators import (ClosedConvexSet, MaximalMonotone,
                                  scalar_monotone)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
                                    PrimalDualProblem, check_pd_conditions,
-                                   solve_block_triangular, solve_corollary)
+                                   solve_block_triangular, solve_condat_vu,
+                                   solve_corollary)
 
 
 def ls_policy(**kw):
@@ -98,8 +99,7 @@ class TestErmSolver:
                           proxes=(prox_abs_deviation(b[0]),
                                   prox_abs_deviation(b[1])),
                           values=(lambda t: abs(t - b[0]),
-                                  lambda t: abs(t - b[1])),
-                          normalized=True)
+                                  lambda t: abs(t - b[1])))
         sigma = 0.99 * erm_uniform_sigma_bound(2)
         r = solve_erm_incremental(prob, [sigma], None,
                                   SolveConfig(max_iterations=500_000,
@@ -112,18 +112,12 @@ class TestErmSolver:
         a /= np.linalg.norm(a)
         b = 0.8
         prob = ErmProblem(a=a[None, :], proxes=(prox_abs_deviation(b),),
-                          values=(lambda t: abs(t - b),), normalized=True)
+                          values=(lambda t: abs(t - b),))
         sigma, lam = 0.3, 0.2
         cfg = SolveConfig(max_iterations=60, tolerance=1e-300, keep_iterates=True)
         r1 = solve_erm_incremental(prob, [sigma], lam, cfg)
-        pdp = PrimalDualProblem(
-            A=MaximalMonotone.zero(), C1=None, C2=None,
-            blocks=(DualBlock(B=scalar_monotone(prox_abs_deviation(b)),
-                              L=a[None, :]),),
-            dim=3)
-        r2 = solve_corollary(pdp, CorollaryParams(theta=0.0,
-                                                  sigmas=(sigma, sigma),
-                                                  lam=lam), cfg)
+        r2 = solve_corollary(prob.as_primal_dual(),
+                             CorollaryParams(theta=0.0, sigmas=(sigma, sigma), lam=lam), cfg)
         for za, zb in zip(r1.iterates, r2.iterates):
             assert np.linalg.norm(za - zb) <= 1e-10
 
@@ -140,12 +134,8 @@ class TestErmSolver:
         # general sweep into the incremental one: block i reads the fresh
         # duals v_1..v_{i-1} through the interior blocks
         prob = gen_erm_hinge(4, 6, 0)
-        d, m = prob.d, prob.m
-        pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None,
-                                blocks=tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
-                                                       L=prob.a[i][None, :])
-                                             for i in range(m)),
-                                dim=d)
+        m = prob.m
+        pdp = prob.as_primal_dual()
         cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
         for frac in (0.3, 0.6, 0.9):
             sigma = frac * erm_uniform_sigma_bound(m)
@@ -189,14 +179,9 @@ class TestErmSolver:
                                   SolveConfig(max_iterations=100_000,
                                               tolerance=1e-6))
         obj = prob.objective(r.block(0))
-        blocks = tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
-                                 L=prob.a[i][None, :]) for i in range(m))
-        pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None,
-                                blocks=blocks, dim=d)
-        oracle = solve_corollary(pdp, CorollaryParams(theta=1.0,
-                                                      sigmas=(0.15,) * (m + 1)),
-                                 SolveConfig(max_iterations=100_000,
-                                             tolerance=1e-6))
+        oracle = solve_corollary(prob.as_primal_dual(),
+                                 CorollaryParams(theta=1.0, sigmas=(0.15,) * (m + 1)),
+                                 SolveConfig(max_iterations=100_000, tolerance=1e-6))
         obj_ref = prob.objective(oracle.block(0))
         assert abs(obj - obj_ref) <= 1e-4 * max(1.0, abs(obj_ref))
 
@@ -344,6 +329,60 @@ class TestSaddleSpecOracles:
             assert getattr(r, key) == getattr(ref, key), key
 
 
+class TestPrimalDualForms:
+    """``as_primal_dual`` is the one place that casts an application as a
+    composite primal-dual inclusion.  Each reference below writes that cast
+    out by hand from the generator's data, and a solve on it must give the
+    constructor's iterates and counts bit for bit."""
+
+    CFG = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
+
+    @staticmethod
+    def lin_ineq_reference(prob):
+        neg_orthant = MaximalMonotone(resolvent=lambda gamma, y: np.minimum(y, 0.0))
+        return PrimalDualProblem(A=prob.f, C1=prob.h, C2=None,
+                                 blocks=(DualBlock(B=neg_orthant, L=prob.data["D"]),),
+                                 dim=prob.dim)
+
+    @staticmethod
+    def erm_reference(prob):
+        return PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None, dim=prob.d,
+                                 blocks=tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
+                                                        L=prob.a[i][None, :])
+                                              for i in range(prob.m)))
+
+    @staticmethod
+    def assert_same_run(r, ref):
+        assert len(r.iterates) == len(ref.iterates) == 201
+        for za, zb in zip(r.iterates, ref.iterates):
+            assert za.tobytes() == zb.tobytes()
+        for key in ("iterations", "reason", "b1_evals", "b2_evals", "resolvent_evals"):
+            assert getattr(r, key) == getattr(ref, key), key
+
+    def test_lin_ineq_form_is_the_reference_cast(self):
+        prob = gen_lin_ineq_qp(20, 3, seed=0)
+        pdp = prob.as_primal_dual()
+        # the step the CLI's condat-vu cell takes from the form's ||L||
+        assert pdp.norms_L() == [prob.data["L"]]
+        sigma = 0.01
+        tau = 1.0 / (half_inverse(prob.beta) + sigma * prob.data["L"] ** 2)
+        start = np.random.default_rng(4).standard_normal(prob.dim + prob.p)
+        self.assert_same_run(solve_condat_vu(pdp, tau, sigma, self.CFG, start),
+                             solve_condat_vu(self.lin_ineq_reference(prob), tau, sigma,
+                                             self.CFG, start))
+
+    def test_erm_form_is_the_reference_cast(self):
+        prob = gen_erm_hinge(4, 9, seed=1)
+        params = CorollaryParams(theta=1.0, sigmas=(0.1,) * (prob.m + 1))
+        start = np.random.default_rng(5).standard_normal(prob.d + prob.m)
+        self.assert_same_run(solve_corollary(prob.as_primal_dual(), params, self.CFG, start),
+                             solve_corollary(self.erm_reference(prob), params, self.CFG, start))
+
+    def test_nonaffine_constraint_has_no_primal_dual_form(self):
+        with pytest.raises(ConfigurationError, match="affine"):
+            gen_entropy_ls(8, -0.4, seed=0).as_primal_dual()
+
+
 class TestGenerators:
     def test_lin_ineq_deterministic(self):
         p1 = gen_lin_ineq_qp(12, 3, seed=7)
@@ -390,4 +429,3 @@ class TestGenerators:
     def test_erm_rows_unit_norm(self):
         prob = gen_erm_hinge(6, 11, seed=2)
         assert np.allclose(np.linalg.norm(prob.a, axis=1), 1.0, atol=1e-12)
-        assert prob.normalized

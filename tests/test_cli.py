@@ -276,14 +276,6 @@ class TestRun:
         b = strip_time((tmp_path / "b" / "report.csv").read_text())
         assert a == b
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg, _ = validate_config(write(tmp_path, LIN_INEQ_SMALL))
-        run_experiment(cfg, tmp_path / "serial", threads=1)
-        run_experiment(cfg, tmp_path / "pool", threads=3)
-        a = strip_time((tmp_path / "serial" / "report.csv").read_text())
-        b = strip_time((tmp_path / "pool" / "report.csv").read_text())
-        assert a == b
-
     def test_condat_vu_objective_matches_fbhf(self, tmp_path):
         # reduced-scale head-to-head between the main solver and the
         # primal-dual baseline on the same generated instance

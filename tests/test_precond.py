@@ -475,6 +475,19 @@ class TestOneAdmissionCheck:
         with pytest.raises(ConfigurationError, match=f"^{label}metric condition violated"):
             self.run(solver, spec, Preconditioner.from_matrix(P, b2_matrix=20.0 * skew))
 
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_user_k_below_the_linear_b2_constant_rejected(self, solver, label):
+        # K = 0.18 passes the metric condition, while ||B2 - S|| = 39.8 for
+        # B2 = 20 skew fails it; both solvers used to run to diverged
+        spec, skew, P = self.skew_spec(20.0)
+        with pytest.raises(ConfigurationError, match=f"^{label}supplied K = 0.18 is not a "
+                                                     f"Lipschitz constant of B2 - S"):
+            self.run(solver, spec, Preconditioner.from_matrix(P, lipschitz_K=0.18))
+        # a K equal to ||B2 - S|| = ||0.4 skew|| = 0.8 is admitted
+        spec, skew, P = self.skew_spec(0.5)
+        r = self.run(solver, spec, Preconditioner.from_matrix(P, lipschitz_K=0.8))
+        assert r.iterations == 10
+
     def test_b2_matrix_compared_once_per_solve(self, monkeypatch):
         # an equal copy of B2's matrix is admitted; the variable metric
         # compares it once per solve, not once per iteration

@@ -9,7 +9,7 @@ from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
 from splitmono.linalg import symmetric_min_eig
 from splitmono.applications import gen_erm_hinge
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
-                                 MonotoneMap, quadratic_gradient, scalar_monotone)
+                                 MonotoneMap, quadratic_gradient)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
@@ -252,11 +252,7 @@ def reference_kkt_residual(pdp, x, us):
 def erm_corollary_instance(d=6, m=15):
     """The hinge-loss ERM instance of the benchmark, dualized one sample per
     block, with its corollary pattern (theta = 1, every sigma_i = 0.1)."""
-    prob = gen_erm_hinge(d, m, 0)
-    pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None, dim=d,
-                            blocks=tuple(DualBlock(B=scalar_monotone(prob.proxes[i]),
-                                                   L=prob.a[i][None, :])
-                                         for i in range(m)))
+    pdp = gen_erm_hinge(d, m, 0).as_primal_dual()
     return pdp, BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
 
 

@@ -19,22 +19,13 @@ from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig,
                             solve_forward_backward, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, MaximalMonotone, ProblemSpec,
                                  quadratic_gradient)
-from splitmono.primal_dual import DualBlock, PrimalDualProblem, solve_condat_vu
+from splitmono.primal_dual import solve_condat_vu
 
 ENTROPY = gen_entropy_ls(8, -0.4, seed=2)
 QP = gen_lin_ineq_qp(12, 2, seed=5)
 ERM = gen_erm_hinge(3, 7, seed=0)
 LS = LineSearch(epsilon=0.5, sigma=0.9, theta=0.3)
 SIGMA_BAR = 0.01
-
-
-def lin_ineq_primal_dual(prob):
-    """The linear-inequality problem as one dual block with the
-    nonpositive-orthant indicator (the CLI's condat-vu cast)."""
-    neg_orthant = MaximalMonotone(resolvent=lambda gamma, y: np.minimum(y, 0.0))
-    return PrimalDualProblem(A=prob.f, C1=prob.h, C2=None,
-                             blocks=(DualBlock(B=neg_orthant, L=prob.data["D"]),),
-                             dim=prob.dim)
 
 
 def fbhf_line_search(cfg):
@@ -57,7 +48,7 @@ def tseng_line_search(cfg):
 
 def condat_vu(cfg):
     tau = 1.0 / (half_inverse(QP.beta) + SIGMA_BAR * QP.data["L"] ** 2)
-    return solve_condat_vu(lin_ineq_primal_dual(QP), tau, SIGMA_BAR, cfg)
+    return solve_condat_vu(QP.as_primal_dual(), tau, SIGMA_BAR, cfg)
 
 
 def erm_incremental(cfg):
