@@ -412,8 +412,8 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
         (x, u) -> ( sum_i u_i grad g_i(x), -g_1(x), ..., -g_p(x) ).
 
     Monotone and continuous for convex g_i; Lipschitz only when every g_i
-    is affine, in which case the map is the skew matrix [[0, D^T], [-D, 0]]
-    built from the stacked coefficient rows.  Otherwise each call checks
+    is affine, in which case it applies [[0, D^T], [-D, 0]], D the stacked
+    coefficient rows, as two products with D.  Otherwise each call checks
     every constraint's domain once, then uses its ``value_and_gradient``
     when it has one.
     """
@@ -422,8 +422,23 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
         raise ValueError("at least one constraint is required")
     p = len(cons)
 
-    all_affine = all(c.affine_row is not None for c in cons)
-    D = np.vstack([c.affine_row for c in cons]) if all_affine else None
+    if all(c.affine_row is not None for c in cons):
+        D = np.vstack([c.affine_row for c in cons])
+        n = D.shape[1]
+        DT = D.T
+
+        def affine(w):
+            # both GEMVs write into one fresh output, the same bits as
+            # concatenating D^T u and -(D x); a fresh array per call, as
+            # callers hold an earlier value while evaluating the next
+            w = np.asarray(w, dtype=float)
+            out = np.empty(n + p)
+            np.dot(DT, w[n:], out=out[:n])
+            np.dot(D, w[:n], out=out[n:])
+            np.negative(out[n:], out=out[n:])
+            return out
+
+        return MonotoneMap(evaluate=affine, lipschitz=operator_norm(D), tag="saddle")
 
     def evaluate(w):
         w = np.asarray(w, dtype=float)
@@ -447,32 +462,9 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
             out[n + i] = -gi
         return out
 
-    lip = None
-    matrix = None
-    if all_affine:
-        lip = operator_norm(D)
-        n = D.shape[1]
-        matrix = np.zeros((n + p, n + p))
-        matrix[:n, n:] = D.T
-        matrix[n:, :n] = -D
-        DT = D.T
-
-        def evaluate(w):  # noqa: F811 - affine fast path, same contract
-            # both GEMVs write into one fresh output, the same bits as
-            # concatenating D^T u and -(D x); a fresh array per call, as
-            # callers hold an earlier value while evaluating the next
-            w = np.asarray(w, dtype=float)
-            out = np.empty(n + p)
-            np.dot(DT, w[n:], out=out[:n])
-            np.dot(D, w[:n], out=out[n:])
-            np.negative(out[n:], out=out[n:])
-            return out
-
-    return MonotoneMap(evaluate=evaluate, lipschitz=lip, tag="saddle",
-                       domain=None if all_affine else
-                       (lambda w: all(c.domain is None or c.domain(np.asarray(w)[:-p])
-                                      for c in cons)),
-                       matrix=matrix)
+    return MonotoneMap(evaluate=evaluate, tag="saddle",
+                       domain=lambda w: all(c.domain is None or c.domain(np.asarray(w)[:-p])
+                                            for c in cons))
 
 
 # scalar prox oracles used by the ERM experiments -----------------------------

@@ -14,10 +14,11 @@ points of ``T`` and is of the same type in the standard metric.
 A preconditioner is one fixed linear operator per solve, so each linear map
 an iteration applies is factored once, on first use, and then costs one
 matrix-vector product per call: ``U^{-1}`` (from the Cholesky factor of U,
-on the first ``solve_U``), ``P^{-1}`` (first ``solve_P``) and, for a linear
-A with matrix ``M_A``, the resolvent matrix ``(P + M_A)^{-1} P`` (first
-``resolvent_via_P`` with that A).  Each inverse is gated on its condition
-number, ``||U|| / rho`` for U and ``||M||_1 ||M^{-1}||_1`` for the others:
+on the first ``solve_U``) and ``P^{-1}`` (first ``solve_P``).  The first
+``resolvent_via_P`` with an A prepares its route, once per (P, A) pair: the
+matrix ``(P + M_A)^{-1} P`` for a linear A, or, for a block-separable A, the
+checked block pattern of the forward substitution.  Each inverse is gated on its
+condition number, ``||U|| / rho`` for U and ``||M||_1 ||M^{-1}||_1`` for others:
 above ``linalg.MAX_INVERSE_CONDITION`` every call solves against the matrix
 instead, because a stored inverse loses about log10(kappa) digits.
 """
@@ -32,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (MAX_INVERSE_CONDITION, as_matrix, as_vector, at_most,
-                     conditioned_inverse, operator_norm, spd_inverse,
+from .linalg import (MAX_INVERSE_CONDITION, BlockLayout, as_matrix, as_vector,
+                     at_most, conditioned_inverse, operator_norm, spd_inverse,
                      split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
@@ -64,9 +65,9 @@ class Preconditioner:
     norm_U: float
     k_source: str = "skew_only"
     b2_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # (M_A, R) for the last linear A passed to resolvent_via_P, matched by
-    # identity so that a second A on this preconditioner never reads the
-    # first one's R
+    # (key, route) for the last A passed to resolvent_via_P, the key being
+    # A.matrix or A.blocks, matched by identity so that a second A on this
+    # preconditioner never runs the first one's route
     _resolvent_slot: Optional[tuple] = field(default=None, init=False, repr=False,
                                              compare=False)
     # the counters of the last solve that checked where K came from, matched
@@ -85,6 +86,8 @@ class Preconditioner:
         U, S = split_symmetric_skew(Pm)
         rho = symmetric_min_eig(U)
         norm_U = operator_norm(U)
+        if b2_matrix is not None and lipschitz_K is not None:
+            raise ValueError("give b2_matrix or lipschitz_K, not both")
         if b2_matrix is not None:
             b2_matrix = as_matrix(b2_matrix)
             C = b2_matrix - S
@@ -143,12 +146,11 @@ class Preconditioner:
 def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     """Compute ``J_{P^{-1}A}(z)``, the point x with ``P(z - x) in A x``.
 
-    Routes: linear A (matrix ``M_A``) gives ``x = (P + M_A)^{-1} P z``,
-    applied as one cached matrix ``R`` (the identity
-    ``U(z + U^{-1} S z) = P z`` folds the former U-solve into it);
-    block-separable A with a block-lower-triangular P and scalar diagonal
-    blocks is solved by forward substitution (each block resolvent consumes
-    only previously computed blocks).
+    Routes, each prepared once per (P, A) pair: a linear A (matrix ``M_A``)
+    gives ``x = (P + M_A)^{-1} P z``, applied as one matrix; a block-separable
+    A with a block-lower-triangular P and scalar diagonal blocks is solved by
+    forward substitution (each block resolvent consumes only previously
+    computed blocks).
     """
     zv = as_vector(z)
     if pre.rho <= 0:
@@ -156,57 +158,56 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     gamma = pre.scalar_step
     if gamma is not None:
         return A.resolvent(gamma, zv)
-    M_A = A.matrix
-    if M_A is not None:
-        slot = pre._resolvent_slot
-        if slot is None or slot[0] is not M_A:
-            slot = pre._resolvent_slot = (M_A, _linear_resolvent(pre.P, M_A))
-        R = slot[1]
-        return np.linalg.solve(pre.P + M_A, pre.P @ zv) if R is None else R.dot(zv)
-    if A.blocks is not None:
-        return _forward_substitution(A, pre, zv)
-    raise ConfigurationError(
-        "no composite resolvent: A must be linear (matrix) or block-separable "
-        "with a block-triangular preconditioner")
+    key = A.matrix if A.matrix is not None else A.blocks
+    if key is None:
+        raise ConfigurationError(
+            "no composite resolvent: A must be linear (matrix) or block-separable "
+            "with a block-triangular preconditioner")
+    slot = pre._resolvent_slot
+    if slot is None or slot[0] is not key:
+        route = _linear_resolvent if A.matrix is not None else _forward_substitution
+        slot = pre._resolvent_slot = (key, route(pre.P, key))
+    return slot[1](zv)
 
 
-def _linear_resolvent(P: np.ndarray, M_A: np.ndarray) -> Optional[np.ndarray]:
-    """``R = (P + M_A)^{-1} P``, or None when P + M_A fails the condition gate."""
+def _linear_resolvent(P: np.ndarray, M_A: np.ndarray) -> Callable:
+    """Apply ``(P + M_A)^{-1} P`` as one matrix, or solve per call past the condition gate."""
     PA_inv = conditioned_inverse(P + M_A)
-    return None if PA_inv is None else PA_inv @ P
+    if PA_inv is None:
+        return lambda z: np.linalg.solve(P + M_A, P @ z)
+    return (PA_inv @ P).dot
 
 
-def _forward_substitution(A: MaximalMonotone, pre: Preconditioner,
-                          z: np.ndarray) -> np.ndarray:
-    dims = [d for _, d in A.blocks]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    P = pre.P
-    n = offsets[-1]
-    if n != pre.dim:
+def _forward_substitution(P: np.ndarray, blocks) -> Callable:
+    """Check that P is block lower triangular for ``blocks`` with positive scalar
+    diagonal blocks; return the substitution over the nonzero blocks only."""
+    off = BlockLayout.from_dims([d for _, d in blocks]).offsets
+    if off[-1] != P.shape[0]:
         raise ConfigurationError("preconditioner and operator dimensions disagree")
-    # the pattern needs zero blocks above the diagonal and scalar diagonal blocks
-    for i in range(len(dims)):
-        for j in range(i + 1, len(dims)):
-            if np.any(P[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]):
-                raise ConfigurationError(
-                    "no composite resolvent: P is not block lower triangular "
-                    "for the block structure of A")
-    x = np.empty(n)
-    for i, (op, d) in enumerate(A.blocks):
-        lo, hi = offsets[i], offsets[i + 1]
-        Pii = P[lo:hi, lo:hi]
-        c = Pii[0, 0]
-        if c <= 0 or not np.array_equal(Pii, c * np.eye(d)):
+    spans = [slice(a, b) for a, b in zip(off, off[1:])]
+    if any(np.any(P[sl, sl.stop:]) for sl in spans):
+        raise ConfigurationError("no composite resolvent: P is not block lower "
+                                 "triangular for the block structure of A")
+    rows = []
+    for i, ((op, d), sl) in enumerate(zip(blocks, spans)):
+        c = P[sl.start, sl.start]
+        if c <= 0 or not np.array_equal(P[sl, sl], c * np.eye(d)):
             raise ConfigurationError(
                 "no composite resolvent: diagonal blocks of P must be positive "
                 "scalar multiples of the identity")
-        carry = np.zeros(d)
-        for j in range(i):
-            blk = P[lo:hi, offsets[j]:offsets[j + 1]]
-            if np.any(blk):
-                carry = carry + blk @ (z[offsets[j]:offsets[j + 1]] - x[offsets[j]:offsets[j + 1]])
-        x[lo:hi] = op.resolvent(1.0 / c, z[lo:hi] + carry / c)
-    return x
+        earlier = [(sj, P[sl, sj]) for sj in spans[:i] if np.any(P[sl, sj])]
+        # each call's carry starts from these zeros, which ``+`` never writes to
+        rows.append((op.resolvent, sl, np.zeros(d), c, 1.0 / c, earlier))
+
+    def substitute(z):
+        x = np.empty(off[-1])
+        for resolvent, sl, carry, c, step, earlier in rows:
+            for sj, blk in earlier:
+                carry = carry + blk @ (z[sj] - x[sj])
+            x[sl] = resolvent(step, z[sl] + carry / c)
+        return x
+
+    return substitute
 
 
 def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counters,
@@ -217,8 +218,8 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
     nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
     the variable metric, and, once per solve and preconditioner, the check
     that K came from this B2: a K computed from a matrix must come from
-    ``spec.B2.matrix``, an explicit K for a linear B2 must bound
-    ``||B2.matrix - S||``, and an explicit K for a nonlinear B2 is sampled."""
+    ``spec.B2.matrix``, an explicit K must bound ``||B2.matrix - S||`` (sampled
+    for a nonlinear B2), and with B2 absent any K must bound ``||S||``."""
     if pre.dim != spec.dimension:
         raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
     if spec.B2 is not None:
@@ -233,22 +234,28 @@ def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counte
     if why is not None:
         raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
                                  f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
-    if spec.B2 is not None and pre._admitted_in is not solve:
-        M = spec.B2.matrix
-        if M is None:
-            _validate_sampled_K(spec, pre, label)
-        elif pre.k_source == "b2_matrix" and not (pre.b2_matrix is M
-                                                  or np.array_equal(pre.b2_matrix, M)):
+    if pre._admitted_in is solve:
+        return
+    M = None if spec.B2 is None else spec.B2.matrix
+    if spec.B2 is None:
+        norm_S = operator_norm(pre.S) if np.any(pre.S) else 0.0   # B2 - S = -S
+        if not at_most(norm_S, pre.K):
+            raise ConfigurationError(f"{label}K = {pre.K:.6g} is below ||S|| = {norm_S:.6g}, "
+                                     "the Lipschitz constant of B2 - S with B2 absent")
+    elif M is None:
+        _validate_sampled_K(spec, pre, label)
+    elif pre.k_source == "b2_matrix" and not (pre.b2_matrix is M
+                                              or np.array_equal(pre.b2_matrix, M)):
+        raise ConfigurationError(
+            f"{label}preconditioner's K was computed from another B2 matrix; K is wrong")
+    elif pre.k_source == "user":
+        C = M - pre.S
+        true_K = operator_norm(C) if np.any(C) else 0.0
+        if not at_most(true_K, pre.K):
             raise ConfigurationError(
-                f"{label}preconditioner's K was computed from another B2 matrix; K is wrong")
-        elif pre.k_source == "user":
-            C = M - pre.S
-            true_K = operator_norm(C) if np.any(C) else 0.0
-            if not at_most(true_K, pre.K):
-                raise ConfigurationError(
-                    f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
-                    f"(||B2 - S|| = {true_K:.6g})")
-        pre._admitted_in = solve
+                f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
+                f"(||B2 - S|| = {true_K:.6g})")
+    pre._admitted_in = solve
 
 
 # Relative and absolute slack of the sampled Lipschitz check of a supplied K,

@@ -307,18 +307,20 @@ def _assert_sweep_is_product_space_step(pdp, bp, iterations, seed):
 def test_block_triangular_sweep_is_the_variable_metric_step():
     # the Gauss-Seidel primal-dual sweep is the preconditioned iteration on
     # the product space with the block-lower-triangular P: criterion 10's
-    # lasso instances over the theta range, and the hinge ERM at theta = 1.
-    # At theta = -1 with equal steps P is Id/s, so resolvent_via_P takes its
-    # scalar route; every other case takes forward substitution.
+    # lasso instances over the theta range, and the hinge ERM at theta = 1,
+    # at m = 15 and at criterion 11's m = 50.  At theta = -1 with equal steps
+    # P is Id/s, so resolvent_via_P takes its scalar route; every other case
+    # takes forward substitution.
     for seed in range(3):
         pdp = _lasso_instance(seed)
         for theta in (-1.0, 0.0, 0.5, 1.0):
             s = _feasible_sigma(pdp, theta)
             bp = BlockPreconditioner.corollary_pattern(theta, (s, s), pdp)
             _assert_sweep_is_product_space_step(pdp, bp, 500, seed)
-    pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
-    bp = BlockPreconditioner.corollary_pattern(1.0, (0.1,) * 16, pdp)
-    _assert_sweep_is_product_space_step(pdp, bp, 200, 0)
+    for d, m, seed, iterations in ((6, 15, 0, 200), (20, 50, 3, 100)):
+        pdp = gen_erm_hinge(d, m, seed).as_primal_dual()
+        bp = BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
+        _assert_sweep_is_product_space_step(pdp, bp, iterations, 0)
 
 
 def test_criterion_11_erm():

@@ -87,6 +87,13 @@ COUNTS = {
 }
 
 
+def test_preconditioner_takes_one_source_of_K():
+    # a K computed from b2_matrix used to replace the given one silently
+    with pytest.raises(ValueError, match="b2_matrix or lipschitz_K, not both"):
+        Preconditioner.from_matrix(2.0 * np.eye(2), b2_matrix=np.zeros((2, 2)),
+                                   lipschitz_K=5.0)
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, "3", None], ids=["2.5", "2.0", "str", "None"])
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_non_integral_count_rejected(entry, value):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,111 @@ class TestResolventViaP:
         pre = Preconditioner.from_matrix(P)
         with pytest.raises(ConfigurationError, match="triangular"):
             resolvent_via_P(blockA, pre, np.zeros(4))
+
+
+# The forward substitution as it ran before its preparation was kept per
+# (P, A) pair: every call checks the block pattern and tests every block
+# below the diagonal.  Kept as the reference the prepared route is pinned to.
+def per_call_forward_substitution(A, pre, z):
+    dims = [d for _, d in A.blocks]
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    P = pre.P
+    n = offsets[-1]
+    if n != pre.dim:
+        raise ConfigurationError("preconditioner and operator dimensions disagree")
+    for i in range(len(dims)):
+        for j in range(i + 1, len(dims)):
+            if np.any(P[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]):
+                raise ConfigurationError("P is not block lower triangular")
+    x = np.empty(n)
+    for i, (op, d) in enumerate(A.blocks):
+        lo, hi = offsets[i], offsets[i + 1]
+        Pii = P[lo:hi, lo:hi]
+        c = Pii[0, 0]
+        if c <= 0 or not np.array_equal(Pii, c * np.eye(d)):
+            raise ConfigurationError("diagonal blocks of P must be positive scalar multiples")
+        carry = np.zeros(d)
+        for j in range(i):
+            blk = P[lo:hi, offsets[j]:offsets[j + 1]]
+            if np.any(blk):
+                carry = carry + blk @ (z[offsets[j]:offsets[j + 1]] - x[offsets[j]:offsets[j + 1]])
+        x[lo:hi] = op.resolvent(1.0 / c, z[lo:hi] + carry / c)
+    return x
+
+
+DIMS = (2, 1, 3, 2)
+
+
+def four_block_operator():
+    """A product of four different parts with block dimensions ``DIMS``."""
+    rng = np.random.default_rng(11)
+    parts = [MaximalMonotone.from_matrix(np.diag(rng.uniform(0.5, 2.0, 2))),
+             normal_cone_box(-0.3 * np.ones(1), 0.3 * np.ones(1)),
+             MaximalMonotone(resolvent=lambda g, y: np.sign(y) * np.maximum(np.abs(y) - g, 0.0)),
+             MaximalMonotone.from_matrix(np.array([[1.0, 0.4], [-0.4, 1.0]]))]
+    return MaximalMonotone.product(list(zip(parts, DIMS)))
+
+
+def four_block_P(below=((1, 0), (2, 1), (3, 0), (3, 2))):
+    """Block-lower-triangular P for ``DIMS`` with diagonal blocks 2, 1.5, 3
+    and 2.5 times the identity and random blocks at ``below``; by default
+    the last block row has two nonzero earlier blocks and one zero block."""
+    rng = np.random.default_rng(12)
+    off = np.cumsum((0,) + DIMS)
+    P = np.zeros((off[-1], off[-1]))
+    for i, c in enumerate((2.0, 1.5, 3.0, 2.5)):
+        P[off[i]:off[i + 1], off[i]:off[i + 1]] = c * np.eye(DIMS[i])
+    for i, j in below:
+        P[off[i]:off[i + 1], off[j]:off[j + 1]] = 0.3 * rng.standard_normal((DIMS[i], DIMS[j]))
+    return P
+
+
+class TestForwardSubstitution:
+    def test_matches_per_call_reference_bitwise(self):
+        A, pre = four_block_operator(), Preconditioner.from_matrix(four_block_P())
+        assert pre.rho > 0 and pre.scalar_step is None
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            z = 2.0 * rng.standard_normal(pre.dim)
+            assert np.array_equal(resolvent_via_P(A, pre, z),
+                                  per_call_forward_substitution(A, pre, z))
+
+    def test_pattern_checked_once_per_operator(self, monkeypatch):
+        prepared = []
+        prepare = precond._forward_substitution
+        monkeypatch.setattr(precond, "_forward_substitution",
+                            lambda P, blocks: prepared.append(blocks) or prepare(P, blocks))
+        A = four_block_operator()
+        pre = Preconditioner.from_matrix(four_block_P())
+        z = np.random.default_rng(14).standard_normal(pre.dim)
+        first = resolvent_via_P(A, pre, z)
+        # later calls test no block of P
+        tested = []
+        any_ = np.any
+        monkeypatch.setattr(np, "any", lambda *args: tested.append(1) or any_(*args))
+        for _ in range(3):
+            assert np.array_equal(resolvent_via_P(A, pre, z), first)
+        monkeypatch.setattr(np, "any", any_)
+        assert len(prepared) == 1 and not tested
+        # a second operator with the same parts prepares its own route, and
+        # the first one's is prepared again when it comes back
+        other = MaximalMonotone.product(A.blocks)
+        for op in (other, other, A):
+            assert np.array_equal(resolvent_via_P(op, pre, z), first)
+        assert [b is A.blocks for b in prepared] == [True, False, True]
+
+    @pytest.mark.parametrize("P, message", [
+        (np.tril(np.ones((9, 9))) + np.eye(9), "dimensions disagree"),
+        (four_block_P(below=((0, 3),)), "block lower triangular"),
+        (four_block_P() + np.diag([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]),
+         "diagonal blocks of P must be positive scalar multiples"),
+    ], ids=["dimensions", "upper-block", "non-scalar-diagonal"])
+    def test_rejected_pattern_is_never_stored(self, P, message):
+        A, pre = four_block_operator(), Preconditioner.from_matrix(P)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=message):
+                resolvent_via_P(A, pre, np.zeros(pre.dim))
+        assert pre._resolvent_slot is None
 
 
 # The linear route and U-solve as they were before the cached factors: a
@@ -486,6 +592,30 @@ class TestOneAdmissionCheck:
         # a K equal to ||B2 - S|| = ||0.4 skew|| = 0.8 is admitted
         spec, skew, P = self.skew_spec(0.5)
         r = self.run(solver, spec, Preconditioner.from_matrix(P, lipschitz_K=0.8))
+        assert r.iterations == 10
+
+    @pytest.mark.parametrize("solver, label", [("precond", ""), ("variable-metric", "P_0: ")])
+    def test_k_below_the_skew_norm_rejected_without_b2(self, solver, label):
+        # with B2 absent, B2 - S = -S: K = 0, given or computed from
+        # b2_matrix = S, passes the metric condition, while the true
+        # K = ||S|| = 3 fails it (K^2 = 9 >= rho (rho - 1/(2 beta)) = 0.5)
+        n = 6
+        G = np.random.default_rng(3).standard_normal((n, n))
+        skew = (G - G.T) / np.linalg.norm(G - G.T, 2)
+        spec = ProblemSpec(A=MaximalMonotone.from_matrix(0.1 * np.eye(n)),
+                           B1=quadratic_gradient(np.eye(n), np.ones(n)), B2=None,
+                           X=ClosedConvexSet.whole_space(), dimension=n)
+        P = np.eye(n) + 3.0 * skew
+        S = Preconditioner.from_matrix(P).S
+        for pre in (Preconditioner.from_matrix(P, lipschitz_K=0.0),
+                    Preconditioner.from_matrix(P, b2_matrix=S)):
+            assert pre.K == 0.0
+            with pytest.raises(ConfigurationError,
+                               match="^" + re.escape(f"{label}K = 0 is below ||S|| = 3,")):
+                self.run(solver, spec, pre)
+        # a K of ||S|| is admitted where the metric condition allows it
+        r = self.run(solver, spec, Preconditioner.from_matrix(P + 9.0 * np.eye(n),
+                                                              lipschitz_K=3.0))
         assert r.iterations == 10
 
     def test_b2_matrix_compared_once_per_solve(self, monkeypatch):
