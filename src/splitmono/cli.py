@@ -4,9 +4,9 @@
 instance and runs the solver's own parameter check on it; only the
 distributed stepsize condition, which depends on each round's graph, is
 left to the run.  ``splitmono run <config>`` checks the same way (on the
-``--seeds`` override when given), executes the grid and writes
-``report.csv`` plus a ``summary.md`` derived from it; ``splitmono demo
-<kind>`` writes and runs a canned desk-scale config.  Exit codes: 0 full
+``--seeds`` override when given), executes the solves the check built and
+writes ``report.csv`` plus a ``summary.md`` derived from it; ``splitmono
+demo <kind>`` writes and runs a canned desk-scale config.  Exit codes: 0 full
 success, 1 config error, 2 when any cell errored (the run still completes).
 """
 
@@ -203,6 +203,30 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
 def check_config(cfg: ExperimentConfig, unsafe: bool = False) -> list[str]:
     """The diagnostics of a loaded config: each (solver cell, variant, seed)
     is built as a run builds it, so it fails here exactly when it would there."""
+    return _check_and_build(cfg, unsafe)[0]
+
+
+def _build_runs(cfg: ExperimentConfig, unsafe: bool) -> list[tuple]:
+    """Every (solver cell, variant, seed) of the grid in report order, as
+    ``(cell, params, seed, built)``: ``built`` is the cell builder's thunk,
+    or the exception the build raised."""
+    runs = []
+    for cell in cfg.cells:
+        for variant in cfg.variants():
+            params = {**cell.params, **variant}
+            for seed in cfg.seeds:
+                try:
+                    built = RUNNERS[cfg.kind](cfg, cell.algorithm, params, seed, unsafe)
+                except Exception as exc:  # the failure a run records as an error row
+                    built = exc
+                runs.append((cell, params, seed, built))
+    return runs
+
+
+def _check_and_build(cfg: ExperimentConfig,
+                     unsafe: bool) -> tuple[list[str], Optional[list[tuple]]]:
+    """``check_config``'s diagnostics, with the ``_build_runs`` they came from
+    (None when the config failed before any cell was built)."""
     diags: list[str] = []
     if not cfg.seeds:
         diags.append("seeds list is empty")
@@ -220,24 +244,20 @@ def check_config(cfg: ExperimentConfig, unsafe: bool = False) -> list[str]:
     if cfg.kind == "distributed" and cfg.dims["graphs"] not in ("fixed", "alternating", "random"):
         diags.append(f"graphs must be fixed | alternating | random (got {cfg.dims['graphs']})")
     if diags:
-        return diags
+        return diags, None
 
     allowed = ALGORITHMS_BY_KIND[cfg.kind]
+    runs = _build_runs(cfg, unsafe)
     for cell in cfg.cells:
         where = f"solver cell '{cell.name}'"
         if cell.algorithm not in allowed:
             diags.append(f"{where}: algorithm '{cell.algorithm}' is not usable for "
                          f"kind '{cfg.kind}' (allowed: {', '.join(allowed)})")
             continue
-        for variant in cfg.variants():
-            params = {**cell.params, **variant}
-            for seed in cfg.seeds:
-                try:
-                    RUNNERS[cfg.kind](cfg, cell.algorithm, params, seed, unsafe)
-                except Exception as exc:  # the failure a run records as an error row
-                    diags.append(f"{where} {json.dumps(params, sort_keys=True)}, "
-                                 f"seed {seed}: {exc}")
-    return diags
+        diags += [f"{where} {json.dumps(params, sort_keys=True)}, seed {seed}: {built}"
+                  for c, params, seed, built in runs
+                  if c is cell and isinstance(built, Exception)]
+    return diags, runs
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +383,16 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
-              unsafe: bool) -> dict:
-    """One report.csv row; a cell that raises is recorded as an error row
-    with the same solver, params-json and seed."""
-    params = {**cell.params, **variant}
+def _run_cell(cell: SolverCell, params: dict, seed: int, built) -> dict:
+    """One report.csv row from a ``_build_runs`` entry; a cell whose build or
+    solve raises is recorded as an error row with the same solver,
+    params-json and seed."""
     row = {"solver": cell.name, "params-json": json.dumps(params, sort_keys=True),
            "seed": seed}
     try:
-        report, objective, constraint = RUNNERS[cfg.kind](cfg, cell.algorithm, params,
-                                                          seed, unsafe)()
+        if isinstance(built, Exception):
+            raise built
+        report, objective, constraint = built()
     except Exception as exc:  # record the failure, keep the run going
         sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
         return {**row, **ERROR_FIELDS}
@@ -389,15 +409,15 @@ def _run_cell(cfg: ExperimentConfig, cell: SolverCell, variant: dict, seed: int,
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
-                   unsafe_stepsize: bool = False) -> int:
+                   unsafe_stepsize: bool = False, runs: Optional[list[tuple]] = None) -> int:
     """Execute every (solver cell, variant, seed) and write report.csv and
-    summary.md under out_dir.  Returns the process exit code."""
+    summary.md under out_dir.  ``runs`` is the grid's ``_build_runs``, built
+    here when absent; each thunk runs once.  Returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [_run_cell(cfg, cell, variant, seed, unsafe_stepsize)
-            for cell in cfg.cells
-            for variant in cfg.variants()
-            for seed in cfg.seeds]
+    if runs is None:
+        runs = _build_runs(cfg, unsafe_stepsize)
+    rows = [_run_cell(*run) for run in runs]
 
     csv_path = out / "report.csv"
     with csv_path.open("w", newline="") as fh:
@@ -558,8 +578,8 @@ def main(argv=None) -> int:
         diags = [str(exc)]
     except ValueError as exc:
         diags = [f"seed override: {exc}"]
-    else:  # checked on the seeds the run executes
-        diags = check_config(cfg, args.unsafe_stepsize)
+    else:  # checked on the seeds the run executes, whose solves it builds
+        diags, runs = _check_and_build(cfg, args.unsafe_stepsize)
     if diags:
         for d in diags:
             print(f"invalid: {d}", file=sys.stderr)
@@ -571,10 +591,10 @@ def main(argv=None) -> int:
         return 0
     if args.command == "run":
         out = Path(args.out)
-        code = run_experiment(cfg, out, unsafe_stepsize=args.unsafe_stepsize)
+        code = run_experiment(cfg, out, unsafe_stepsize=args.unsafe_stepsize, runs=runs)
         print(f"wrote {out / 'report.csv'} and {out / 'summary.md'}")
         return code
-    code = run_experiment(cfg, out)
+    code = run_experiment(cfg, out, runs=runs)
     print(f"demo '{args.kind}' wrote {out / 'report.csv'} and {out / 'summary.md'}")
     return code
 

@@ -229,18 +229,20 @@ class _Counters:
         self.oracles = {"b1": [], "b2": [], "res": [], "proj": []}
         self.backtracks = 0
 
-    def count(self, name: str, fn: Callable) -> Callable:
-        """``fn`` wrapped so that each call is counted under ``name``.
+    def count(self, name: str, fn: Callable, weight: int = 1) -> Callable:
+        """``fn`` wrapped so that each call is counted under ``name`` as
+        ``weight`` oracle calls (a call that evaluates ``weight`` oracles at
+        once, as one array operation, counts as that many).
 
         An ``lru_cache`` of size 0 stores nothing and hashes no argument: it
         calls ``fn`` every time and counts the calls, as misses, in C, which
         costs the hot oracles about half of what a Python wrapper would."""
         counted = functools.lru_cache(maxsize=0)(fn)
-        self.oracles[name].append(counted)
+        self.oracles[name].append((counted, weight))
         return counted
 
     def calls(self, name: str) -> int:
-        return sum(fn.cache_info().misses for fn in self.oracles[name])
+        return sum(fn.cache_info().misses * weight for fn, weight in self.oracles[name])
 
     def wrap(self, op, attr: str, name: str):
         """Copy of the oracle carrier ``op`` whose ``attr`` oracle counts its

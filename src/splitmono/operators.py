@@ -470,8 +470,16 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
 # scalar prox oracles used by the ERM experiments -----------------------------
 
 
+def _finite_label(b: float, kind: str) -> None:
+    """Reject a NaN or infinite label, which the prox would turn into NaN
+    or silently ignore."""
+    if not math.isfinite(b):
+        raise ValueError(f"{kind} label must be finite, got {b!r}")
+
+
 def prox_abs_deviation(b: float) -> Callable[[float, float], float]:
-    """Prox of t -> |t - b| (soft threshold shifted to b)."""
+    """Prox of t -> |t - b| (soft threshold shifted to b) for a finite b."""
+    _finite_label(b, "absolute-deviation")
 
     def prox(gamma, t):
         d = t - b
@@ -481,7 +489,9 @@ def prox_abs_deviation(b: float) -> Callable[[float, float], float]:
 
 
 def prox_hinge(b: float) -> Callable[[float, float], float]:
-    """Prox of the hinge loss t -> max(0, 1 - b t) for a nonzero label b."""
+    """Prox of the hinge loss t -> max(0, 1 - b t) for a finite, nonzero
+    label b."""
+    _finite_label(b, "hinge")
     if b == 0.0:
         raise ValueError("hinge label must be nonzero")
 
@@ -500,7 +510,11 @@ def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") 
     """Wrap a scalar prox oracle as a 1-D MaximalMonotone.
 
     A 1-element vector, the input of every per-sample dual resolvent, takes
-    a fast path that returns the same bits as the general one."""
+    a fast path that returns the same bits as the general one.  When
+    ``prox`` is a ``prox_hinge`` or ``prox_abs_deviation`` prox, a solver
+    can run many such resolvents as one array call
+    (``stacked_scalar_resolvent``); a wrapped resolvent or prox is never
+    recognised, so its wrapper always runs."""
 
     def res(gamma, y):
         if type(y) is np.ndarray and y.shape == (1,):
@@ -509,3 +523,63 @@ def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") 
         return np.array([prox(gamma, float(t)) for t in y])
 
     return MaximalMonotone(resolvent=res, tag=tag)
+
+
+def _hinge_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``prox_hinge``'s arithmetic, entry by entry, for labels b and steps gamma."""
+    gb, inv_b = gamma * b, 1.0 / b
+
+    def prox(t):
+        cand = t + gb
+        return np.where(b * cand < 1.0, cand, np.where(b * t > 1.0, t, inv_b))
+
+    return prox
+
+
+def _abs_deviation_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``prox_abs_deviation``'s arithmetic, entry by entry, for centers b and
+    steps gamma: ``np.maximum`` keeps a NaN as ``max(nan, 0.0)`` does."""
+
+    def prox(t):
+        d = t - b
+        return b + np.copysign(np.maximum(np.abs(d) - gamma, 0.0), d)
+
+    return prox
+
+
+def _nonlocal(fn: Callable, name: str):
+    """The value of the closure variable ``name`` of the function ``fn``."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+# Functions are recognised by their code object, which a wrapper (a call
+# counter, a tracer, ``functools.wraps``, ``lru_cache``) never shares: a
+# wrapped oracle is not recognised, so its wrapper is never bypassed.  A
+# marker attribute would not do, as ``functools.wraps`` copies ``__dict__``.
+_SCALAR_RESOLVENT = scalar_monotone(abs).resolvent.__code__
+_ARRAY_FORMS = {prox_hinge(1.0).__code__: _hinge_array,
+                prox_abs_deviation(0.0).__code__: _abs_deviation_array}
+
+
+def stacked_scalar_resolvent(resolvents, gammas) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """One array call ``res(ys)`` whose entry i has the bits of
+    ``resolvents[i](gammas[i], ys[i:i + 1])``, or None.
+
+    It exists when every resolvent is ``scalar_monotone``'s own, unwrapped,
+    around an unwrapped prox of one family with an array form
+    (``prox_hinge`` or ``prox_abs_deviation``): the array form runs that
+    prox's arithmetic elementwise.  Anything else, a mix of the two families
+    included, gives None and is left to one call per resolvent."""
+    form, labels = None, []
+    for res in resolvents:
+        if getattr(res, "__code__", None) is not _SCALAR_RESOLVENT:
+            return None
+        prox = _nonlocal(res, "prox")
+        this = _ARRAY_FORMS.get(getattr(prox, "__code__", None))
+        if this is None or form not in (None, this):
+            return None
+        form = this
+        labels.append(_nonlocal(prox, "b"))
+    if form is None:
+        return None
+    return form(np.array(labels, dtype=float), np.asarray(gammas, dtype=float))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .linalg import (BlockLayout, as_matrix, as_vector, at_most, operator_norm,
                      strictly_below, symmetric_min_eig)
-from .operators import CocoerciveMap, MaximalMonotone, MonotoneMap
+from .operators import (CocoerciveMap, MaximalMonotone, MonotoneMap,
+                        stacked_scalar_resolvent)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
                    _default_start, _run, half_inverse, metric_violation)
 
@@ -323,6 +324,19 @@ def _counted(pdp: PrimalDualProblem, counters: _Counters) -> PrimalDualProblem:
                                 for blk in pdp.blocks))
 
 
+def _stacked_duals(pdp: PrimalDualProblem, counters: _Counters,
+                   sig: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """``ws -> (J_{B_i/sigma_i}(ws_i))_i`` over the stacked rows as one array
+    call, counted as m resolvent calls, when every dual block is 1-D and
+    ``stacked_scalar_resolvent`` recognises its resolvent; None otherwise.
+    It reads the blocks as given, before ``_counted`` wraps them, so a block
+    that its caller wrapped (a tracer, a counter) keeps its own call."""
+    if any(blk.dim != 1 for blk in pdp.blocks):
+        return None
+    stacked = stacked_scalar_resolvent([blk.B.resolvent for blk in pdp.blocks], 1.0 / sig)
+    return None if stacked is None else counters.count("res", stacked, weight=pdp.m)
+
+
 def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                            lam: Optional[float], cfg: SolveConfig,
                            start=None) -> SolveReport:
@@ -340,7 +354,15 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     Moreau identity J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma)
     runs once over the stacked rows: ``w / sigma`` before the pass,
     ``w - sigma p`` after it, elementwise the same bits as
-    ``DualBlock.dual_resolvent`` per block."""
+    ``DualBlock.dual_resolvent`` per block.
+
+    Without nonzero interior blocks no dual reads another's fresh value, so
+    the pass is a Jacobi pass.  When, moreover, every dual block is a 1-D
+    ``scalar_monotone`` around a ``prox_hinge`` or ``prox_abs_deviation``
+    prox (one family for all blocks; see ``_stacked_duals``), the pass is one
+    array call over the stacked rows, with the same bits and counts as the
+    per-block calls.  A block whose resolvent or prox is wrapped (a tracer,
+    a counter, ``functools.wraps``) makes the pass run block by block."""
     if bp.m != pdp.m:
         raise ConfigurationError("preconditioner block count does not match the problem")
     check = check_pd_conditions(bp, [blk.L for blk in pdp.blocks],
@@ -360,6 +382,8 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                  if (P := bp.block(i, j)) is not None and np.any(P)]
                 for i in range(1, pdp.m + 1)]
     counters = _Counters()
+    stacked = None if any(interior) else _stacked_duals(pdp, counters, sig)
+    no_interior = np.zeros(len(sig))
     pdp = _counted(pdp, counters)
     C1, C2 = pdp.C1, pdp.C2
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
@@ -382,15 +406,18 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
             t[sl] -= D_inv(u[sl])
         w = u + sig * t
         ws = w / sig
-        p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
-        q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
-        for sl, s, inv_s, resolvent, row in sweep:
-            if row:
-                # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
-                q[sl] = sum(P.dot(u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
-                w[sl] += s * q[sl]
-                ws[sl] = w[sl] / s
-            p[sl] = resolvent(inv_s, ws[sl])
+        if stacked is not None:
+            p, q = stacked(ws), no_interior
+        else:
+            p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
+            q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
+            for sl, s, inv_s, resolvent, row in sweep:
+                if row:
+                    # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
+                    q[sl] = sum(P.dot(u[slj] - (w[slj] - sig[slj] * p[slj])) for slj, P in row)
+                    w[sl] += s * q[sl]
+                    ws[sl] = w[sl] / s
+                p[sl] = resolvent(inv_s, ws[sl])
         v = w - sig * p
 
         new_z = np.empty_like(zvec)
@@ -446,11 +473,15 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
     An iteration is one ``K.T.dot`` and one ``K.dot`` on the problem's
     stacked layout, then one counted resolvent call per block, with the
     Moreau identity over the stacked rows as in ``solve_block_triangular``.
+    The dual pass is always a Jacobi pass, so when every block is a
+    recognised scalar prox it is one array call, as there; a wrapped block
+    makes it run block by block.
     """
     sig_blocks = check_condat_vu(pdp, tau, sigmas)
     layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
     sig = np.repeat(sig_blocks, [blk.dim for blk in pdp.blocks])
     counters = _Counters()
+    stacked = _stacked_duals(pdp, counters, sig)
     pdp = _counted(pdp, counters)
     C1 = pdp.C1
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
@@ -468,9 +499,12 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         t -= r
         w = u + sig * t
         ws = w / sig
-        p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
-        for sl, inv_s, resolvent in duals:
-            p[sl] = resolvent(inv_s, ws[sl])
+        if stacked is not None:
+            p = stacked(ws)
+        else:
+            p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
+            for sl, inv_s, resolvent in duals:
+                p[sl] = resolvent(inv_s, ws[sl])
         return np.concatenate([new_x, w - sig * p]), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)

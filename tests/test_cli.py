@@ -403,10 +403,26 @@ tau = 5.0
         path = write(tmp_path, LIN_INEQ_SMALL)
         assert main(["run", str(path), "--out", str(tmp_path / "out"),
                      "--seeds", "3,4"]) == 0
-        # every triple is built once to validate it, then once to run it
-        assert len(built) == 8
-        assert built[:4] == built[4:]
+        # every triple is built once, to validate it; the run reuses the build
+        assert len(built) == 4 == len(set(built))
         assert {seed for *_, seed in built} == {3, 4}
+
+    def test_demo_builds_each_instance_once(self, tmp_path, monkeypatch):
+        # the check builds every (cell, seed) instance and the run solves
+        # those builds: 3 cells x 2 seeds, not twice that
+        calls = []
+        gen = cli.applications.gen_lin_ineq_qp
+        monkeypatch.setattr(cli.applications, "gen_lin_ineq_qp",
+                            lambda *args: calls.append(args) or gen(*args))
+        monkeypatch.setitem(DEMO_CONFIGS, "lin-ineq", DEMO_CONFIGS["lin-ineq"].replace(
+            "max_iterations = 100000", "max_iterations = 3"))
+        out = tmp_path / "demo"
+        assert main(["demo", "lin-ineq", "--out", str(out)]) == 0
+        assert sorted(calls) == [(200, 20, 0)] * 3 + [(200, 20, 1)] * 3
+        with (out / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_COLUMNS and len(rows) == 7
+        assert all(len(row) == 12 for row in rows)
 
 
 class TestMain:

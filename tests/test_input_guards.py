@@ -1,6 +1,6 @@
-"""Every step, relaxation and metric parameter of the public entry points
-rejects NaN, +inf and -inf with a ValueError (ConfigurationError is one)
-before any iteration.  A guard written ``x <= 0`` lets NaN through, so a new
+"""Every step, relaxation and metric parameter of the public entry points,
+and every label of a scalar prox, rejects NaN, +inf and -inf with a
+ValueError (ConfigurationError is one) before any iteration.  A guard written ``x <= 0`` lets NaN through, so a new
 one fails here.  The solves below run on oracles that fail the test when
 called, so a value that slipped past its check cannot pass as a run."""
 
@@ -13,7 +13,8 @@ from splitmono import distributed
 from splitmono.applications import check_erm_steps, erm_uniform_sigma_bound, gen_erm_hinge
 from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig, check_step, fbhf_step,
                             phi_z_profile)
-from splitmono.operators import ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec
+from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec,
+                                 prox_abs_deviation, prox_hinge)
 from splitmono.precond import MetricSchedule, Preconditioner, solve_variable_metric
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
                                    PrimalDualProblem, check_condat_vu, solve_corollary)
@@ -79,6 +80,16 @@ ENTRY_POINTS = {
 def test_non_finite_parameter_rejected_before_iterating(entry, value):
     with pytest.raises(ValueError):
         ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("make", [prox_hinge, prox_abs_deviation],
+                         ids=["prox_hinge", "prox_abs_deviation"])
+def test_non_finite_prox_label_rejected(make, value):
+    # a NaN label made the prox return NaN, an infinite one ignored the label
+    with pytest.raises(ValueError, match="label must be finite"):
+        make(value)
 
 
 COUNTS = {

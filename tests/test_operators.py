@@ -1,3 +1,5 @@
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,8 @@ from splitmono.operators import (ClosedConvexSet, DomainError, MaximalMonotone,
                                  MonotoneMap, affine_constraints, entropy_constraint,
                                  lagrangian_saddle_map, nonneg_cone, normal_cone_box,
                                  prox_abs_deviation, prox_hinge,
-                                 quadratic_gradient, scalar_monotone)
+                                 quadratic_gradient, scalar_monotone,
+                                 stacked_scalar_resolvent)
 
 
 def central_diff(f, x, h=1e-6):
@@ -491,3 +494,50 @@ class TestScalarProxes:
             assert got.dtype == want.dtype == np.float64
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+class TestStackedScalarResolvent:
+    """One array call over scalar resolvents gives each entry the bits of its
+    own resolvent, on the kinks and on non-finite inputs too."""
+
+    LABELS = {"hinge": [1.0, -1.0, 2.5, -0.3], "abs-deviation": [0.0, -1.5, 0.7, 3.0]}
+    FAMILIES = {"hinge": prox_hinge, "abs-deviation": prox_abs_deviation}
+
+    def entries(self, family):
+        rng = np.random.default_rng(11)
+        labels, gammas, ys = [], [], []
+        specials = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, math.inf, -math.inf, math.nan]
+        for b in self.LABELS[family]:
+            for gamma in (0.1, 10.0, float(rng.uniform(0.01, 5.0))):
+                kinks = [1.0 / b, 1.0 / b - gamma * b] if family == "hinge" else \
+                    [b, b + gamma, b - gamma]
+                for t in specials + kinks + list(rng.uniform(-4.0, 4.0, 6)):
+                    labels.append(b)
+                    gammas.append(gamma)
+                    ys.append(t)
+        return labels, np.array(gammas), np.array(ys)
+
+    @pytest.mark.parametrize("family", ["hinge", "abs-deviation"])
+    def test_matches_one_call_per_entry(self, family):
+        labels, gammas, ys = self.entries(family)
+        make = self.FAMILIES[family]
+        resolvents = [scalar_monotone(make(b)).resolvent for b in labels]
+        stacked = stacked_scalar_resolvent(resolvents, gammas)
+        assert stacked is not None
+        want = np.concatenate([res(float(g), ys[i:i + 1])
+                               for i, (res, g) in enumerate(zip(resolvents, gammas))])
+        assert stacked(ys).tobytes() == want.tobytes()
+
+    def test_unrecognised_resolvents_give_none(self):
+        hinge = scalar_monotone(prox_hinge(1.0)).resolvent
+        dev = scalar_monotone(prox_abs_deviation(0.5)).resolvent
+        prox = prox_hinge(-1.0)
+        gammas = np.ones(2)
+        assert stacked_scalar_resolvent([hinge, hinge], gammas) is not None
+        for other in (lambda g, y: hinge(g, y), functools.wraps(hinge)(lambda g, y: y),
+                      functools.lru_cache(maxsize=0)(hinge), dev,
+                      scalar_monotone(lambda g, t: prox(g, t)).resolvent,
+                      scalar_monotone(functools.wraps(prox)(lambda g, t: t)).resolvent,
+                      nonneg_cone(1).resolvent, functools.partial(hinge)):
+            assert stacked_scalar_resolvent([hinge, other], gammas) is None
+        assert stacked_scalar_resolvent([], np.ones(0)) is None
+

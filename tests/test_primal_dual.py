@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -7,9 +8,11 @@ import pytest
 from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
                             _default_start, _run, metric_violation)
 from splitmono.linalg import symmetric_min_eig
-from splitmono.applications import gen_erm_hinge
+from splitmono import primal_dual
+from splitmono.applications import ErmProblem, gen_erm_hinge
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
-                                 MonotoneMap, quadratic_gradient)
+                                 MonotoneMap, prox_abs_deviation, prox_hinge,
+                                 quadratic_gradient, scalar_monotone)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
                                    build_upsilon_sigma_delta,
@@ -689,3 +692,188 @@ class TestKktResidual:
                     [us[0], us[1], np.ones(2)], [us[0][:2], us[1], us[2]]):
             with pytest.raises(ValueError, match="one dual vector per block"):
                 kkt_residual(pdp, x, bad)
+
+
+# ---------------------------------------------------------------------------
+# the stacked Jacobi pass over scalar prox blocks
+
+
+def wrapped(pdp, wrap, which=None):
+    """``pdp`` with the dual resolvent of each block in ``which`` (every
+    block when None) replaced by ``wrap(resolvent)``."""
+    return replace(pdp, blocks=tuple(
+        replace(blk, B=replace(blk.B, resolvent=wrap(blk.B.resolvent)))
+        if which is None or i in which else blk
+        for i, blk in enumerate(pdp.blocks)))
+
+
+def closure(resolvent):
+    return lambda gamma, y: resolvent(gamma, y)
+
+
+def looped(pdp):
+    """``pdp`` with every dual resolvent behind a plain closure, which the
+    stacked pass does not recognise: the per-block reference."""
+    return wrapped(pdp, closure)
+
+
+def abs_deviation_erm(d=3, m=8, seed=2):
+    """ERM with absolute-deviation losses |a_i^T x - b_i|."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, d))
+    b = rng.standard_normal(m)
+    return ErmProblem(a=a, proxes=tuple(prox_abs_deviation(float(bi)) for bi in b),
+                      values=tuple((lambda t, bi=float(bi): abs(t - bi)) for bi in b))
+
+
+def mixed_erm(d=3, m=6, seed=4):
+    """ERM whose samples alternate hinge and absolute-deviation losses."""
+    prob = abs_deviation_erm(d, m, seed)
+    proxes = tuple(prox_hinge(1.0) if i % 2 else prox for i, prox in enumerate(prob.proxes))
+    return replace(prob, proxes=proxes)
+
+
+def corollary(pdp, cfg, seed=0):
+    m = pdp.m
+    start = np.random.default_rng(seed).standard_normal(pdp.layout.dim)
+    return solve_corollary(pdp, CorollaryParams(theta=1.0, sigmas=(0.1,) * (m + 1)),
+                           cfg, start)
+
+
+def condat_vu(pdp, cfg, seed=0):
+    sigmas = [0.05 * (1 + i % 3) for i in range(pdp.m)]
+    tau = 0.9 / sum(s * n * n for s, n in zip(sigmas, pdp.norms_L()))
+    start = np.random.default_rng(seed).standard_normal(pdp.layout.dim)
+    return solve_condat_vu(pdp, tau, sigmas, cfg, start)
+
+
+def interior(pdp, cfg, seed=0):
+    """The corollary pattern plus one nonzero interior block P_21."""
+    m = pdp.m
+    bp = BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
+    bp = replace(bp, off_diag={**bp.off_diag, (2, 1): np.array([[0.05]])})
+    start = np.random.default_rng(seed).standard_normal(pdp.layout.dim)
+    return solve_block_triangular(pdp, bp, None, cfg, start)
+
+
+def assert_same_run(r, ref):
+    assert (r.iterations, r.reason, r.b1_evals, r.b2_evals, r.resolvent_evals,
+            r.projections, r.backtracks) == \
+        (ref.iterations, ref.reason, ref.b1_evals, ref.b2_evals, ref.resolvent_evals,
+         ref.projections, ref.backtracks)
+    assert r.z.tobytes() == ref.z.tobytes()
+    assert len(r.iterates) == len(ref.iterates)
+    for a, b in zip(r.iterates, ref.iterates):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def stacked_passes(monkeypatch):
+    """Whether each solve's dual pass was stacked, in solve order."""
+    seen = []
+    real = primal_dual._stacked_duals
+
+    def spy(*args):
+        stacked = real(*args)
+        seen.append(stacked is not None)
+        return stacked
+
+    monkeypatch.setattr(primal_dual, "_stacked_duals", spy)
+    return seen
+
+
+TO_TOLERANCE = SolveConfig(max_iterations=150_000, tolerance=1e-5, keep_iterates=True)
+CAPPED = SolveConfig(max_iterations=2_000, tolerance=1e-300, keep_iterates=True)
+
+
+class TestStackedDualPass:
+    @pytest.mark.parametrize("make, solve, cfg", [
+        (lambda: gen_erm_hinge(6, 15, 0), corollary, TO_TOLERANCE),
+        # criterion 11's instance, whose run to tolerance takes 17,106 iterations
+        (lambda: gen_erm_hinge(20, 50, 3), corollary, CAPPED),
+        (abs_deviation_erm, corollary, TO_TOLERANCE),
+        (lambda: gen_erm_hinge(6, 15, 0), condat_vu, TO_TOLERANCE),
+        (abs_deviation_erm, condat_vu, CAPPED),
+    ], ids=["erm-6-15", "erm-20-50-3", "abs-deviation", "condat-vu-erm",
+            "condat-vu-abs-deviation"])
+    def test_same_run_as_the_per_block_pass(self, make, solve, cfg, stacked_passes):
+        pdp = make().as_primal_dual()
+        r, ref = solve(pdp, cfg), solve(looped(pdp), cfg)
+        assert stacked_passes == [True, False]
+        assert_same_run(r, ref)
+        assert r.reason == ("tolerance" if cfg is TO_TOLERANCE else "max_iter")
+        # the stacked call counts as one resolvent call per block
+        assert r.resolvent_evals == r.iterations * (pdp.m + 1)
+
+    @pytest.mark.parametrize("wrap", [
+        closure,
+        lambda res: functools.wraps(res)(lambda gamma, y: res(gamma, y)),
+        lambda res: functools.lru_cache(maxsize=0)(res),
+    ], ids=["closure", "functools.wraps", "lru_cache"])
+    @pytest.mark.parametrize("solve", [corollary, condat_vu])
+    def test_a_wrapped_block_takes_the_per_block_pass(self, wrap, solve, stacked_passes):
+        pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
+        calls = []
+
+        def counting(res):
+            inner = wrap(res)
+            return lambda gamma, y: calls.append(1) or inner(gamma, y)
+
+        r = solve(wrapped(pdp, counting, which={7}), CAPPED)
+        ref = solve(looped(pdp), CAPPED)
+        assert stacked_passes == [False, False]
+        assert len(calls) == r.iterations
+        assert_same_run(r, ref)
+
+    def test_a_wrapper_that_copies_a_marker_is_not_bypassed(self, stacked_passes):
+        # functools.wraps copies the wrapped function's __dict__, so a marker
+        # attribute would survive the wrapping; recognition goes by identity
+        pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
+        res = pdp.blocks[3].B.resolvent
+        res.marker = "scalar"
+        calls = []
+
+        @functools.wraps(res)
+        def counting(gamma, y):
+            calls.append(1)
+            return res(gamma, y)
+
+        assert counting.marker == "scalar"
+        r = corollary(wrapped(pdp, lambda res: counting, which={3}), CAPPED)
+        assert stacked_passes == [False]
+        assert len(calls) == r.iterations
+
+    def test_a_wrapped_prox_takes_the_per_block_pass(self, stacked_passes):
+        prob = gen_erm_hinge(6, 15, 0)
+        proxes = list(prob.proxes)
+        proxes[2] = functools.wraps(proxes[2])(lambda gamma, t, f=proxes[2]: f(gamma, t))
+        pdp = replace(prob, proxes=tuple(proxes)).as_primal_dual()
+        r, ref = corollary(pdp, CAPPED), corollary(looped(prob.as_primal_dual()), CAPPED)
+        assert stacked_passes == [False, False]
+        assert_same_run(r, ref)
+
+    @pytest.mark.parametrize("solve", [corollary, condat_vu])
+    def test_mixed_prox_families_take_the_per_block_pass(self, solve, stacked_passes):
+        pdp = mixed_erm().as_primal_dual()
+        r, ref = solve(pdp, CAPPED), solve(looped(pdp), CAPPED)
+        assert stacked_passes == [False, False]
+        assert_same_run(r, ref)
+
+    def test_an_interior_block_takes_the_per_block_pass(self, stacked_passes):
+        pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
+        r, ref = interior(pdp, CAPPED), interior(looped(pdp), CAPPED)
+        # the pattern never asked for the stacked pass
+        assert stacked_passes == []
+        assert_same_run(r, ref)
+        # and P_21 acts: without it the run differs
+        plain = corollary(pdp, CAPPED)
+        assert plain.z.tobytes() != r.z.tobytes()
+
+    def test_a_block_of_several_rows_takes_the_per_block_pass(self, stacked_passes):
+        prob = abs_deviation_erm()
+        pdp = prob.as_primal_dual()
+        blocks = (replace(pdp.blocks[0], L=prob.a[:2]),) + pdp.blocks[2:]
+        pdp = replace(pdp, blocks=blocks)
+        r, ref = corollary(pdp, CAPPED), corollary(looped(pdp), CAPPED)
+        assert stacked_passes == [False, False]
+        assert_same_run(r, ref)
