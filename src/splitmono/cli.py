@@ -22,7 +22,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -202,32 +202,51 @@ def validate_config(path, unsafe_stepsize: bool = False) -> tuple[Optional[Exper
 
 def check_config(cfg: ExperimentConfig, unsafe: bool = False) -> list[str]:
     """The diagnostics of a loaded config: each (solver cell, variant, seed)
-    is built as a run builds it, so it fails here exactly when it would there."""
-    return _check_and_build(cfg, unsafe)[0]
-
-
-def _build_runs(cfg: ExperimentConfig, unsafe: bool) -> list[tuple]:
-    """Every (solver cell, variant, seed) of the grid in report order, as
-    ``(cell, params, seed, built)``: ``built`` is the cell builder's thunk,
-    or the exception the build raised."""
-    runs = []
-    for cell in cfg.cells:
-        for variant in cfg.variants():
-            params = {**cell.params, **variant}
-            for seed in cfg.seeds:
-                try:
-                    built = RUNNERS[cfg.kind](cfg, cell.algorithm, params, seed, unsafe)
-                except Exception as exc:  # the failure a run records as an error row
-                    built = exc
-                runs.append((cell, params, seed, built))
-    return runs
-
-
-def _check_and_build(cfg: ExperimentConfig,
-                     unsafe: bool) -> tuple[list[str], Optional[list[tuple]]]:
-    """``check_config``'s diagnostics, with the ``_build_runs`` they came from
-    (None when the config failed before any cell was built)."""
+    is built as a run builds it, so it fails here exactly when it would there.
+    Each instance is dropped once checked."""
     diags: list[str] = []
+    for _ in _checked_runs(cfg, unsafe, diags):
+        pass
+    return diags
+
+
+class _Failure(NamedTuple):
+    """A raised exception as the text an error row reports, without the
+    traceback that would keep the failed build's frames alive."""
+    kind: str
+    message: str
+
+    @classmethod
+    def of(cls, exc: Exception) -> "_Failure":
+        return cls(type(exc).__name__, str(exc))
+
+
+def _cell_runs(cfg: ExperimentConfig, cell: SolverCell, unsafe: bool) -> Iterator[tuple]:
+    """Each (variant, seed) of one solver cell in report order, built as
+    ``(cell, params, seed, built)``: ``built`` is the cell builder's thunk,
+    or the ``_Failure`` of its build."""
+    for variant in cfg.variants():
+        params = {**cell.params, **variant}
+        for seed in cfg.seeds:
+            try:
+                built = RUNNERS[cfg.kind](cfg, cell.algorithm, params, seed, unsafe)
+            except Exception as exc:  # the failure a run records as an error row
+                built = _Failure.of(exc)
+            yield cell, params, seed, built
+
+
+def _build_runs(cfg: ExperimentConfig, unsafe: bool) -> Iterator[tuple]:
+    """``_cell_runs`` of every solver cell, one instance at a time."""
+    for cell in cfg.cells:
+        yield from _cell_runs(cfg, cell, unsafe)
+
+
+def _checked_runs(cfg: ExperimentConfig, unsafe: bool,
+                  diags: list[str]) -> Iterator[tuple]:
+    """The ``_build_runs`` entries that ``check_config`` checks, one at a
+    time, appending its diagnostics to ``diags``.  Nothing is built when the
+    config fails before its cells, nor for a cell whose algorithm does not
+    fit the kind."""
     if not cfg.seeds:
         diags.append("seeds list is empty")
     if cfg.kind == "entropy" and not cfg.dims["r_fractions"]:
@@ -244,20 +263,21 @@ def _check_and_build(cfg: ExperimentConfig,
     if cfg.kind == "distributed" and cfg.dims["graphs"] not in ("fixed", "alternating", "random"):
         diags.append(f"graphs must be fixed | alternating | random (got {cfg.dims['graphs']})")
     if diags:
-        return diags, None
+        return
 
     allowed = ALGORITHMS_BY_KIND[cfg.kind]
-    runs = _build_runs(cfg, unsafe)
     for cell in cfg.cells:
         where = f"solver cell '{cell.name}'"
         if cell.algorithm not in allowed:
             diags.append(f"{where}: algorithm '{cell.algorithm}' is not usable for "
                          f"kind '{cfg.kind}' (allowed: {', '.join(allowed)})")
             continue
-        diags += [f"{where} {json.dumps(params, sort_keys=True)}, seed {seed}: {built}"
-                  for c, params, seed, built in runs
-                  if c is cell and isinstance(built, Exception)]
-    return diags, runs
+        for run in _cell_runs(cfg, cell, unsafe):
+            _, params, seed, built = run
+            if isinstance(built, _Failure):
+                diags.append(f"{where} {json.dumps(params, sort_keys=True)}, "
+                             f"seed {seed}: {built.message}")
+            yield run
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +409,14 @@ def _run_cell(cell: SolverCell, params: dict, seed: int, built) -> dict:
     params-json and seed."""
     row = {"solver": cell.name, "params-json": json.dumps(params, sort_keys=True),
            "seed": seed}
-    try:
-        if isinstance(built, Exception):
-            raise built
-        report, objective, constraint = built()
-    except Exception as exc:  # record the failure, keep the run going
-        sys.stderr.write(f"{cell.name}, {seed}, {type(exc).__name__}: {exc}\n")
+    failure = built if isinstance(built, _Failure) else None
+    if failure is None:
+        try:
+            report, objective, constraint = built()
+        except Exception as exc:  # record the failure, keep the run going
+            failure = _Failure.of(exc)
+    if failure is not None:
+        sys.stderr.write(f"{cell.name}, {seed}, {failure.kind}: {failure.message}\n")
         return {**row, **ERROR_FIELDS}
     return {**row, "objective": _fmt(objective), "max-constraint": _fmt(constraint),
             "iterations": report.iterations,
@@ -409,14 +431,18 @@ def _run_cell(cell: SolverCell, params: dict, seed: int, built) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
-                   unsafe_stepsize: bool = False, runs: Optional[list[tuple]] = None) -> int:
-    """Execute every (solver cell, variant, seed) and write report.csv and
-    summary.md under out_dir.  ``runs`` is the grid's ``_build_runs``, built
-    here when absent; each thunk runs once.  Returns the process exit code."""
+                   unsafe_stepsize: bool = False) -> int:
+    """Execute every (solver cell, variant, seed), building one instance at
+    a time, and write report.csv and summary.md under out_dir.  Returns the
+    process exit code."""
+    return _write_runs(_build_runs(cfg, unsafe_stepsize), out_dir)
+
+
+def _write_runs(runs: Iterable[tuple], out_dir) -> int:
+    """Solve each ``_build_runs`` entry once, in order, and write report.csv
+    and summary.md under out_dir.  Returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if runs is None:
-        runs = _build_runs(cfg, unsafe_stepsize)
     rows = [_run_cell(*run) for run in runs]
 
     csv_path = out / "report.csv"
@@ -578,8 +604,12 @@ def main(argv=None) -> int:
         diags = [str(exc)]
     except ValueError as exc:
         diags = [f"seed override: {exc}"]
-    else:  # checked on the seeds the run executes, whose solves it builds
-        diags, runs = _check_and_build(cfg, args.unsafe_stepsize)
+    else:  # checked on the seeds the run executes
+        if args.command == "validate":
+            diags = check_config(cfg, args.unsafe_stepsize)
+        else:  # the run solves the instances its check built
+            diags = []
+            runs = list(_checked_runs(cfg, args.unsafe_stepsize, diags))
     if diags:
         for d in diags:
             print(f"invalid: {d}", file=sys.stderr)
@@ -591,10 +621,10 @@ def main(argv=None) -> int:
         return 0
     if args.command == "run":
         out = Path(args.out)
-        code = run_experiment(cfg, out, unsafe_stepsize=args.unsafe_stepsize, runs=runs)
+        code = _write_runs(runs, out)
         print(f"wrote {out / 'report.csv'} and {out / 'summary.md'}")
         return code
-    code = run_experiment(cfg, out, runs=runs)
+    code = _write_runs(runs, out)
     print(f"demo '{args.kind}' wrote {out / 'report.csv'} and {out / 'summary.md'}")
     return code
 

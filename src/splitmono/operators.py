@@ -470,16 +470,19 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
 # scalar prox oracles used by the ERM experiments -----------------------------
 
 
-def _finite_label(b: float, kind: str) -> None:
-    """Reject a NaN or infinite label, which the prox would turn into NaN
-    or silently ignore."""
+def _finite_label(b: float, kind: str) -> float:
+    """``b`` as a Python float, rejecting a NaN or infinite label, which the
+    prox would turn into NaN or silently ignore.  A float32 label would make
+    the prox compute in float32; as a float it computes in float64, as the
+    array form in ``stacked_scalar_resolvent`` does."""
     if not math.isfinite(b):
         raise ValueError(f"{kind} label must be finite, got {b!r}")
+    return float(b)
 
 
 def prox_abs_deviation(b: float) -> Callable[[float, float], float]:
     """Prox of t -> |t - b| (soft threshold shifted to b) for a finite b."""
-    _finite_label(b, "absolute-deviation")
+    b = _finite_label(b, "absolute-deviation")
 
     def prox(gamma, t):
         d = t - b
@@ -491,7 +494,7 @@ def prox_abs_deviation(b: float) -> Callable[[float, float], float]:
 def prox_hinge(b: float) -> Callable[[float, float], float]:
     """Prox of the hinge loss t -> max(0, 1 - b t) for a finite, nonzero
     label b."""
-    _finite_label(b, "hinge")
+    b = _finite_label(b, "hinge")
     if b == 0.0:
         raise ValueError("hinge label must be nonzero")
 
@@ -547,9 +550,11 @@ def _abs_deviation_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarr
     return prox
 
 
-def _nonlocal(fn: Callable, name: str):
-    """The value of the closure variable ``name`` of the function ``fn``."""
-    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+def _cell_index(code, name: str) -> int:
+    """Where functions with the code object ``code`` keep their closure
+    variable ``name``.  It is looked up once, on import, so renaming that
+    variable in ``scalar_monotone`` or a prox fails there, not in a solve."""
+    return code.co_freevars.index(name)
 
 
 # Functions are recognised by their code object, which a wrapper (a call
@@ -557,8 +562,11 @@ def _nonlocal(fn: Callable, name: str):
 # wrapped oracle is not recognised, so its wrapper is never bypassed.  A
 # marker attribute would not do, as ``functools.wraps`` copies ``__dict__``.
 _SCALAR_RESOLVENT = scalar_monotone(abs).resolvent.__code__
-_ARRAY_FORMS = {prox_hinge(1.0).__code__: _hinge_array,
-                prox_abs_deviation(0.0).__code__: _abs_deviation_array}
+_PROX_CELL = _cell_index(_SCALAR_RESOLVENT, "prox")
+# prox code object -> (its array form, the closure cell of its label b)
+_ARRAY_FORMS = {code: (form, _cell_index(code, "b")) for code, form in (
+    (prox_hinge(1.0).__code__, _hinge_array),
+    (prox_abs_deviation(0.0).__code__, _abs_deviation_array))}
 
 
 def stacked_scalar_resolvent(resolvents, gammas) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -574,12 +582,12 @@ def stacked_scalar_resolvent(resolvents, gammas) -> Optional[Callable[[np.ndarra
     for res in resolvents:
         if getattr(res, "__code__", None) is not _SCALAR_RESOLVENT:
             return None
-        prox = _nonlocal(res, "prox")
-        this = _ARRAY_FORMS.get(getattr(prox, "__code__", None))
-        if this is None or form not in (None, this):
+        prox = res.__closure__[_PROX_CELL].cell_contents
+        entry = _ARRAY_FORMS.get(getattr(prox, "__code__", None))
+        if entry is None or form not in (None, entry[0]):
             return None
-        form = this
-        labels.append(_nonlocal(prox, "b"))
+        form, label_cell = entry
+        labels.append(prox.__closure__[label_cell].cell_contents)
     if form is None:
         return None
-    return form(np.array(labels, dtype=float), np.asarray(gammas, dtype=float))
+    return form(np.array(labels), np.asarray(gammas, dtype=float))

@@ -473,15 +473,11 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
     An iteration is one ``K.T.dot`` and one ``K.dot`` on the problem's
     stacked layout, then one counted resolvent call per block, with the
     Moreau identity over the stacked rows as in ``solve_block_triangular``.
-    The dual pass is always a Jacobi pass, so when every block is a
-    recognised scalar prox it is one array call, as there; a wrapped block
-    makes it run block by block.
     """
     sig_blocks = check_condat_vu(pdp, tau, sigmas)
     layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
     sig = np.repeat(sig_blocks, [blk.dim for blk in pdp.blocks])
     counters = _Counters()
-    stacked = _stacked_duals(pdp, counters, sig)
     pdp = _counted(pdp, counters)
     C1 = pdp.C1
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
@@ -499,12 +495,9 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
         t -= r
         w = u + sig * t
         ws = w / sig
-        if stacked is not None:
-            p = stacked(ws)
-        else:
-            p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
-            for sl, inv_s, resolvent in duals:
-                p[sl] = resolvent(inv_s, ws[sl])
+        p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
+        for sl, inv_s, resolvent in duals:
+            p[sl] = resolvent(inv_s, ws[sl])
         return np.concatenate([new_x, w - sig * p]), None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)

@@ -407,6 +407,25 @@ tau = 5.0
         assert len(built) == 4 == len(set(built))
         assert {seed for *_, seed in built} == {3, 4}
 
+    def test_run_experiment_builds_one_instance_at_a_time(self, tmp_path, monkeypatch):
+        # without a check before it, each instance is built right before its
+        # solve, so the grid is never held at once
+        events = []
+        build = cli.RUNNERS["lin-ineq"]
+
+        def recording(cfg, algorithm, params, seed, unsafe):
+            events.append(("build", seed))
+            run = build(cfg, algorithm, params, seed, unsafe)
+            return lambda: events.append(("solve", seed)) or run()
+
+        monkeypatch.setitem(cli.RUNNERS, "lin-ineq", recording)
+        cfg, diags = validate_config(write(tmp_path, LIN_INEQ_SMALL))
+        assert not diags
+        events.clear()
+        assert run_experiment(cfg, tmp_path / "out") == 0
+        seeds = [seed for _ in cfg.cells for seed in cfg.seeds]
+        assert events == [(kind, seed) for seed in seeds for kind in ("build", "solve")]
+
     def test_demo_builds_each_instance_once(self, tmp_path, monkeypatch):
         # the check builds every (cell, seed) instance and the run solves
         # those builds: 3 cells x 2 seeds, not twice that

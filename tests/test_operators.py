@@ -495,6 +495,7 @@ class TestScalarProxes:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+
 class TestStackedScalarResolvent:
     """One array call over scalar resolvents gives each entry the bits of its
     own resolvent, on the kinks and on non-finite inputs too."""
@@ -526,6 +527,22 @@ class TestStackedScalarResolvent:
         want = np.concatenate([res(float(g), ys[i:i + 1])
                                for i, (res, g) in enumerate(zip(resolvents, gammas))])
         assert stacked(ys).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["hinge", "abs-deviation"])
+    def test_a_float32_label_computes_in_float64(self, family):
+        # the constructors take the label as a float, so a float32 label
+        # gives the float64 arithmetic of the array form, not float32's
+        labels, gammas, ys = self.entries(family)
+        make = self.FAMILIES[family]
+        narrow = [np.float32(b) for b in labels]
+        resolvents = [scalar_monotone(make(b)).resolvent for b in narrow]
+        wide = [scalar_monotone(make(float(b))).resolvent for b in narrow]
+        per_entry = [np.concatenate([res(float(g), ys[i:i + 1])
+                                     for i, (res, g) in enumerate(zip(these, gammas))])
+                     for these in (resolvents, wide)]
+        assert per_entry[0].tobytes() == per_entry[1].tobytes()
+        assert stacked_scalar_resolvent(resolvents, gammas)(ys).tobytes() == \
+            per_entry[0].tobytes()
 
     def test_unrecognised_resolvents_give_none(self):
         hinge = scalar_monotone(prox_hinge(1.0)).resolvent

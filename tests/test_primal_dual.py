@@ -740,13 +740,6 @@ def corollary(pdp, cfg, seed=0):
                            cfg, start)
 
 
-def condat_vu(pdp, cfg, seed=0):
-    sigmas = [0.05 * (1 + i % 3) for i in range(pdp.m)]
-    tau = 0.9 / sum(s * n * n for s, n in zip(sigmas, pdp.norms_L()))
-    start = np.random.default_rng(seed).standard_normal(pdp.layout.dim)
-    return solve_condat_vu(pdp, tau, sigmas, cfg, start)
-
-
 def interior(pdp, cfg, seed=0):
     """The corollary pattern plus one nonzero interior block P_21."""
     m = pdp.m
@@ -792,10 +785,7 @@ class TestStackedDualPass:
         # criterion 11's instance, whose run to tolerance takes 17,106 iterations
         (lambda: gen_erm_hinge(20, 50, 3), corollary, CAPPED),
         (abs_deviation_erm, corollary, TO_TOLERANCE),
-        (lambda: gen_erm_hinge(6, 15, 0), condat_vu, TO_TOLERANCE),
-        (abs_deviation_erm, condat_vu, CAPPED),
-    ], ids=["erm-6-15", "erm-20-50-3", "abs-deviation", "condat-vu-erm",
-            "condat-vu-abs-deviation"])
+    ], ids=["erm-6-15", "erm-20-50-3", "abs-deviation"])
     def test_same_run_as_the_per_block_pass(self, make, solve, cfg, stacked_passes):
         pdp = make().as_primal_dual()
         r, ref = solve(pdp, cfg), solve(looped(pdp), cfg)
@@ -810,8 +800,7 @@ class TestStackedDualPass:
         lambda res: functools.wraps(res)(lambda gamma, y: res(gamma, y)),
         lambda res: functools.lru_cache(maxsize=0)(res),
     ], ids=["closure", "functools.wraps", "lru_cache"])
-    @pytest.mark.parametrize("solve", [corollary, condat_vu])
-    def test_a_wrapped_block_takes_the_per_block_pass(self, wrap, solve, stacked_passes):
+    def test_a_wrapped_block_takes_the_per_block_pass(self, wrap, stacked_passes):
         pdp = gen_erm_hinge(6, 15, 0).as_primal_dual()
         calls = []
 
@@ -819,8 +808,8 @@ class TestStackedDualPass:
             inner = wrap(res)
             return lambda gamma, y: calls.append(1) or inner(gamma, y)
 
-        r = solve(wrapped(pdp, counting, which={7}), CAPPED)
-        ref = solve(looped(pdp), CAPPED)
+        r = corollary(wrapped(pdp, counting, which={7}), CAPPED)
+        ref = corollary(looped(pdp), CAPPED)
         assert stacked_passes == [False, False]
         assert len(calls) == r.iterations
         assert_same_run(r, ref)
@@ -852,10 +841,9 @@ class TestStackedDualPass:
         assert stacked_passes == [False, False]
         assert_same_run(r, ref)
 
-    @pytest.mark.parametrize("solve", [corollary, condat_vu])
-    def test_mixed_prox_families_take_the_per_block_pass(self, solve, stacked_passes):
+    def test_mixed_prox_families_take_the_per_block_pass(self, stacked_passes):
         pdp = mixed_erm().as_primal_dual()
-        r, ref = solve(pdp, CAPPED), solve(looped(pdp), CAPPED)
+        r, ref = corollary(pdp, CAPPED), corollary(looped(pdp), CAPPED)
         assert stacked_passes == [False, False]
         assert_same_run(r, ref)
 
