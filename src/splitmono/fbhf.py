@@ -416,13 +416,14 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
     search that accepts a candidate pays nothing for this test.
     """
     anchor = _ls_anchor(spec, policy)
+    sigma, theta, resolvent = policy.sigma, policy.theta, spec.A.resolvent
     gamma = anchor
     lhs = rhs = 0.0
     for j in range(1, policy.max_backtracks + 1):
-        gamma = anchor * policy.sigma ** j
-        x = _backward(spec, z, gamma, drift_z)
+        gamma = anchor * sigma ** j
+        x = resolvent(gamma, z if drift_z is None else z - gamma * drift_z)
         cx = check_at(x)
-        rhs = policy.theta * _norm(z - x)
+        rhs = theta * _norm(z - x)
         lhs = 0.0 if cx is None else gamma * _norm(check_z - cx)
         if lhs <= rhs:
             if gamma < 1e-12:
@@ -431,7 +432,7 @@ def _backtrack(spec: ProblemSpec, z: np.ndarray, policy: LineSearch,
             return gamma, x, cx
         # a rejected candidate is a line-search event, not an oracle call
         counters.backtracks += 1
-    if rhs <= policy.theta * FIXED_POINT_ULPS * sys.float_info.epsilon * _norm(z):
+    if rhs <= theta * FIXED_POINT_ULPS * sys.float_info.epsilon * _norm(z):
         # the last candidate is accepted after all, so it was no backtrack
         counters.backtracks -= 1
         return gamma, x, cx
@@ -517,9 +518,15 @@ def solve_tseng_fbf(spec: ProblemSpec, policy: StepPolicy, cfg: SolveConfig,
     z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     spec = _counted(spec, counters)
+    # bound after _counted, so that every call is counted
+    if spec.B1 is not None and spec.B2 is not None:
+        b1, b2 = spec.B1.evaluate, spec.B2.evaluate
 
-    def b_at(w):
-        return _forward(spec, w)[1]
+        def b_at(w):
+            return b1(w) + b2(w)
+    else:
+        def b_at(w):
+            return _forward(spec, w)[1]
 
     def step(k, z):
         bz = b_at(z)

@@ -83,8 +83,7 @@ class MaximalMonotone:
         ops = tuple((op, int(dim)) for op, dim in parts)
         bounds = _stacked_bounds(ops)
         if bounds is not None:
-            clamp = _clamp(*bounds)
-            return cls(resolvent=lambda gamma, y: clamp(y), tag=tag, blocks=ops,
+            return cls(resolvent=_box_resolvent(*bounds), tag=tag, blocks=ops,
                        bounds=bounds)
         fill = _blockwise(ops)
 
@@ -263,6 +262,18 @@ def _clamp(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
     return clamp
 
 
+def _box_resolvent(lo, hi) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Resolvent of the normal cone of the box [lo, hi]: ``_clamp``'s
+    projection, whatever the step, as one ``(gamma, y)`` function."""
+
+    def resolvent(gamma, y):
+        out = np.maximum(y, lo)
+        np.minimum(out, hi, out=out)
+        return out
+
+    return resolvent
+
+
 def _stacked_bounds(parts) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Bounds of the product of the (part, dim) pairs ``parts``, each part's
     bounds broadcast to its dim, or None unless every part carries bounds.
@@ -310,8 +321,7 @@ def normal_cone_box(lo, hi) -> MaximalMonotone:
     """Normal cone of the box [lo, hi]; its resolvent is the projection,
     independent of the step size."""
     bounds = _box_bounds(lo, hi)
-    clamp = _clamp(*bounds)
-    return MaximalMonotone(resolvent=lambda gamma, y: clamp(y), tag="N_box", bounds=bounds)
+    return MaximalMonotone(resolvent=_box_resolvent(*bounds), tag="N_box", bounds=bounds)
 
 
 def nonneg_cone(p: int) -> MaximalMonotone:
@@ -327,9 +337,10 @@ def quadratic_gradient(A_mat, b) -> CocoerciveMap:
     if A.shape[0] != rhs.shape[0]:
         raise ValueError("A and b dimensions disagree")
     beta = operator_norm(A) ** (-2)
+    AT = A.T
 
     def grad(x):
-        return A.T.dot(A.dot(x) - rhs)
+        return AT.dot(A.dot(x) - rhs)
 
     def val(x):
         r = A @ x - rhs
@@ -373,12 +384,18 @@ def entropy_constraint(a, r: float) -> SmoothConstraint:
 
     with the convention 0 ln 0 = 0.  The gradient (ln(x_i/a_i))_i exists for
     x > 0 only.
+
+    The domain test is ``min(x) > 0`` as one ufunc reduction, which a NaN
+    entry fails.  The fused ``value_and_gradient`` sums by ``np.add.reduce``
+    (what ``ndarray.sum`` runs) and, for an all-ones reference, takes
+    ``log(x)``: ``x / 1.0`` is exactly x, so the division is skipped.
     """
     av = as_vector(a)
     if np.any(av <= 0):
         raise ValueError("reference vector a must be strictly positive")
     if not (-float(np.sum(av)) < r < 0):
         raise ValueError("level r must satisfy -sum(a) < r < 0")
+    unit = bool((av == 1.0).all())
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -397,12 +414,14 @@ def entropy_constraint(a, r: float) -> SmoothConstraint:
 
     def value_and_gradient(x):
         # x > 0, so value's masked sum runs over every entry: same bits
-        lg = np.log(x / av)
-        return float((x * (lg - 1.0)).sum()) - r, lg
+        lg = np.log(x if unit else x / av)
+        return float(np.add.reduce(x * (lg - 1.0))) - r, lg
 
-    # a NaN entry makes min() NaN, which fails the test, as it fails x > 0
-    return SmoothConstraint(value=value, gradient=gradient,
-                            domain=lambda x: bool(np.asarray(x).min() > 0),
+    def domain(x):
+        # a NaN entry makes the minimum NaN, which fails the test, as it fails x > 0
+        return float(np.minimum.reduce(x)) > 0.0
+
+    return SmoothConstraint(value=value, gradient=gradient, domain=domain,
                             value_and_gradient=value_and_gradient)
 
 
@@ -415,7 +434,10 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
     is affine, in which case it applies [[0, D^T], [-D, 0]], D the stacked
     coefficient rows, as two products with D.  Otherwise each call checks
     every constraint's domain once, then uses its ``value_and_gradient``
-    when it has one.
+    when it has one.  Each constraint's oracles are looked up once, when the
+    map is built, not on every call.  The gradient block starts from zeros
+    and each nonzero multiplier adds ``u_i * grad g_i(x)`` to it, so a -0.0
+    product reads +0.0.
     """
     cons = list(constraints)
     if not cons:
@@ -440,26 +462,31 @@ def lagrangian_saddle_map(constraints) -> MonotoneMap:
 
         return MonotoneMap(evaluate=affine, lipschitz=operator_norm(D), tag="saddle")
 
+    oracles = tuple((c.domain, c.value_and_gradient, c.value, c.gradient) for c in cons)
+
     def evaluate(w):
         w = np.asarray(w, dtype=float)
         n = w.shape[0] - p
         x = w[:n]
-        out = np.empty_like(w)
+        out = np.empty(n + p)
         grad_part = out[:n]
-        grad_part[:] = 0.0
-        for i, c in enumerate(cons):
-            if c.domain is not None and not c.domain(x):
+        # zeros, then ``+=``: ``0.0 + ui * grad`` turns a -0.0 into +0.0
+        grad_part.fill(0.0)
+        i = n
+        for domain, value_and_gradient, value, gradient in oracles:
+            if domain is not None and not domain(x):
                 raise DomainError("saddle map evaluated outside dom g")
-            ui = w[n + i]
-            if c.value_and_gradient is not None:
-                gi, grad = c.value_and_gradient(x)
+            ui = w[i]
+            if value_and_gradient is not None:
+                gi, grad = value_and_gradient(x)
                 if ui != 0.0:
                     grad_part += ui * grad
             else:
-                gi = c.value(x)
+                gi = value(x)
                 if ui != 0.0:
-                    grad_part += ui * c.gradient(x)
-            out[n + i] = -gi
+                    grad_part += ui * gradient(x)
+            out[i] = -gi
+            i += 1
         return out
 
     return MonotoneMap(evaluate=evaluate, tag="saddle",

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (MAX_INVERSE_CONDITION, BlockLayout, as_matrix, as_vector,
+from .linalg import (MAX_INVERSE_CONDITION, BlockLayout, as_matrix,
                      at_most, conditioned_inverse, operator_norm, spd_inverse,
                      split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
@@ -151,8 +151,14 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
     A with a block-lower-triangular P and scalar diagonal blocks is solved by
     forward substitution (each block resolvent consumes only previously
     computed blocks).
+
+    ``z`` must be a nonempty vector.  Non-finite entries pass through, as
+    they do in every other resolvent, so that an overflowing run ends
+    ``diverged`` in the iteration loop rather than raising here.
     """
-    zv = as_vector(z)
+    zv = np.asarray(z, dtype=float)
+    if zv.ndim != 1 or zv.size == 0:
+        raise ValueError("vector must be 1-D and nonempty")
     if pre.rho <= 0:
         raise ConfigurationError("preconditioner must be strongly monotone (rho > 0)")
     gamma = pre.scalar_step

@@ -211,23 +211,47 @@ class TestSolveFbhf:
             for a, c in zip(r1.iterates, r2.iterates):
                 assert np.array_equal(a, c)
 
+    @staticmethod
+    def skew_saddle_spec(rng):
+        """A box normal cone, no B1, and a skew saddle map as B2."""
+        D = rng.standard_normal((3, 8))
+        smap = MonotoneMap.from_matrix(
+            np.block([[np.zeros((8, 8)), D.T], [-D, np.zeros((3, 3))]]))
+        return ProblemSpec(A=normal_cone_box(-np.ones(11), np.ones(11)),
+                           B1=None, B2=smap,
+                           X=ClosedConvexSet.box(-2 * np.ones(11), 2 * np.ones(11)),
+                           dimension=11)
+
     def test_matches_tseng_bitwise_without_b1(self):
         for seed in range(5):
-            rng = np.random.default_rng(100 + seed)
-            D = rng.standard_normal((3, 8))
-            smap = MonotoneMap.from_matrix(
-                np.block([[np.zeros((8, 8)), D.T], [-D, np.zeros((3, 3))]]))
-            spec = ProblemSpec(A=normal_cone_box(-np.ones(11), np.ones(11)),
-                              B1=None, B2=smap,
-                              X=ClosedConvexSet.box(-2 * np.ones(11), 2 * np.ones(11)),
-                              dimension=11)
-            gamma = 0.9 / smap.lipschitz
+            spec = self.skew_saddle_spec(np.random.default_rng(100 + seed))
+            gamma = 0.9 / spec.lipschitz
             cfg = SolveConfig(max_iterations=100, tolerance=1e-300,
                               keep_iterates=True)
             r1 = solve_fbhf(spec, ConstantStep(gamma=gamma), cfg)
             r2 = solve_tseng_fbf(spec, ConstantStep(gamma=gamma), cfg)
             for a, c in zip(r1.iterates, r2.iterates):
                 assert np.array_equal(a, c)
+
+    def test_matches_tseng_line_search_bitwise_without_b1(self):
+        # the same reduction under the Armijo search: both solvers scan the
+        # same candidates, so iterates, backtracks and B2 calls agree
+        for seed in range(5):
+            rng = np.random.default_rng(100 + seed)
+            spec = self.skew_saddle_spec(rng)
+            z0 = rng.uniform(-1.0, 1.0, 11)
+            policy = LineSearch(epsilon=0.5, sigma=0.9, theta=0.5,
+                                gamma_init=2.0 / spec.lipschitz)
+            cfg = SolveConfig(max_iterations=100, tolerance=1e-300,
+                              keep_iterates=True)
+            r1 = solve_fbhf(spec, policy, cfg, z0)
+            r2 = solve_tseng_fbf(spec, policy, cfg, z0)
+            assert len(r1.iterates) == len(r2.iterates) == 101
+            for a, c in zip(r1.iterates, r2.iterates):
+                assert np.array_equal(a, c)
+            assert r1.gammas == r2.gammas
+            assert r1.backtracks == r2.backtracks > 500
+            assert (r1.b2_evals, r1.resolvent_evals) == (r2.b2_evals, r2.resolvent_evals)
 
     def test_small_qp_converges_to_reference(self):
         prob = gen_lin_ineq_qp(40, 4, seed=0)

@@ -209,6 +209,110 @@ class TestLagrangianSaddleMap:
             smap.evaluate(np.concatenate([[-0.5, 1.0, 1.0], [1.0]]))
 
 
+# The entropy constraint and the nonlinear saddle map, written out in their
+# first form, which the fast paths must reproduce byte for byte.
+
+def entropy_reference(a, r):
+    """(value, gradient, domain) of ``entropy_constraint(a, r)``."""
+    def value(x):
+        return float((x * (np.log(x / a) - 1.0)).sum()) - r
+
+    def gradient(x):
+        return np.log(x / a)
+
+    def domain(x):
+        return bool(x.min() > 0)
+
+    return value, gradient, domain
+
+
+def saddle_reference(refs, w):
+    """The saddle map over the (value, gradient, domain) triples ``refs``: a
+    zeroed output, then ``+= ui * grad`` for each nonzero multiplier."""
+    p = len(refs)
+    n = w.size - p
+    x = w[:n]
+    out = np.zeros(n + p)
+    for i, (value, gradient, _) in enumerate(refs):
+        ui = w[n + i]
+        if ui != 0.0:
+            out[:n] += ui * gradient(x)
+        out[n + i] = -value(x)
+    return out
+
+
+N_PINNED = 2000
+
+
+def pinned_points(rng, a):
+    """``N_PINNED`` points x > 0, about one entry in four equal to its
+    reference entry, where the gradient entry is +0.0 and its product with a
+    negative multiplier is -0.0."""
+    x = rng.uniform(1e-3, 2.0, (N_PINNED, a.size))
+    hit = rng.random(x.shape) < 0.25
+    x[hit] = np.broadcast_to(a, x.shape)[hit]
+    return x
+
+
+def pinned_multipliers(rng, p):
+    """Multipliers, each 0.0, -0.0, positive or negative with equal odds."""
+    u = rng.uniform(1e-3, 2.0, (N_PINNED, p))
+    kind = rng.integers(0, 4, u.shape)
+    u[kind == 0] = 0.0
+    u[kind == 1] = -0.0
+    u[kind == 2] *= -1.0
+    return u
+
+
+UNIT = (np.ones(6), -2.0)
+NON_UNIT = (np.array([0.5, 1.0, 2.0, 0.75, 1.5, 1.25]), -1.5)
+
+
+class TestFastPathsMatchReferenceBitwise:
+    @pytest.mark.parametrize("a, r", [UNIT, NON_UNIT], ids=["unit", "non-unit"])
+    def test_fused_oracle_and_domain(self, a, r):
+        rng = np.random.default_rng(5)
+        con = entropy_constraint(a, r)
+        value, gradient, domain = entropy_reference(a, r)
+        for x in pinned_points(rng, a):
+            val, grad = con.value_and_gradient(x)
+            assert np.float64(val).tobytes() == np.float64(value(x)).tobytes()
+            assert grad.tobytes() == gradient(x).tobytes()
+            assert con.domain(x) is domain(x) is True
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, -0.5, np.nan], ids=str)
+    def test_domain_verdicts_outside(self, bad):
+        rng = np.random.default_rng(6)
+        con = entropy_constraint(*NON_UNIT)
+        smap = lagrangian_saddle_map([con])
+        for x in pinned_points(rng, NON_UNIT[0])[:200]:
+            x[rng.integers(x.size)] = bad
+            assert con.domain(x) is entropy_reference(*NON_UNIT)[2](x) is False
+            with pytest.raises(DomainError):
+                smap.evaluate(np.concatenate([x, [1.0]]))
+
+    @pytest.mark.parametrize("pairs", [[UNIT], [NON_UNIT], [UNIT, NON_UNIT]],
+                             ids=["one-unit", "one-non-unit", "two"])
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "value-and-gradient"])
+    def test_saddle_map(self, pairs, fused):
+        rng = np.random.default_rng(7)
+        cons = [entropy_constraint(a, r) for a, r in pairs]
+        if not fused:
+            cons = [replace(c, value_and_gradient=None) for c in cons]
+        smap = lagrangian_saddle_map(cons)
+        refs = [entropy_reference(a, r) for a, r in pairs]
+        # every constraint shares the unit reference's length
+        xs = pinned_points(rng, pairs[-1][0])
+        us = pinned_multipliers(rng, len(pairs))
+        signed_zero_products = 0
+        for x, u in zip(xs, us):
+            w = np.concatenate([x, u])
+            assert smap.evaluate(w).tobytes() == saddle_reference(refs, w).tobytes()
+            signed_zero_products += bool(np.any(u < 0) and np.any(x == pairs[-1][0]))
+        # the -0.0 products that the zeroed output turns into +0.0 occur
+        assert signed_zero_products > N_PINNED // 10
+
+
 class TestQuadraticGradient:
     def test_identity_case(self):
         grad = quadratic_gradient(np.eye(3), np.zeros(3))

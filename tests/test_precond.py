@@ -257,6 +257,41 @@ def dense_metric_instance(n, seed):
     return spec, Preconditioner.from_matrix(U + 0.05 * (Sp - Sp.T) / 2.0, b2_matrix=b2)
 
 
+class TestOverflowEndsDiverged:
+    """An iterate that overflows ends the run as ``diverged`` in every solver:
+    ``resolvent_via_P`` lets non-finite entries through, as every other
+    resolvent does, and still rejects what is not a nonempty vector."""
+
+    @pytest.mark.parametrize("solver", ["fbhf", "precond", "variable-metric"])
+    def test_overflowing_start_ends_diverged(self, solver):
+        spec, pre = dense_metric_instance(8, 0)
+        cfg = SolveConfig(max_iterations=50)
+        z0 = np.full(8, 1.7e308)
+        run = {"fbhf": lambda: solve_fbhf(spec, ConstantStep(), cfg, z0),
+               "precond": lambda: solve_precond_fbhf(spec, pre, cfg, z0),
+               "variable-metric": lambda: solve_variable_metric(
+                   spec, MetricSchedule.constant(pre), cfg, z0)}[solver]
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run()
+        assert report.reason == "diverged"
+        assert report.iterations < cfg.max_iterations
+
+    def test_non_finite_entries_pass_through(self):
+        spec, pre = dense_metric_instance(8, 0)
+        z = np.zeros(8)
+        z[3] = np.nan
+        z[5] = np.inf
+        with np.errstate(invalid="ignore"):
+            x = resolvent_via_P(spec.A, pre, z)
+        assert x.shape == (8,) and not np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("z", [np.zeros((2, 4)), np.zeros(0)], ids=["2-D", "empty"])
+    def test_a_non_vector_still_raises(self, z):
+        spec, pre = dense_metric_instance(8, 0)
+        with pytest.raises(ValueError, match="1-D and nonempty"):
+            resolvent_via_P(spec.A, pre, z)
+
+
 class TestCachedFactors:
     @pytest.mark.parametrize("solver", ["precond", "variable-metric"])
     def test_matches_two_solve_reference(self, monkeypatch, solver):
