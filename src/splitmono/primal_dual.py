@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (BlockLayout, as_matrix, as_vector, at_most, operator_norm,
-                     strictly_below, symmetric_min_eig)
+from .linalg import (BlockLayout, aligned_empty, as_matrix, as_vector, at_most,
+                     operator_norm, strictly_below, symmetric_min_eig)
 from .operators import (CocoerciveMap, MaximalMonotone, MonotoneMap,
                         stacked_scalar_resolvent)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
@@ -110,8 +110,13 @@ class PrimalDualProblem:
 
     @cached_property
     def K(self) -> np.ndarray:
-        """The stacked dual operator K = [L_1; ...; L_m], built on first use."""
-        return np.vstack([blk.L for blk in self.blocks])
+        """The stacked dual operator K = [L_1; ...; L_m], built on first use
+        straight into storage that starts on a 64-byte boundary
+        (``linalg.aligned_empty``), where its GEMVs run faster, with the
+        same bits."""
+        Ls = [blk.L for blk in self.blocks]
+        height = sum(L.shape[0] for L in Ls)
+        return np.concatenate(Ls, axis=0, out=aligned_empty((height, self.dim)))
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -198,6 +203,10 @@ def build_upsilon_sigma_delta(bp: BlockPreconditioner, L_mats):
     - Sigma: skew residues on the diagonal (zero for scalar blocks), the
       couplings ||L_i + P_i0/2|| in the first column, ||P_ij||/2 inside,
     - Delta: diag of the strong-monotonicity moduli of the P_ii.
+
+    Absent blocks are zero, so only the stored blocks are visited, then the
+    first column once for ``||L_i + P_i0/2||`` (``L_i + 0.0`` where P_i0 is
+    absent): O(stored blocks + m) work, not O(m^2) block lookups.
     """
     m = bp.m
     Ls = [as_matrix(L) for L in L_mats]
@@ -205,22 +214,20 @@ def build_upsilon_sigma_delta(bp: BlockPreconditioner, L_mats):
         raise ValueError("need one L_i per dual block")
     ups = np.zeros((m + 1, m + 1))
     sig = np.zeros((m + 1, m + 1))
-    for i in range(1, m + 1):
-        for j in range(i):
-            blk = bp.block(i, j)
-            # P_ij maps G_j into G_i, with G_0 = H the domain of L_i
-            expected = Ls[i - 1].shape if j == 0 else (Ls[i - 1].shape[0], Ls[j - 1].shape[0])
-            if blk is not None and np.shape(blk) != expected:
-                raise ValueError(f"off-diagonal block {(i, j)} must have shape "
-                                 f"{expected}, got {np.shape(blk)}")
-            nrm = operator_norm(blk) if blk is not None and np.any(blk) else 0.0
-            ups[i, j] = ups[j, i] = nrm / 2.0
-            if j == 0:
-                comb = Ls[i - 1] + (blk / 2.0 if blk is not None else 0.0)
-                cnrm = operator_norm(comb) if np.any(comb) else 0.0
-                sig[i, 0] = sig[0, i] = cnrm
-            else:
-                sig[i, j] = sig[j, i] = nrm / 2.0
+    for (i, j), blk in bp.off_diag.items():
+        # P_ij maps G_j into G_i, with G_0 = H the domain of L_i
+        expected = Ls[i - 1].shape if j == 0 else (Ls[i - 1].shape[0], Ls[j - 1].shape[0])
+        if np.shape(blk) != expected:
+            raise ValueError(f"off-diagonal block {(i, j)} must have shape "
+                             f"{expected}, got {np.shape(blk)}")
+        half = operator_norm(blk) / 2.0 if np.any(blk) else 0.0
+        ups[i, j] = ups[j, i] = half
+        if j > 0:
+            sig[i, j] = sig[j, i] = half
+    for i, L in enumerate(Ls, start=1):
+        blk = bp.block(i, 0)
+        comb = L + (blk / 2.0 if blk is not None else 0.0)
+        sig[i, 0] = sig[0, i] = operator_norm(comb) if np.any(comb) else 0.0
     delta = np.diag(np.asarray(bp.diag_scalars, dtype=float))
     return ups, sig, delta
 

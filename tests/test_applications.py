@@ -393,6 +393,32 @@ class TestGenerators:
         p3 = gen_lin_ineq_qp(12, 3, seed=8)
         assert not np.array_equal(p1.data["A"], p3.data["A"])
 
+    def test_lin_ineq_draws_a_into_aligned_storage_h_multiplies_by(self):
+        for N, p in [(200, 20), (12, 3)]:
+            prob = gen_lin_ineq_qp(N, p, seed=5)
+            A = prob.data["A"]
+            assert A.ctypes.data % 64 == 0 and A.flags.c_contiguous
+            grad = prob.h.evaluate
+            cells = dict(zip(grad.__code__.co_freevars, grad.__closure__))
+            assert cells["A"].cell_contents is A
+            # the same stream as drawing A, D and b by shape
+            rng = np.random.default_rng(5)
+            for key, shape in [("A", (N // 2, N)), ("D", (p, N)), ("b", (N // 2,))]:
+                assert prob.data[key].tobytes() == rng.standard_normal(shape).tobytes()
+
+    def test_lin_ineq_dual_operator_is_stacked_into_aligned_storage(self):
+        prob = gen_lin_ineq_qp(200, 20, seed=1)
+        K = prob.as_primal_dual().K
+        assert K.ctypes.data % 64 == 0 and K.flags.c_contiguous
+        assert K.tobytes() == prob.data["D"].tobytes()
+        rng = np.random.default_rng(2)
+        Ls = [rng.standard_normal((k, 30)) for k in (3, 1, 40)]
+        pdp = PrimalDualProblem(A=MaximalMonotone.zero(), C1=None, C2=None, dim=30,
+                                blocks=tuple(DualBlock(B=MaximalMonotone.zero(), L=L)
+                                             for L in Ls))
+        assert pdp.K.ctypes.data % 64 == 0
+        assert pdp.K.tobytes() == np.vstack(Ls).tobytes()
+
     def test_lin_ineq_beta_consistent(self):
         prob = gen_lin_ineq_qp(4, 1, seed=0)
         assert prob.beta * operator_norm(prob.data["A"]) ** 2 == pytest.approx(

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from splitmono.linalg import (BlockLayout, at_most, operator_norm, spd_inverse,
-                              split_symmetric_skew, strictly_below, symmetric_min_eig)
+from splitmono.linalg import (ALIGN_MIN_BYTES, BlockLayout, aligned, aligned_empty, at_most,
+                              operator_norm, spd_inverse, split_symmetric_skew,
+                              strictly_below, symmetric_min_eig)
 
 
 class TestConditionMargin:
@@ -209,3 +210,69 @@ class TestBlockLayout:
             layout.concat([np.arange(3), np.arange(2)])
         with pytest.raises(ValueError, match="1 blocks given for a layout of 2"):
             layout.concat([np.arange(5)])
+
+
+def at_offset(M, offset):
+    """A copy of M, in its order, whose data start ``offset`` bytes past a
+    64-byte boundary."""
+    order = "C" if M.flags.c_contiguous else "F"
+    start = offset // 8
+    out = aligned_empty(M.size + 8)[start:start + M.size].reshape(M.shape, order=order)
+    out[...] = M
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+class TestAlignedStorage:
+    @pytest.mark.parametrize("shape", [(1,), 7, (3, 5), (100, 200), (20, 201)])
+    def test_aligned_empty_starts_on_a_64_byte_boundary(self, shape):
+        for _ in range(20):
+            M = aligned_empty(shape)
+            assert M.ctypes.data % 64 == 0
+            assert M.shape == np.empty(shape).shape
+            assert M.dtype == np.float64 and M.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("offset", [8, 16, 32, 48])
+    def test_aligned_copies_a_misaligned_matrix_in_its_order(self, order, offset):
+        rng = np.random.default_rng(offset)
+        M = at_offset(np.asarray(rng.standard_normal((20, 40)), order=order), offset)
+        A = aligned(M)
+        assert A is not M and A.ctypes.data % 64 == 0
+        assert A.flags.c_contiguous == M.flags.c_contiguous
+        assert A.flags.f_contiguous == M.flags.f_contiguous
+        assert A.tobytes(order="A") == M.tobytes(order="A")
+
+    def test_aligned_keeps_a_small_or_aligned_matrix(self):
+        small = at_offset(np.ones((1, ALIGN_MIN_BYTES // 8 - 1)), 16)
+        assert aligned(small) is small
+        big = aligned_empty((20, 40))
+        assert aligned(big) is big
+        big_t = big.T
+        assert aligned(big_t) is big_t
+
+    def test_drawing_into_aligned_storage_keeps_the_stream(self):
+        for shape in [(100, 200), (5, 10), (3,)]:
+            ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+            drawn = ours.standard_normal(out=aligned_empty(shape))
+            assert drawn.tobytes() == ref.standard_normal(shape).tobytes()
+            assert ours.standard_normal(9).tobytes() == ref.standard_normal(9).tobytes()
+
+
+class TestGemvBitsDoNotDependOnAlignment:
+    """The matrices the iterations multiply by are copied to 64-byte-aligned
+    storage without changing any iterate.  That rests on BLAS's dgemv giving
+    the same bits whatever the address of its matrix; this checks it."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(100, 200), (20, 200), (200, 200)])
+    def test_products_are_byte_equal_at_every_offset(self, shape, order):
+        rng = np.random.default_rng(sum(shape))
+        M = np.asarray(rng.standard_normal(shape), order=order)
+        copies = [at_offset(M, off) for off in (0, 16, 32, 48)]
+        for _ in range(10):
+            x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+            ref_x, ref_y = copies[0].dot(x).tobytes(), copies[0].T.dot(y).tobytes()
+            for C in copies[1:]:
+                assert C.dot(x).tobytes() == ref_x
+                assert C.T.dot(y).tobytes() == ref_y

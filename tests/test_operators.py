@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splitmono.fbhf import _norm
+from splitmono.linalg import aligned_empty
 from splitmono.operators import (ClosedConvexSet, DomainError, MaximalMonotone,
                                  MonotoneMap, affine_constraints, entropy_constraint,
                                  lagrangian_saddle_map, nonneg_cone, normal_cone_box,
@@ -405,6 +406,49 @@ class TestMatrixOraclesMatchMatmulBitwise:
         rng = np.random.default_rng(n)
         for v in self.vectors(rng, n) + [1e-200 * rng.standard_normal(n)]:
             assert _norm(v) == np.linalg.norm(v)
+
+
+def closure_vars(fn):
+    """The closure variables of ``fn`` by name."""
+    return {name: cell.cell_contents
+            for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
+def misaligned(M):
+    """A C-order copy of M whose data start 8 bytes past a 64-byte boundary."""
+    out = aligned_empty(M.size + 1)[1:].reshape(M.shape)
+    out[...] = M
+    return out
+
+
+class TestMatricesAreStoredAligned:
+    """The matrices the iterations multiply by start on a 64-byte boundary,
+    where their GEMVs run faster with the same bits."""
+
+    def test_quadratic_gradient_copies_a_misaligned_matrix_once(self):
+        rng = np.random.default_rng(3)
+        A, b = misaligned(rng.standard_normal((100, 200))), rng.standard_normal(100)
+        grad = quadratic_gradient(A, b)
+        stored = closure_vars(grad.evaluate)["A"]
+        assert stored is not A and stored.ctypes.data % 64 == 0
+        assert np.array_equal(stored, A)
+        x = rng.standard_normal(200)
+        assert grad.evaluate(x).tobytes() == (A.T @ (A @ x - b)).tobytes()
+
+    def test_quadratic_gradient_keeps_an_aligned_or_small_matrix(self):
+        rng = np.random.default_rng(4)
+        big = rng.standard_normal(out=aligned_empty((100, 200)))
+        small = misaligned(rng.standard_normal((10, 20)))
+        for A in (big, small):
+            assert closure_vars(quadratic_gradient(A, np.zeros(A.shape[0])).evaluate)["A"] is A
+
+    @pytest.mark.parametrize("p, n", [(20, 200), (2, 20)])
+    def test_affine_saddle_map_stacks_into_aligned_storage(self, p, n):
+        rng = np.random.default_rng(p)
+        D = rng.standard_normal((p, n))
+        D_stored = closure_vars(lagrangian_saddle_map(affine_constraints(D)).evaluate)["D"]
+        assert D_stored.ctypes.data % 64 == 0 and D_stored.flags.c_contiguous
+        assert D_stored.tobytes() == D.tobytes()
 
 
 class TestClosedConvexSet:

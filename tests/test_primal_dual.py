@@ -7,7 +7,7 @@ import pytest
 
 from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
                             _default_start, _run, metric_violation)
-from splitmono.linalg import symmetric_min_eig
+from splitmono.linalg import operator_norm, symmetric_min_eig
 from splitmono import primal_dual
 from splitmono.applications import ErmProblem, gen_erm_hinge
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
@@ -287,7 +287,63 @@ def corollary_check(pdp, params):
     return check_pd_conditions(bp, [b.L for b in pdp.blocks], pdp.delta, pdp.beta)
 
 
+def reference_upsilon_sigma_delta(bp, L_mats):
+    """``build_upsilon_sigma_delta`` as a double loop over every (i, j) pair,
+    each absent block read as zero (its shape checks left out)."""
+    m = bp.m
+    Ls = [np.asarray(L, dtype=float) for L in L_mats]
+    ups = np.zeros((m + 1, m + 1))
+    sig = np.zeros((m + 1, m + 1))
+    for i in range(1, m + 1):
+        for j in range(i):
+            blk = bp.block(i, j)
+            nrm = operator_norm(blk) if blk is not None and np.any(blk) else 0.0
+            ups[i, j] = ups[j, i] = nrm / 2.0
+            if j == 0:
+                comb = Ls[i - 1] + (blk / 2.0 if blk is not None else 0.0)
+                cnrm = operator_norm(comb) if np.any(comb) else 0.0
+                sig[i, 0] = sig[0, i] = cnrm
+            else:
+                sig[i, j] = sig[j, i] = nrm / 2.0
+    return ups, sig, np.diag(np.asarray(bp.diag_scalars, dtype=float))
+
+
+def random_pattern(seed=9, m=7):
+    """Blocks L_i of mixed heights and a sparse lower triangle with interior
+    blocks, a zero block and some first-column blocks absent."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 4, size=m)
+    Ls = [rng.standard_normal((k, 5)) for k in dims]
+    off = {}
+    for i in range(1, m + 1):
+        for j in range(i):
+            if rng.random() < 0.5:
+                rows = dims[i - 1]
+                cols = 5 if j == 0 else dims[j - 1]
+                off[(i, j)] = rng.standard_normal((rows, cols))
+    off[(m, m - 1)] = np.zeros((dims[m - 1], dims[m - 2]))
+    return BlockPreconditioner(diag_scalars=tuple(rng.uniform(5.0, 9.0, m + 1)),
+                               off_diag=off), Ls
+
+
 class TestComparisonMatrices:
+    @pytest.mark.parametrize("m", [15, 50, 400])
+    def test_stored_blocks_give_the_double_loop_bytes_on_the_corollary(self, m):
+        pdp = gen_erm_hinge(20, m, 3).as_primal_dual()
+        bp = BlockPreconditioner.corollary_pattern(1.0, (5.0 / m,) * (m + 1), pdp)
+        Ls = [blk.L for blk in pdp.blocks]
+        for got, ref in zip(build_upsilon_sigma_delta(bp, Ls),
+                            reference_upsilon_sigma_delta(bp, Ls)):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_stored_blocks_give_the_double_loop_bytes_with_interior_blocks(self, seed):
+        bp, Ls = random_pattern(seed)
+        assert any(j > 0 for _, j in bp.off_diag)
+        for got, ref in zip(build_upsilon_sigma_delta(bp, Ls),
+                            reference_upsilon_sigma_delta(bp, Ls)):
+            assert got.tobytes() == ref.tobytes()
+
     def test_corollary_pattern_entries(self):
         pdp = lasso_instance()
         theta = 0.3
