@@ -105,7 +105,7 @@ def check_erm_steps(p: ErmProblem, sigmas,
                     lam: Optional[float]) -> tuple[list[float], float]:
     """The m+1 stepsizes (one value is repeated) and the relaxation that
     ``solve_erm_incremental`` runs with, checked as it checks them first."""
-    sig = [float(s) for s in sigmas]
+    sig = [float(s) for s in np.atleast_1d(sigmas)]
     if len(sig) == 1:
         sig = sig * (p.m + 1)
     if len(sig) != p.m + 1 or not all(0 < s < math.inf for s in sig):

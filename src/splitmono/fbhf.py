@@ -448,8 +448,9 @@ def check_step(spec: ProblemSpec, policy: StepPolicy,
                method: str = "fbhf") -> float | LineSearch:
     """The step ``method`` ("fbhf", "tseng" or "fb") runs on ``spec`` under
     ``policy``, checked as its solver checks it first: a ``LineSearch`` as
-    given, or gamma (default 0.99 bound) in ]0, bound[ under the margin rule,
-    for the bound chi(beta, L), chi(inf, 1/beta + L) (Tseng) or chi(beta, 0)
+    given once it has an anchor (``gamma_init`` when B1 is absent), or gamma
+    (default 0.99 bound) in ]0, bound[ under the margin rule, for the bound
+    chi(beta, L), chi(inf, 1/beta + L) (Tseng) or chi(beta, 0)
     (forward-backward), or +inf at beta = inf and L = 0.
     ``unchecked`` lifts the fbhf and Tseng upper bounds only.  Forward-backward
     never projects, so it also needs X = H.  Raises ConfigurationError."""
@@ -458,6 +459,7 @@ def check_step(spec: ProblemSpec, policy: StepPolicy,
     if method == "fb" and not spec.X.is_whole_space:
         raise ConfigurationError("forward-backward requires X = H")
     if isinstance(policy, LineSearch) and method != "fb":
+        _ls_anchor(spec, policy)
         return policy
     if not isinstance(policy, ConstantStep):
         raise ConfigurationError(f"unknown step policy {policy!r} for {method}")

@@ -33,20 +33,21 @@ class MaximalMonotone:
 
     ``resolvent(gamma, y)`` returns ``J_{gamma A}(y) = (Id + gamma A)^{-1} y``.
     ``matrix`` is set when the operator is linear (``A x = matrix @ x``);
-    ``blocks`` records block-separable structure as ``(operator, dim)`` pairs;
-    ``bounds`` is set when the operator is the normal cone of the box
-    ``[lo, hi]``, as ``(lo, hi)``: vectors, or scalars that a product
-    broadcasts to its block's dimension.  A product of such parts clamps by
-    their ``bounds`` and never calls their ``resolvent``, so a wrapper (a
-    call counter, a tracer) must wrap the built product, not a part:
-    ``dataclasses.replace`` keeps ``bounds``, and a wrapped part is bypassed.
+    ``blocks`` records block-separable structure as ``(operator, dim)`` pairs.
     """
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     tag: str = ""
     matrix: Optional[np.ndarray] = None
     blocks: Optional[tuple] = None
-    bounds: Optional[tuple] = None
+
+    @property
+    def bounds(self) -> Optional[tuple]:
+        """``(lo, hi)`` when ``resolvent`` is the catalog's own resolvent of
+        the normal cone of the box ``[lo, hi]`` (vectors, or scalars that a
+        product broadcasts), else None.  A product of such parts clamps by
+        their bounds; a wrapped resolvent has none, so its wrapper runs."""
+        return _marked(self.resolvent, "box resolvent")
 
     @classmethod
     def zero(cls, tag: str = "zero") -> "MaximalMonotone":
@@ -84,8 +85,7 @@ class MaximalMonotone:
         ops = tuple((op, int(dim)) for op, dim in parts)
         bounds = _stacked_bounds(ops)
         if bounds is not None:
-            return cls(resolvent=_box_resolvent(*bounds), tag=tag, blocks=ops,
-                       bounds=bounds)
+            return cls(resolvent=_box_resolvent(*bounds), tag=tag, blocks=ops)
         fill = _blockwise(ops)
 
         def res(gamma, y):
@@ -140,17 +140,18 @@ class ClosedConvexSet:
 
     ``metric_project(U, v)`` is the projection in the inner product
     ``<U., .>`` and is only available for sets where it is closed-form.
-    ``bounds`` is set when the set is the box ``[lo, hi]``, as for
-    ``MaximalMonotone``.  A product of boxes clamps by its parts' ``bounds``
-    and never calls their ``project``, so a wrapper must wrap the built
-    product, not a part.
     """
 
     project: Callable[[np.ndarray], np.ndarray]
     tag: str = ""
     metric_project: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     is_whole_space: bool = False
-    bounds: Optional[tuple] = None
+
+    @property
+    def bounds(self) -> Optional[tuple]:
+        """``(lo, hi)`` when ``project`` is the catalog's own clamp onto the
+        box ``[lo, hi]``, else None, as for ``MaximalMonotone.bounds``."""
+        return _marked(self.project, "box projection")
 
     @classmethod
     def whole_space(cls) -> "ClosedConvexSet":
@@ -166,16 +167,15 @@ class ClosedConvexSet:
         proj = _clamp(*bounds)
         # a diagonal metric separates coordinates, so the metric projection
         # onto a box is still the componentwise clamp
-        return cls(project=proj, tag=tag, metric_project=lambda U, v: proj(v),
-                   bounds=bounds)
+        return cls(project=proj, tag=tag, metric_project=lambda U, v: proj(v))
 
     @classmethod
     def nonneg_orthant(cls) -> "ClosedConvexSet":
         def proj(v):
             return np.maximum(v, 0.0)
 
-        return cls(project=proj, tag="R+", metric_project=lambda U, v: proj(v),
-                   bounds=_NONNEG_BOUNDS)
+        return cls(project=_mark(proj, "box projection", _NONNEG_BOUNDS), tag="R+",
+                   metric_project=lambda U, v: proj(v))
 
     @classmethod
     def product(cls, parts) -> "ClosedConvexSet":
@@ -240,6 +240,21 @@ class ProblemSpec:
 _NONNEG_BOUNDS = (0.0, math.inf)
 
 
+def _mark(fn: Callable, kind: str, value) -> Callable:
+    """Mark ``fn`` as the catalog's oracle of ``kind``, described by
+    ``value``, and return it.  The mark names ``fn`` itself, so a wrapper
+    that copies its ``__dict__`` (``functools.wraps``, ``lru_cache``) is not
+    marked: a wrapped oracle is never recognised, and its wrapper always runs."""
+    fn._splitmono_mark = (kind, value, id(fn))
+    return fn
+
+
+def _marked(fn, kind: str):
+    """The value ``fn`` was marked with as the oracle of ``kind``, or None."""
+    marked_kind, value, owner = getattr(fn, "_splitmono_mark", (None, None, None))
+    return value if marked_kind == kind and owner == id(fn) else None
+
+
 def _box_bounds(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Validate box bounds; infinite entries are allowed (half-open boxes)."""
     lo = np.asarray(lo, dtype=float)
@@ -260,7 +275,7 @@ def _clamp(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
         np.minimum(out, hi, out=out)
         return out
 
-    return clamp
+    return _mark(clamp, "box projection", (lo, hi))
 
 
 def _box_resolvent(lo, hi) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -272,7 +287,7 @@ def _box_resolvent(lo, hi) -> Callable[[float, np.ndarray], np.ndarray]:
         np.minimum(out, hi, out=out)
         return out
 
-    return resolvent
+    return _mark(resolvent, "box resolvent", (lo, hi))
 
 
 def _stacked_bounds(parts) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -321,14 +336,13 @@ def _blockwise(parts) -> Callable:
 def normal_cone_box(lo, hi) -> MaximalMonotone:
     """Normal cone of the box [lo, hi]; its resolvent is the projection,
     independent of the step size."""
-    bounds = _box_bounds(lo, hi)
-    return MaximalMonotone(resolvent=_box_resolvent(*bounds), tag="N_box", bounds=bounds)
+    return MaximalMonotone(resolvent=_box_resolvent(*_box_bounds(lo, hi)), tag="N_box")
 
 
 def nonneg_cone(p: int) -> MaximalMonotone:
     """Normal cone of the nonnegative orthant of dimension p."""
-    return MaximalMonotone(resolvent=lambda gamma, y: np.maximum(y, 0.0),
-                           tag="N_R+", bounds=_NONNEG_BOUNDS)
+    return MaximalMonotone(resolvent=_mark(lambda gamma, y: np.maximum(y, 0.0),
+                                           "box resolvent", _NONNEG_BOUNDS), tag="N_R+")
 
 
 def quadratic_gradient(A_mat, b) -> CocoerciveMap:
@@ -525,7 +539,7 @@ def prox_abs_deviation(b: float) -> Callable[[float, float], float]:
         d = t - b
         return b + math.copysign(max(abs(d) - gamma, 0.0), d)
 
-    return prox
+    return _mark(prox, "scalar prox", (_abs_deviation_array, b))
 
 
 def prox_hinge(b: float) -> Callable[[float, float], float]:
@@ -543,18 +557,18 @@ def prox_hinge(b: float) -> Callable[[float, float], float]:
             return t
         return 1.0 / b
 
-    return prox
+    return _mark(prox, "scalar prox", (_hinge_array, b))
 
 
 def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") -> MaximalMonotone:
     """Wrap a scalar prox oracle as a 1-D MaximalMonotone.
 
     A 1-element vector, the input of every per-sample dual resolvent, takes
-    a fast path that returns the same bits as the general one.  When
-    ``prox`` is a ``prox_hinge`` or ``prox_abs_deviation`` prox, a solver
-    can run many such resolvents as one array call
-    (``stacked_scalar_resolvent``); a wrapped resolvent or prox is never
-    recognised, so its wrapper always runs."""
+    a fast path that returns the same bits as the general one.  The
+    resolvent is marked with ``prox``, so when ``prox`` is the catalog's own
+    ``prox_hinge`` or ``prox_abs_deviation`` prox a solver can run many such
+    resolvents as one array call (``stacked_scalar_resolvent``).  A wrapped
+    resolvent or prox carries no mark of its own, so its wrapper always runs."""
 
     def res(gamma, y):
         if type(y) is np.ndarray and y.shape == (1,):
@@ -562,7 +576,7 @@ def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") 
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.array([prox(gamma, float(t)) for t in y])
 
-    return MaximalMonotone(resolvent=res, tag=tag)
+    return MaximalMonotone(resolvent=_mark(res, "scalar resolvent", prox), tag=tag)
 
 
 def _hinge_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -587,44 +601,24 @@ def _abs_deviation_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarr
     return prox
 
 
-def _cell_index(code, name: str) -> int:
-    """Where functions with the code object ``code`` keep their closure
-    variable ``name``.  It is looked up once, on import, so renaming that
-    variable in ``scalar_monotone`` or a prox fails there, not in a solve."""
-    return code.co_freevars.index(name)
-
-
-# Functions are recognised by their code object, which a wrapper (a call
-# counter, a tracer, ``functools.wraps``, ``lru_cache``) never shares: a
-# wrapped oracle is not recognised, so its wrapper is never bypassed.  A
-# marker attribute would not do, as ``functools.wraps`` copies ``__dict__``.
-_SCALAR_RESOLVENT = scalar_monotone(abs).resolvent.__code__
-_PROX_CELL = _cell_index(_SCALAR_RESOLVENT, "prox")
-# prox code object -> (its array form, the closure cell of its label b)
-_ARRAY_FORMS = {code: (form, _cell_index(code, "b")) for code, form in (
-    (prox_hinge(1.0).__code__, _hinge_array),
-    (prox_abs_deviation(0.0).__code__, _abs_deviation_array))}
-
-
 def stacked_scalar_resolvent(resolvents, gammas) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """One array call ``res(ys)`` whose entry i has the bits of
     ``resolvents[i](gammas[i], ys[i:i + 1])``, or None.
 
-    It exists when every resolvent is ``scalar_monotone``'s own, unwrapped,
-    around an unwrapped prox of one family with an array form
+    It exists when every resolvent carries ``scalar_monotone``'s mark around
+    a prox that carries the mark of one family with an array form
     (``prox_hinge`` or ``prox_abs_deviation``): the array form runs that
-    prox's arithmetic elementwise.  Anything else, a mix of the two families
-    included, gives None and is left to one call per resolvent."""
+    prox's arithmetic elementwise.  A mark names the function it was set
+    on, so a wrapped resolvent or prox (a counter, a tracer,
+    ``functools.wraps``) is not recognised.  Anything else, a mix of the two
+    families included, gives None and is left to one call per resolvent."""
     form, labels = None, []
     for res in resolvents:
-        if getattr(res, "__code__", None) is not _SCALAR_RESOLVENT:
-            return None
-        prox = res.__closure__[_PROX_CELL].cell_contents
-        entry = _ARRAY_FORMS.get(getattr(prox, "__code__", None))
+        entry = _marked(_marked(res, "scalar resolvent"), "scalar prox")
         if entry is None or form not in (None, entry[0]):
             return None
-        form, label_cell = entry
-        labels.append(prox.__closure__[label_cell].cell_contents)
+        form, b = entry
+        labels.append(b)
     if form is None:
         return None
     return form(np.array(labels), np.asarray(gammas, dtype=float))

@@ -178,9 +178,10 @@ def resolvent_via_P(A: MaximalMonotone, pre: Preconditioner, z) -> np.ndarray:
 
 def _linear_resolvent(P: np.ndarray, M_A: np.ndarray) -> Callable:
     """Apply ``(P + M_A)^{-1} P`` as one matrix, or solve per call past the condition gate."""
-    PA_inv = conditioned_inverse(P + M_A)
+    PA = P + M_A
+    PA_inv = conditioned_inverse(PA)
     if PA_inv is None:
-        return lambda z: np.linalg.solve(P + M_A, P @ z)
+        return lambda z: np.linalg.solve(PA, P @ z)
     return (PA_inv @ P).dot
 
 

@@ -335,9 +335,10 @@ def _stacked_duals(pdp: PrimalDualProblem, counters: _Counters,
                    sig: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """``ws -> (J_{B_i/sigma_i}(ws_i))_i`` over the stacked rows as one array
     call, counted as m resolvent calls, when every dual block is 1-D and
-    ``stacked_scalar_resolvent`` recognises its resolvent; None otherwise.
-    It reads the blocks as given, before ``_counted`` wraps them, so a block
-    that its caller wrapped (a tracer, a counter) keeps its own call."""
+    ``stacked_scalar_resolvent`` recognises its resolvent's mark; None
+    otherwise.  It reads the blocks as given, before ``_counted`` wraps
+    them, so a block that its caller wrapped (a tracer, a counter) has no
+    mark and keeps its own call."""
     if any(blk.dim != 1 for blk in pdp.blocks):
         return None
     stacked = stacked_scalar_resolvent([blk.B.resolvent for blk in pdp.blocks], 1.0 / sig)
@@ -450,15 +451,14 @@ def solve_corollary(pdp: PrimalDualProblem, params: CorollaryParams,
 
 
 def check_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas) -> list[float]:
-    """The dual steps (a scalar is repeated per block) ``solve_condat_vu``
-    runs with, checked as it checks them first; raises ConfigurationError."""
+    """The dual steps ``solve_condat_vu`` runs with (one value is repeated
+    per block), checked as it checks them first; raises ConfigurationError."""
     if pdp.C2 is not None:
         raise ConfigurationError(
             "the Condat-Vu baseline does not handle a nonlinear/Lipschitz C2 term")
-    if np.isscalar(sigmas):
-        sig = [float(sigmas)] * pdp.m
-    else:
-        sig = [float(s) for s in sigmas]
+    sig = [float(s) for s in np.atleast_1d(sigmas)]
+    if len(sig) == 1:
+        sig = sig * pdp.m
     if len(sig) != pdp.m or not all(0 < s < math.inf for s in [tau, *sig]):
         raise ConfigurationError("tau and the sigma_i must be positive and finite, "
                                  "one per block")

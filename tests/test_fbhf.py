@@ -166,14 +166,19 @@ class TestLineSearch:
         assert np.allclose(r.z, [0.0, 1.0], rtol=0.0, atol=1e-15)
         assert r.resolvent_evals == r.iterations + r.backtracks
 
-    def test_beta_infinite_needs_anchor(self):
+    @pytest.mark.parametrize("method, solve", [("fbhf", solve_fbhf),
+                                               ("tseng", solve_tseng_fbf)])
+    def test_beta_infinite_needs_anchor(self, method, solve):
         spec = ProblemSpec(A=nonneg_cone(2), B1=None, B2=skew_map(SKEW2),
                           X=ClosedConvexSet.nonneg_orthant(), dimension=2)
-        with pytest.raises(ConfigurationError, match="gamma_init"):
-            solve_fbhf(spec, LineSearch(epsilon=0.5, sigma=0.5, theta=0.3), ONE_STEP,
-                       np.array([1.0, 1.0]))
-        r = solve_fbhf(spec, LineSearch(epsilon=0.5, sigma=0.5, theta=0.3, gamma_init=1.0),
-                       ONE_STEP, np.array([1.0, 1.0]))
+        policy = LineSearch(epsilon=0.5, sigma=0.5, theta=0.3)
+        # check_step rejects what the solver's first iteration would reject
+        for run in (lambda: check_step(spec, policy, method),
+                    lambda: solve(spec, policy, ONE_STEP, np.array([1.0, 1.0]))):
+            with pytest.raises(ConfigurationError, match="gamma_init"):
+                run()
+        r = solve(spec, LineSearch(epsilon=0.5, sigma=0.5, theta=0.3, gamma_init=1.0),
+                  ONE_STEP, np.array([1.0, 1.0]))
         # the candidates are gamma_init * sigma^j, j >= 1
         assert r.gamma == pytest.approx(0.5 ** (1 + r.backtracks))
 

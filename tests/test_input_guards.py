@@ -11,8 +11,8 @@ import pytest
 
 from splitmono import distributed
 from splitmono.applications import check_erm_steps, erm_uniform_sigma_bound, gen_erm_hinge
-from splitmono.fbhf import (ConstantStep, LineSearch, SolveConfig, check_step, fbhf_step,
-                            phi_z_profile)
+from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch, SolveConfig,
+                            check_step, fbhf_step, phi_z_profile)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec,
                                  prox_abs_deviation, prox_hinge)
 from splitmono.precond import MetricSchedule, Preconditioner, solve_variable_metric
@@ -90,6 +90,25 @@ def test_non_finite_prox_label_rejected(make, value):
     # a NaN label made the prox return NaN, an infinite one ignored the label
     with pytest.raises(ValueError, match="label must be finite"):
         make(value)
+
+
+@pytest.mark.parametrize("value", [0.1, np.float64(0.1), np.array(0.1), [0.1]],
+                         ids=["float", "float64", "0-d array", "1-element list"])
+def test_one_uniform_step_is_repeated(value):
+    # a 0-d array raised TypeError in both checks, and a float in check_erm_steps
+    pdp = ERM.as_primal_dual()
+    assert check_condat_vu(pdp, 0.5, value) == [0.1] * pdp.m
+    assert check_erm_steps(ERM, value, None)[0] == [0.1] * (ERM.m + 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -0.1, np.float64(math.nan), np.array(-0.1)],
+                         ids=["nan", "zero", "negative", "float64-nan", "0-d-negative"])
+@pytest.mark.parametrize("check", [lambda v: check_condat_vu(ERM.as_primal_dual(), 0.5, v),
+                                   lambda v: check_erm_steps(ERM, v, None)],
+                         ids=["check_condat_vu", "check_erm_steps"])
+def test_a_bad_uniform_step_is_rejected(check, value):
+    with pytest.raises(ConfigurationError, match="positive"):
+        check(value)
 
 
 COUNTS = {

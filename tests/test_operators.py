@@ -551,10 +551,12 @@ class TestBoxProduct:
         ref = np.concatenate([_clip(v[:2], 0.0, 1.0), v[2:] / (1.0 + 0.5 * np.array([1.0, 3.0]))])
         assert prod.resolvent(0.5, v).tobytes() == ref.tobytes()
         assert box_calls == [0.5] and lin_calls == [0.5]
-        # with every part a box the product clamps by itself and calls no part
+        # a wrapped box carries no bounds, so a product of it alone still
+        # calls the wrapper rather than clamping by itself
         only_box = MaximalMonotone.product([(box, 2)])
+        assert only_box.bounds is None
         assert only_box.resolvent(0.5, v[:2]).tobytes() == _clip(v[:2], 0.0, 1.0).tobytes()
-        assert box_calls == [0.5]
+        assert box_calls == [0.5, 0.5]
 
     def test_set_product_with_a_non_box_part_takes_the_generic_path(self):
         prod = ClosedConvexSet.product([(ClosedConvexSet.box(np.zeros(2), np.ones(2)), 2),

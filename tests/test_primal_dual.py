@@ -736,6 +736,23 @@ class TestKktResidual:
         res2 = kkt_residual(mini, r2.block(0), [r2.block(1)])
         assert res2 <= 10.0 * tol * (1.0 + 0.0)
 
+    def test_shift_z_is_the_solution_of_a_closed_form_case(self):
+        # 0 in A x - z + C1 x + L^T B(L x) with A = B = 0 and C1 = Id: x* = z, u* = 0
+        z = np.array([1.5, -2.0, 0.25])
+        blk = DualBlock(B=MaximalMonotone.zero(), L=np.eye(3))
+        pdp = PrimalDualProblem(A=MaximalMonotone.zero(), blocks=(blk,), dim=3, z=list(z),
+                                C1=quadratic_gradient(np.eye(3), np.zeros(3)), C2=None)
+        assert np.array_equal(pdp.z, z)
+        cfg = SolveConfig(max_iterations=10_000, tolerance=1e-12)
+        s = feasible_sigma(pdp, 0.0)
+        for r in (solve_condat_vu(pdp, 1.0, 0.5, cfg),
+                  solve_corollary(pdp, CorollaryParams(theta=0.0, sigmas=(s, s)), cfg)):
+            assert r.reason == "tolerance"
+            assert np.allclose(r.block(0), z, rtol=0.0, atol=1e-10)
+            assert kkt_residual(pdp, r.block(0), [r.block(1)]) <= 1e-10
+        with pytest.raises(ValueError, match="z dimension"):
+            replace(pdp, z=np.ones(2))
+
     def test_rejects_wrong_block_count_or_length(self):
         # zip used to drop the missing blocks and return a smaller residual
         pdp, _ = coupled_instance()
