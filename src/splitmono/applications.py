@@ -130,15 +130,17 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
 
     The per-sample rows G[i, :i] and G[i, i:] of the Gram matrix are sliced
     once per solve, against persistent v and u buffers, so a sample costs two
-    dot products and one counted prox call.  The scalar recurrence and the
-    Moreau identity v_i = w - sigma_i prox_{f_i/sigma_i}(w / sigma_i) run on
-    plain floats, with the same bits as on numpy scalars.
+    dot products (one for sample 0, whose fresh part is empty) and one
+    counted prox call.  The scalar recurrence and the Moreau identity
+    v_i = w - sigma_i prox_{f_i/sigma_i}(w / sigma_i) run on plain floats,
+    with the same bits as on numpy scalars.  The corrections are written
+    straight into the two halves of one new iterate, with a^T bound once
+    per solve.
     """
     sig, lam = check_erm_steps(p, sigmas, lam)
     layout = p.layout
     z0 = _default_start(layout.dim, None if start is None else as_vector(start))
-    a, d, m = p.a, p.d, p.m
-    halves = BlockLayout.from_dims([d, m])   # (x, u): the step's two parts
+    a, aT, d, m = p.a, p.a.T, p.d, p.m
     G = a @ a.T                        # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
     sig0, sig_tail = sig[0], np.asarray(sig[1:])
@@ -153,14 +155,18 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
         u_buf[:] = u
         ax, u_list = a.dot(x).tolist(), u.tolist()
         for i, (g_fresh, v_fresh, g_stale, u_stale, s, inv_s, prox) in enumerate(samples):
-            mix = float(g_fresh.dot(v_fresh)) + float(g_stale.dot(u_stale))
+            # sample 0 has no fresh duals: its empty dot is 0.0, and the sum
+            # stays, as 0.0 + -0.0 is +0.0
+            fresh = float(g_fresh.dot(v_fresh)) if i else 0.0
+            mix = fresh + float(g_stale.dot(u_stale))
             w = u_list[i] + s * (ax[i] - sig0 * mix)
             # Moreau: prox of the conjugate loss from the loss prox
             v[i] = w - s * prox(inv_s, w / s)
-        new_x = x - lam * a.T.dot(v)
         dv = v - u
-        new_u = u + lam * (dv / sig_tail + sig0 * G_lower.dot(dv))
-        return halves.concat([new_x, new_u]), None
+        new_z = np.empty(d + m)
+        np.subtract(x, lam * aT.dot(v), out=new_z[:d])
+        np.add(u, lam * (dv / sig_tail + sig0 * G_lower.dot(dv)), out=new_z[d:])
+        return new_z, None
 
     return _run(step, z0, cfg, counters, layout=layout)
 

@@ -580,12 +580,16 @@ def scalar_monotone(prox: Callable[[float, float], float], tag: str = "scalar") 
 
 
 def _hinge_array(b: np.ndarray, gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``prox_hinge``'s arithmetic, entry by entry, for labels b and steps gamma."""
+    """``prox_hinge``'s arithmetic, entry by entry, for labels b and steps gamma:
+    the last two branches fill a fresh array, and the first overwrites it
+    where it holds, so each entry takes the branch the scalar prox takes."""
     gb, inv_b = gamma * b, 1.0 / b
 
     def prox(t):
         cand = t + gb
-        return np.where(b * cand < 1.0, cand, np.where(b * t > 1.0, t, inv_b))
+        out = np.where(b * t > 1.0, t, inv_b)
+        np.copyto(out, cand, where=b * cand < 1.0)
+        return out
 
     return prox
 

@@ -356,13 +356,19 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
     The sweep runs on the problem's stacked layout (``pdp.K``, ``pdp.r``,
     ``pdp.rows``), with the P_i0 stacked once per solve (zero rows where
     absent) and per-row vectors of P_ii = 1/sigma_i and sigma_i.  An
-    iteration is then a few GEMVs with K and P_.0 plus a sequential pass that
-    applies each row's nonzero interior blocks P_ij to the fresh duals
-    v_1..v_{i-1} and makes the i-th block's one counted resolvent call.  The
-    Moreau identity J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma)
-    runs once over the stacked rows: ``w / sigma`` before the pass,
-    ``w - sigma p`` after it, elementwise the same bits as
-    ``DualBlock.dual_resolvent`` per block.
+    iteration is then a few GEMVs with K, K^T (bound once per solve) and
+    P_.0 plus a sequential pass that applies each row's nonzero interior
+    blocks P_ij to the fresh duals v_1..v_{i-1} and makes the i-th block's
+    one counted resolvent call.  The Moreau identity
+    J_{sigma B^{-1}}(w) = w - sigma J_{B/sigma}(w / sigma) runs once over the
+    stacked rows: ``w / sigma`` before the pass, ``w - sigma p`` after it,
+    elementwise the same bits as ``DualBlock.dual_resolvent`` per block.
+    Both corrections read one ``u - v`` and the ``x - y`` of the primal
+    step, scaled by the negated P_ii, and are added into the two halves of
+    the new iterate in place.  r is subtracted only when some block gives
+    one, and the interior sum q only when there are interior blocks: each
+    left-out term is an exact +0.0, so the bits stay those of the full
+    expressions.
 
     Without nonzero interior blocks no dual reads another's fresh value, so
     the pass is a Jacobi pass.  When, moreover, every dual block is a 1-D
@@ -391,16 +397,20 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                 for i in range(1, pdp.m + 1)]
     counters = _Counters()
     stacked = None if any(interior) else _stacked_duals(pdp, counters, sig)
-    no_interior = np.zeros(len(sig))
+    # ``a - 0.0`` is ``a`` for every float, -0.0 and NaN included, so an r
+    # that no block gives (all +0.0) and the all-zero q of a pass without
+    # interior blocks are left out; an r of the caller is always subtracted
+    has_r, has_q = any(blk.r is not None for blk in pdp.blocks), any(interior)
     pdp = _counted(pdp, counters)
     C1, C2 = pdp.C1, pdp.C2
+    KT, neg_c0, neg_c = K.T, -bp.diag_scalars[0], -c
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
     sweep = [(sl, s, 1.0 / s, blk.B.resolvent, row)
              for blk, sl, s, row in zip(pdp.blocks, rows, sigmas[1:], interior)]
 
     def step(k, zvec):
         x, u = zvec[:d], zvec[d:]
-        forward = K.T.dot(u)
+        forward = KT.dot(u)
         if C1 is not None:
             forward += C1.evaluate(x)
         if C2 is not None:
@@ -409,16 +419,19 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
         y = pdp.primal_resolvent(sigmas[0], x - sigmas[0] * forward)
         xy = x - y
 
-        t = K.dot(x) + P0.dot(xy) - r
+        t = K.dot(x) + P0.dot(xy)
+        if has_r:
+            t -= r
         for sl, D_inv in d_inv:
             t[sl] -= D_inv(u[sl])
         w = u + sig * t
         ws = w / sig
         if stacked is not None:
-            p, q = stacked(ws), no_interior
+            p = stacked(ws)
         else:
             p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
-            q = np.zeros_like(u)  # sum_{j<i} P_ij (u_j - v_j), row by row
+            # sum_{j<i} P_ij (u_j - v_j), row by row
+            q = np.zeros_like(u) if has_q else None
             for sl, s, inv_s, resolvent, row in sweep:
                 if row:
                     # the fresh v_j = w_j - sigma_j p_j of the earlier blocks
@@ -427,13 +440,21 @@ def solve_block_triangular(pdp: PrimalDualProblem, bp: BlockPreconditioner,
                     ws[sl] = w[sl] / s
                 p[sl] = resolvent(inv_s, ws[sl])
         v = w - sig * p
+        uv = u - v
 
+        # round to nearest gives fl(y - x) = -fl(x - y) and fl(v - u) =
+        # -fl(u - v), and a rounded product commutes with negation, so
+        # (-c0) xy and (-c) uv are the bits of c0 (y - x) and c (v - u),
+        # up to the sign of a NaN
         new_z = np.empty_like(zvec)
-        corr0 = bp.diag_scalars[0] * (y - x) + K.T.dot(u - v)
+        corr0 = neg_c0 * xy + KT.dot(uv)
         if C2 is not None:
             corr0 += c2x - C2.evaluate(y)
-        new_z[:d] = x + lam * corr0
-        new_z[d:] = u + lam * (c * (v - u) - KP0.dot(xy) - q)
+        np.add(x, lam * corr0, out=new_z[:d])
+        corr = neg_c * uv - KP0.dot(xy)
+        if has_q:
+            corr -= q
+        np.add(u, lam * corr, out=new_z[d:])
         return new_z, None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
@@ -480,32 +501,40 @@ def solve_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas,
     An iteration is one ``K.T.dot`` and one ``K.dot`` on the problem's
     stacked layout, then one counted resolvent call per block, with the
     Moreau identity over the stacked rows as in ``solve_block_triangular``.
+    As there, r is subtracted only when some block gives one, and the new
+    iterate is written in place.
     """
     sig_blocks = check_condat_vu(pdp, tau, sigmas)
     layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
     sig = np.repeat(sig_blocks, [blk.dim for blk in pdp.blocks])
     counters = _Counters()
+    # an r that no block gives is all +0.0, and ``a - 0.0`` is ``a``
+    has_r = any(blk.r is not None for blk in pdp.blocks)
     pdp = _counted(pdp, counters)
-    C1 = pdp.C1
+    C1, KT = pdp.C1, K.T
     d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
     duals = [(sl, 1.0 / s, blk.B.resolvent) for blk, sl, s in zip(pdp.blocks, rows, sig_blocks)]
 
     def step(k, zvec):
         x, u = zvec[:d], zvec[d:]
-        forward = K.T.dot(u)
+        forward = KT.dot(u)
         if C1 is not None:
             forward += C1.evaluate(x)
         new_x = pdp.primal_resolvent(tau, x - tau * forward)
         t = K.dot(2.0 * new_x - x)
         for sl, D_inv in d_inv:
             t[sl] -= D_inv(u[sl])
-        t -= r
+        if has_r:
+            t -= r
         w = u + sig * t
         ws = w / sig
         p = np.empty_like(u)  # J_{B_i/sigma_i}(w_i / sigma_i), row by row
         for sl, inv_s, resolvent in duals:
             p[sl] = resolvent(inv_s, ws[sl])
-        return np.concatenate([new_x, w - sig * p]), None
+        new_z = np.empty_like(zvec)
+        new_z[:d] = new_x
+        np.subtract(w, sig * p, out=new_z[d:])
+        return new_z, None
 
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 

@@ -9,14 +9,14 @@ from splitmono.fbhf import (ConfigurationError, SolveConfig, _Counters,
                             _default_start, _run, metric_violation)
 from splitmono.linalg import operator_norm, symmetric_min_eig
 from splitmono import primal_dual
-from splitmono.applications import ErmProblem, gen_erm_hinge
+from splitmono.applications import ErmProblem, gen_erm_hinge, gen_lin_ineq_qp
 from splitmono.operators import (CocoerciveMap, MaximalMonotone,
                                  MonotoneMap, prox_abs_deviation, prox_hinge,
                                  quadratic_gradient, scalar_monotone)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams,
                                    DualBlock, PrimalDualProblem,
-                                   build_upsilon_sigma_delta,
-                                   _check_lambda, _counted, check_pd_conditions,
+                                   build_upsilon_sigma_delta, _check_lambda,
+                                   _counted, check_condat_vu, check_pd_conditions,
                                    kkt_residual, rho_v, solve_block_triangular,
                                    solve_condat_vu, solve_corollary)
 
@@ -234,6 +234,39 @@ def reference_condat_vu(pdp, tau, sigmas, cfg, start):
     return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
 
 
+def concatenated_condat_vu(pdp, tau, sigmas, cfg, start):
+    """``solve_condat_vu``'s stacked step with r always subtracted and the
+    iterate joined by ``np.concatenate``: the bit-level reference for the
+    solver, which leaves out an r that no block gives and writes the
+    iterate in place."""
+    layout, d, K, r, rows = pdp.layout, pdp.dim, pdp.K, pdp.r, pdp.rows
+    sig_blocks = check_condat_vu(pdp, tau, sigmas)
+    sig = np.repeat(sig_blocks, [blk.dim for blk in pdp.blocks])
+    counters = _Counters()
+    pdp = _counted(pdp, counters)
+    d_inv = [(sl, blk.D_inv) for blk, sl in zip(pdp.blocks, rows) if blk.D_inv is not None]
+    duals = [(sl, 1.0 / s, blk.B.resolvent) for blk, sl, s in zip(pdp.blocks, rows, sig_blocks)]
+
+    def step(k, zvec):
+        x, u = zvec[:d], zvec[d:]
+        forward = K.T.dot(u)
+        if pdp.C1 is not None:
+            forward += pdp.C1.evaluate(x)
+        new_x = pdp.primal_resolvent(tau, x - tau * forward)
+        t = K.dot(2.0 * new_x - x)
+        for sl, D_inv in d_inv:
+            t[sl] -= D_inv(u[sl])
+        t -= r
+        w = u + sig * t
+        ws = w / sig
+        p = np.empty_like(u)
+        for sl, inv_s, resolvent in duals:
+            p[sl] = resolvent(inv_s, ws[sl])
+        return np.concatenate([new_x, w - sig * p]), None
+
+    return _run(step, _default_start(layout.dim, start), cfg, counters, layout=layout)
+
+
 def reference_kkt_residual(pdp, x, us):
     """``kkt_residual`` evaluated block by block."""
     forward = pdp.C1.evaluate(x) if pdp.C1 is not None else np.zeros_like(x)
@@ -256,6 +289,19 @@ def erm_corollary_instance(d=6, m=15):
     """The hinge-loss ERM instance of the benchmark, dualized one sample per
     block, with its corollary pattern (theta = 1, every sigma_i = 0.1)."""
     pdp = gen_erm_hinge(d, m, 0).as_primal_dual()
+    return pdp, BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
+
+
+def hinge_instance_with_r_and_d_inv(d=6, m=15):
+    """``erm_corollary_instance`` with r_i on every other block and a finite
+    nu with D^{-1} on one block.  Every block is still a scalar hinge block
+    without interior couplings, so the dual pass runs stacked."""
+    pdp, _ = erm_corollary_instance(d, m)
+    rng, nu = np.random.default_rng(8), 2.0
+    blocks = [replace(blk, r=0.1 * rng.standard_normal(1)) if i % 2 == 0 else blk
+              for i, blk in enumerate(pdp.blocks)]
+    blocks[3] = replace(blocks[3], D_inv=lambda u: u / nu, nu=nu)
+    pdp = replace(pdp, blocks=tuple(blocks))
     return pdp, BlockPreconditioner.corollary_pattern(1.0, (0.1,) * (m + 1), pdp)
 
 
@@ -555,9 +601,16 @@ class TestBlockTriangularSolver:
         assert (r.b1_evals, r.b2_evals, r.resolvent_evals) == \
             (ref.b1_evals, ref.b2_evals, ref.resolvent_evals) == (300, 600, 1200)
 
-    @pytest.mark.parametrize("instance", [erm_corollary_instance, coupled_instance,
-                                          coupled_instance_active_duals])
-    def test_stacked_moreau_is_bit_identical_to_per_block(self, instance):
+    @pytest.mark.parametrize("instance, stacked", [
+        pytest.param(erm_corollary_instance, True, id="erm_corollary_instance"),
+        pytest.param(hinge_instance_with_r_and_d_inv, True,
+                     id="hinge_instance_with_r_and_d_inv"),
+        pytest.param(coupled_instance, False, id="coupled_instance"),
+        pytest.param(coupled_instance_active_duals, False,
+                     id="coupled_instance_active_duals"),
+    ])
+    def test_stacked_moreau_is_bit_identical_to_per_block(self, instance, stacked,
+                                                          stacked_passes):
         # one division before the pass and one subtraction after it give the
         # bits of dual_resolvent on every block, with the same counts
         pdp, bp = instance()
@@ -567,6 +620,8 @@ class TestBlockTriangularSolver:
         cfg = SolveConfig(max_iterations=200, tolerance=1e-300, keep_iterates=True)
         r = solve_block_triangular(pdp, bp, lam, cfg, start)
         ref = per_block_moreau_sweep(pdp, bp, lam, cfg, start)
+        # interior blocks never ask for the stacked pass
+        assert stacked_passes == ([True] if stacked else [])
         assert len(r.iterates) == len(ref.iterates) == 201
         for a, b in zip(r.iterates, ref.iterates):
             assert np.array_equal(a, b)
@@ -702,6 +757,24 @@ class TestCondatVu:
         us = [r.block(i) for i in range(1, pdp.m + 1)]
         assert kkt_residual(pdp, r.block(0), us) == pytest.approx(
             reference_kkt_residual(pdp, r.block(0), us), rel=1e-12)
+
+    @pytest.mark.parametrize("make, sigmas", [
+        # r_i on two of the three blocks, D^{-1} on the first
+        (lambda: replace(coupled_instance()[0], C2=None), [0.3, 0.2, 0.1]),
+        # the lin-ineq instance: one block, no r
+        (lambda: gen_lin_ineq_qp(20, 2, 0).as_primal_dual(), [8e-4]),
+    ], ids=["coupled", "lin-ineq"])
+    def test_step_is_bit_identical_to_the_concatenated_step(self, make, sigmas):
+        pdp = make()
+        tau = 0.99 / (1.0 / (2.0 * pdp.beta)
+                      + sum(s * n * n for s, n in zip(sigmas, pdp.norms_L())))
+        start = np.random.default_rng(10).standard_normal(pdp.layout.dim)
+        cfg = SolveConfig(max_iterations=300, tolerance=1e-300, keep_iterates=True)
+        r = solve_condat_vu(pdp, tau, sigmas, cfg, start)
+        assert_same_run(r, concatenated_condat_vu(pdp, tau, sigmas, cfg, start))
+        assert r.reason == "max_iter"
+        for i in range(pdp.m + 1):
+            assert np.linalg.norm(r.block(i) - pdp.layout.block(start, i)) > 1e-3
 
     def test_agrees_with_corollary_solver(self):
         pdp = lasso_instance(seed=6)
