@@ -12,15 +12,18 @@ is the same for every graph: the rounds share it however the graph changes.
 
 All communication happens through Laplacian products, which read only
 neighbor blocks; rounds are synchronous.  A round runs as array operations
-over all agents: each product subtracts the agents' r-th neighbors for all
-agents at once, in the ascending order a per-agent loop would use, so every
-agent still reads only its neighbors' rows and gets the same bits.
+over all agents: each product is one ``np.subtract.at`` over a per-graph
+index pair, one (agent, neighbor) entry per edge end, ordered so that every
+agent subtracts its neighbors in the ascending order a per-agent loop would
+use; every agent still reads only its neighbors' rows and gets the same
+bits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +47,12 @@ class Graph:
         if n < 1:
             raise ValueError("need at least one agent")
         seen = set()
-        for (i, j) in self.edges:
+        for edge in self.edges:
+            try:
+                # integer labels only: the index pair reads them as intp
+                i, j = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid edge {edge!r}") from None
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid edge {(i, j)}")
             key = (i, j) if i < j else (j, i)
@@ -54,6 +62,16 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         if n > 1 and not self._connected():
             raise ValueError("graph is not connected")
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph whose edges are already sorted distinct pairs i < j of
+        labels in range(n) that connect all n vertices, left unchecked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_cache", {})
+        return g
 
     def _connected(self) -> bool:
         reach = {0}
@@ -97,37 +115,32 @@ class Graph:
             self._cache["laplacian"] = L.reshape(n, n)
         return self._cache["laplacian"]
 
-    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(deg, table): the degrees as a float column, and table[r, i] the
-        r-th smallest neighbor of agent i, or n past deg(i), which indexes
-        the zero row that ``laplacian_apply`` appends."""
-        if "ranks" not in self._cache:
-            n, nbrs = self.n, self.neighbors
-            width = max(map(len, nbrs))
-            # row-major flat table: agent i's column is every n-th entry
-            # from i, and its neighbors fill the first deg(i) of them
-            flat = [n] * (width * n)
-            for i, v in enumerate(nbrs):
-                flat[i:i + n * len(v):n] = v
-            self._cache["ranks"] = (self.degrees[:, None].astype(float),
-                                    np.array(flat, dtype=np.intp).reshape(width, n))
-        return self._cache["ranks"]
+    def _index_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deg, agents, others): the degrees as a float column, and the
+        index pair under which agent agents[k] subtracts row others[k].
+
+        Edge (i, j) gives "j subtracts i" in the first half and "i subtracts
+        j" in the second.  The edges are sorted pairs i < j, so an agent
+        meets its smaller neighbors first, ascending, then its larger ones,
+        ascending: every agent subtracts its neighbors in ascending order."""
+        if "index_pair" not in self._cache:
+            lo, hi = zip(*self.edges) if self.edges else ((), ())
+            others = np.array(lo + hi, dtype=np.intp)
+            deg = np.bincount(others, minlength=self.n).astype(float).reshape(-1, 1)
+            self._cache["index_pair"] = (deg, np.array(hi + lo, dtype=np.intp), others)
+        return self._cache["index_pair"]
 
     def laplacian_apply(self, X: np.ndarray) -> np.ndarray:
         """Apply the Laplacian blockwise: agent i reads only its neighbors,
         (L X)_i = deg(i) X_i - sum_{j ~ i} X_j, subtracting the neighbors
-        one at a time in ascending order.  Rank r of the neighbor table does
-        the r-th subtraction for all agents at once; an agent with fewer
-        neighbors subtracts the zero pad row, and x - 0.0 == x, -0.0
-        included."""
+        one at a time in ascending order.  One ``np.subtract.at`` over the
+        index pair does every subtraction, in index order, so each agent's
+        rows see the order a per-agent loop would use."""
         X = np.asarray(X, dtype=float)
-        deg, table = self._ranks()
+        deg, agents, others = self._index_pair()
         rows = X.reshape(self.n, -1)
-        padded = np.zeros((self.n + 1, rows.shape[1]))
-        padded[:-1] = rows
         acc = deg * rows
-        for nbr in table:
-            acc -= padded.take(nbr, axis=0)
+        np.subtract.at(acc, agents, rows.take(others, axis=0))
         return acc.reshape(X.shape)
 
     def norm_laplacian(self) -> float:
@@ -159,8 +172,9 @@ class Graph:
         Each attempt draws one uniform per vertex pair i < j, in
         lexicographic order, and keeps the edge when it is below 1/2.
         Seeded graph sequences depend on this draw order.  A disconnected
-        draw is recognized on the bare edge list; only the accepted one is
-        built, and validated, as a ``Graph``."""
+        draw is recognized on the bare edge list.  The accepted one is built
+        unchecked: ``combinations`` gives sorted, distinct pairs in range,
+        and the sweep has shown that they span."""
         if n <= 1:
             return cls(n, ())
         pairs = list(itertools.combinations(range(n), 2))
@@ -168,7 +182,7 @@ class Graph:
             keep = (rng.random(len(pairs)) < 0.5).tolist()
             edges = tuple(itertools.compress(pairs, keep))
             if _spans(n, edges):
-                return cls(n, edges)
+                return cls._unchecked(n, edges)
 
 
 def _spans(n: int, edges) -> bool:
@@ -308,10 +322,11 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
 
         x+ = prox_{gamma f}(x - gamma w),      w+ = w + tau L_t (2 x+ - x),
 
-    from w = 0.  Round t needs gamma tau lambda_max(L_t) < 1 and raises
-    ConfigurationError naming the round otherwise.  ``report.block(0)`` holds
-    the stacked x and ``report.block(1)`` the stacked w, which at the
-    solution is the graph-independent certificate w_i = -grad f_i(x*).
+    from w = 0.  Round t needs a graph on the sequence's n agents and
+    gamma tau lambda_max(L_t) < 1, and raises ConfigurationError naming the
+    round otherwise.  ``report.block(0)`` holds the stacked x and
+    ``report.block(1)`` the stacked w, which at the solution is the
+    graph-independent certificate w_i = -grad f_i(x*).
     Returns the report together with the consensus-error trace
     max_{i,j} ||x_i - x_j||, computed from the report once the rounds end:
     one value per round under ``cfg.keep_iterates``, else the final round's
@@ -329,6 +344,9 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
 
     def step(k, z):
         g = gs.at(k)
+        if g.n != n:
+            raise ConfigurationError(
+                f"round {k}: the graph has {g.n} agents, the sequence {n}")
         _check_round(g, gamma, tau, k)
         return _round(z, proxes, g, gamma, tau), None
 

@@ -121,6 +121,22 @@ class TestGraph:
                     ref = reference_random_edges(n, np.random.default_rng((seed, t)))
                     assert gs.at(t).edges == ref
 
+    def test_drawn_graph_equals_the_checked_graph(self):
+        # random_connected skips the constructor's checks; the graph it
+        # returns must be the one Graph(n, edges) would build and check
+        for n in range(2, 9):
+            for seed in range(8):
+                g = Graph.random_connected(n, np.random.default_rng((n, seed)))
+                ref = Graph(n, g.edges)
+                assert g == ref and g.edges == ref.edges
+                assert g.neighbors == ref.neighbors
+                assert bitwise_equal(g.degrees, ref.degrees)
+                assert bitwise_equal(g.laplacian(), ref.laplacian())
+                for a, b in zip(g._index_pair(), ref._index_pair()):
+                    assert bitwise_equal(a, b)
+                X = np.random.default_rng(seed).standard_normal((n, 2))
+                assert bitwise_equal(g.laplacian_apply(X), ref.laplacian_apply(X))
+
     def test_norm_laplacian_matches_svd_norm(self):
         rng = np.random.default_rng(4)
         graphs = [Graph.ring(6), Graph.path(5), Graph.star(7), Graph.path(2)]
@@ -142,9 +158,12 @@ class TestGraph:
 
     def test_blockwise_apply_matches_matrix(self):
         rng = np.random.default_rng(0)
-        for n, h in itertools.product((1, 2, 3, 5, 8), (1, 3)):
+        for n, h in itertools.product((1, 2, 3, 4, 5, 8), (1, 3)):
+            # the last graph's edges come reversed and unsorted, so the
+            # constructor sorts them before the index pair reads them
+            unsorted = (Graph(4, ((3, 0), (2, 1), (1, 0))),) if n == 4 else ()
             for g in (Graph.path(n), Graph.ring(n), Graph.star(n),
-                      Graph.random_connected(n, rng)):
+                      Graph.random_connected(n, rng)) + unsorted:
                 X = rng.standard_normal((n, h))
                 X[rng.random((n, h)) < 0.25] = 0.0
                 X[rng.random((n, h)) < 0.25] = -0.0
@@ -174,6 +193,12 @@ class TestGraph:
             Graph(3, ((0, 5),))
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (1, 0), (1, 2)))
+        # a label must be an integer, not a float or a string that compares
+        # or truncates like one
+        for bad in ((1, 2.0), (1, 1.5), (1, "2"), (1, None), (0, 1, 2), 5):
+            with pytest.raises(ValueError, match="invalid edge"):
+                Graph(3, ((0, 1), bad))
+        assert Graph(3, ((np.int64(0), np.intp(1)), (1, 2))).edges == ((0, 1), (1, 2))
         with pytest.raises(ValueError, match="agent"):
             Graph.random_connected(0, np.random.default_rng(0))
 
@@ -336,6 +361,17 @@ class TestRunDistributed:
             with pytest.raises(ConfigurationError, match=where):
                 run_distributed(proxes, gs, s, s,
                                 SolveConfig(max_iterations=10, tolerance=1e-300))
+
+    def test_round_graph_on_other_agents_rejected(self):
+        # a larger round graph would leave its extra agents' blocks of z
+        # unwritten, and a smaller one would misread the blocks
+        proxes = [quad_prox(1.0), quad_prox(-1.0)]
+        for at, where in ((lambda t: Graph.ring(4), "round 0"),
+                          (lambda t: Graph.path(2) if t < 3 else Graph(1, ()), "round 3")):
+            with pytest.raises(ConfigurationError, match=where):
+                run_distributed(proxes, GraphSequence(at=at, n=2), 0.2, 0.2,
+                                SolveConfig(max_iterations=10, tolerance=1e-300),
+                                block_dim=2)
 
     def test_screened_round_check_matches_the_eigenvalue_test(self):
         # the screen passes a round with n <= 1/(2 gamma tau) unseen; every
