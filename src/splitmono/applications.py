@@ -12,15 +12,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (BlockLayout, aligned_empty, as_matrix, as_vector,
-                     operator_norm, strictly_below)
+from .linalg import (BlockLayout, aligned_empty, as_matrix, operator_norm,
+                     strictly_below)
 from .operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone,
                         ProblemSpec, SmoothConstraint,
                         affine_constraints, entropy_constraint,
                         lagrangian_saddle_map, normal_cone_box, nonneg_cone,
                         quadratic_gradient, scalar_monotone)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, StepPolicy,
-                   _Counters, _default_start, _run, solve_fbhf, solve_tseng_fbf)
+                   _Counters, _default_start, _run, _steps, solve_fbhf,
+                   solve_tseng_fbf)
 from .primal_dual import DualBlock, PrimalDualProblem, _check_lambda
 
 
@@ -105,11 +106,7 @@ def check_erm_steps(p: ErmProblem, sigmas,
                     lam: Optional[float]) -> tuple[list[float], float]:
     """The m+1 stepsizes (one value is repeated) and the relaxation that
     ``solve_erm_incremental`` runs with, checked as it checks them first."""
-    sig = [float(s) for s in np.atleast_1d(sigmas)]
-    if len(sig) == 1:
-        sig = sig * (p.m + 1)
-    if len(sig) != p.m + 1 or not all(0 < s < math.inf for s in sig):
-        raise ConfigurationError("need m+1 positive, finite stepsizes (or one uniform value)")
+    sig = _steps("m+1 stepsizes", sigmas, p.m + 1)
     a_norms = np.linalg.norm(p.a, axis=1)
     lhs, rhs = erm_condition(sig, a_norms)
     if not strictly_below(lhs, rhs):
@@ -139,7 +136,7 @@ def solve_erm_incremental(p: ErmProblem, sigmas, lam: Optional[float],
     """
     sig, lam = check_erm_steps(p, sigmas, lam)
     layout = p.layout
-    z0 = _default_start(layout.dim, None if start is None else as_vector(start))
+    z0 = _default_start(layout.dim, start)
     a, aT, d, m = p.a, p.a.T, p.d, p.m
     G = a @ a.T                        # Gram matrix of the data rows
     G_lower = np.tril(G, -1)
@@ -288,7 +285,7 @@ def solve_nlp(p: NlpProblem, policy: StepPolicy, cfg: SolveConfig,
     on the same saddle inclusion instead.
     """
     spec = p.saddle_spec()
-    z0 = p.default_start() if start is None else as_vector(start)
+    z0 = p.default_start() if start is None else start
     if baseline == "fbhf":
         report = solve_fbhf(spec, policy, cfg, z0)
     elif baseline == "tseng":

@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import BlockLayout, operator_norm, strictly_below
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters, _count,
-                   _default_start, _run)
+                   _default_start, _positive, _run)
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,8 @@ class Graph:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValueError("need at least one agent")
+        n = _count("agents", self.n)
+        object.__setattr__(self, "n", n)
         seen = set()
         for edge in self.edges:
             try:
@@ -147,8 +146,7 @@ class Graph:
         """||L|| = lambda_max(L), the largest eigenvalue of the symmetric
         positive semidefinite Laplacian."""
         if "norm_laplacian" not in self._cache:
-            self._cache["norm_laplacian"] = (
-                float(np.linalg.eigvalsh(self.laplacian())[-1]) if self.edges else 0.0)
+            self._cache["norm_laplacian"] = float(np.linalg.eigvalsh(self.laplacian())[-1])
         return self._cache["norm_laplacian"]
 
     @classmethod
@@ -175,7 +173,8 @@ class Graph:
         draw is recognized on the bare edge list.  The accepted one is built
         unchecked: ``combinations`` gives sorted, distinct pairs in range,
         and the sweep has shown that they span."""
-        if n <= 1:
+        n = _count("agents", n)
+        if n == 1:
             return cls(n, ())
         pairs = list(itertools.combinations(range(n), 2))
         while True:
@@ -213,6 +212,9 @@ class GraphSequence:
 
     at: Callable[[int], Graph]
     n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _count("agents", self.n))
 
     @classmethod
     def fixed(cls, g: Graph) -> "GraphSequence":
@@ -310,8 +312,8 @@ def check_steps(proxes: list, gs: GraphSequence, gamma: float, tau: float) -> No
     stepsize condition depends on each round's graph and is checked per round."""
     if len(proxes) != gs.n:
         raise ValueError("need one prox oracle per agent")
-    if not (0 < gamma < math.inf and 0 < tau < math.inf):
-        raise ConfigurationError("gamma and tau must be positive and finite")
+    _positive("gamma", gamma)
+    _positive("tau", tau)
 
 
 def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
@@ -322,7 +324,8 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
 
         x+ = prox_{gamma f}(x - gamma w),      w+ = w + tau L_t (2 x+ - x),
 
-    from w = 0.  Round t needs a graph on the sequence's n agents and
+    from w = 0 and x0, which may hold non-finite agents: the rounds then show
+    how far they spread.  Round t needs a graph on the sequence's n agents and
     gamma tau lambda_max(L_t) < 1, and raises ConfigurationError naming the
     round otherwise.  ``report.block(0)`` holds the stacked x and
     ``report.block(1)`` the stacked w, which at the solution is the
@@ -337,7 +340,7 @@ def run_distributed(proxes, gs: GraphSequence, gamma: float, tau: float,
     check_steps(proxes, gs, gamma, tau)
     block_dim = _count("block_dim", block_dim)
     m = n * block_dim
-    x = _default_start(m, None if x0 is None else np.ravel(x0))
+    x = _default_start(m, None if x0 is None else np.ravel(x0), finite=False)
     layout = BlockLayout.from_dims([m, m])
     counters = _Counters()
     proxes = [counters.count("res", prox) for prox in proxes]

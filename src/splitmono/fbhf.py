@@ -102,6 +102,28 @@ def _count(name: str, value) -> int:
     return n
 
 
+def _positive(name: str, value) -> float:
+    """``value`` checked to be positive and finite (NaN fails), as a float."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _steps(name: str, values, count: Optional[int] = None) -> list[float]:
+    """``values`` as a list of floats, each checked by ``_positive``: exactly
+    ``count`` of them or one repeated ``count`` times, or any nonzero number
+    when ``count`` is None.  ``values`` is one number, an array, or a list or
+    tuple, read as it is; ``name`` is the plural the messages use."""
+    seq = values if isinstance(values, (list, tuple)) else np.ravel(values)
+    steps = [_positive(f"each of the {name}", v) for v in seq]
+    if count is not None and len(steps) == 1:
+        return steps * count
+    if not steps or count not in (None, len(steps)):
+        what = "at least one of the" if count is None else "exactly"
+        raise ConfigurationError(f"need {what} {name}, got {len(steps)}")
+    return steps
+
+
 @dataclass(frozen=True)
 class ConstantStep:
     """Fixed stepsize; ``gamma=None`` selects 0.99 * chi(beta, L).
@@ -140,9 +162,8 @@ class LineSearch:
                 raise ValueError(f"{name} = {v} must lie in ]0, 1[")
         object.__setattr__(self, "max_backtracks",
                            _count("max_backtracks", self.max_backtracks))
-        if self.gamma_init is not None and not (
-                self.gamma_init > 0 and math.isfinite(self.gamma_init)):
-            raise ValueError(f"gamma_init = {self.gamma_init} must be a positive, finite step")
+        if self.gamma_init is not None:
+            _positive("gamma_init", self.gamma_init)
         if self.theta >= math.sqrt(1.0 - self.epsilon):
             warnings.warn(
                 f"theta={self.theta} >= sqrt(1-epsilon)={math.sqrt(1.0 - self.epsilon):.4f}: "
@@ -169,8 +190,7 @@ class SolveConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            _count("max_iterations", self.max_iterations))
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive and finite")
+        _positive("tolerance", self.tolerance)
 
 
 @dataclass
@@ -321,13 +341,15 @@ def _run(step: Callable[[int, np.ndarray], tuple[np.ndarray, Optional[float]]],
                        layout=layout)
 
 
-def _default_start(dim: int, z0) -> np.ndarray:
-    """``z0`` checked to be a vector of length ``dim``; zeros when absent."""
+def _default_start(dim: int, z0, finite: bool = True) -> np.ndarray:
+    """``z0`` checked to be a length-``dim`` vector, finite if ``finite``; zeros if absent."""
     if z0 is None:
         return np.zeros(dim)
     z = np.asarray(z0, dtype=float)
     if z.shape != (dim,):
         raise ValueError("starting point has the wrong dimension")
+    if finite and not np.isfinite(z).all():
+        raise ValueError("starting point has non-finite entries")
     return z
 
 
@@ -375,9 +397,7 @@ def fbhf_step(spec: ProblemSpec, z: np.ndarray, gamma: float) -> tuple[np.ndarra
     """One iteration: backward step on A after a full forward step, then the
     half forward correction on B2 and the projection.  Evaluates B1 exactly
     once and B2 exactly twice (when present)."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be positive and finite")
-    _, x, z_next = _fbhf_iteration(spec, z, gamma, None)
+    _, x, z_next = _fbhf_iteration(spec, z, _positive("gamma", gamma), None)
     return x, z_next
 
 
@@ -567,8 +587,6 @@ def phi_z_profile(spec: ProblemSpec, z, gamma_grid) -> list[float]:
     The forward evaluation at z does not depend on gamma and is done once.
     """
     z = np.asarray(z, dtype=float)
-    grid = [float(g) for g in gamma_grid]
-    if not grid or not all(0 < g < math.inf for g in grid):
-        raise ValueError("gamma grid must be nonempty, positive and finite")
+    grid = _steps("grid steps", gamma_grid)
     _, bz = _forward(spec, z)
     return [_norm(z - _backward(spec, z, g, bz)) / g for g in grid]

@@ -145,11 +145,10 @@ class BlockLayout:
 
 
 def operator_norm(M) -> float:
-    """Spectral norm of ``M``: its largest singular value, from LAPACK's SVD."""
+    """Spectral norm of ``M``: its largest singular value, from LAPACK's SVD,
+    and 0.0 for a zero matrix, on which no SVD runs."""
     A = as_matrix(M)
-    if not np.any(A):
-        raise ValueError("operator_norm requires a nonzero matrix")
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.norm(A, 2)) if A.any() else 0.0
 
 
 def symmetric_min_eig(M) -> float:

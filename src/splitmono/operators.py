@@ -356,6 +356,8 @@ def quadratic_gradient(A_mat, b) -> CocoerciveMap:
     rhs = as_vector(b)
     if A.shape[0] != rhs.shape[0]:
         raise ValueError("A and b dimensions disagree")
+    if not A.any():
+        raise ValueError("A must be nonzero: beta = ||A||^-2")
     beta = operator_norm(A) ** (-2)
     AT = A.T
 

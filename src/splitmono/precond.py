@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -38,8 +39,8 @@ from .linalg import (MAX_INVERSE_CONDITION, BlockLayout, as_matrix,
                      split_symmetric_skew, symmetric_min_eig)
 from .operators import MaximalMonotone, ProblemSpec
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _counted, _default_start, _forward, _iterate_fbhf, _run,
-                   metric_violation)
+                   _counted, _default_start, _forward, _iterate_fbhf, _positive,
+                   _run, metric_violation)
 
 
 @dataclass
@@ -70,10 +71,6 @@ class Preconditioner:
     # preconditioner never runs the first one's route
     _resolvent_slot: Optional[tuple] = field(default=None, init=False, repr=False,
                                              compare=False)
-    # the counters of the last solve that checked where K came from, matched
-    # by identity so that a solve runs that check once per preconditioner
-    _admitted_in: Optional[_Counters] = field(default=None, init=False, repr=False,
-                                              compare=False)
 
     @classmethod
     def from_matrix(cls, P, b2_matrix=None,
@@ -90,8 +87,7 @@ class Preconditioner:
             raise ValueError("give b2_matrix or lipschitz_K, not both")
         if b2_matrix is not None:
             b2_matrix = as_matrix(b2_matrix)
-            C = b2_matrix - S
-            K = operator_norm(C) if np.any(C) else 0.0
+            K = operator_norm(b2_matrix - S)
             source = "b2_matrix"
         elif lipschitz_K is not None:
             if not 0 <= lipschitz_K < math.inf:
@@ -99,7 +95,7 @@ class Preconditioner:
             K = float(lipschitz_K)
             source = "user"
         else:
-            K = operator_norm(S) if np.any(S) else 0.0
+            K = operator_norm(S)
             source = "skew_only"
         return cls(P=Pm, U=U, S=S, rho=rho, K=K, norm_U=norm_U, k_source=source,
                    b2_matrix=b2_matrix)
@@ -217,69 +213,63 @@ def _forward_substitution(P: np.ndarray, blocks) -> Callable:
     return substitute
 
 
-def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner, solve: _Counters,
-                          strict: bool = True, inflate: float = 0.0,
-                          label: str = "") -> None:
-    """Admit ``pre`` for ``spec`` in the solve counted by ``solve``: matching
-    dimensions, a K that accounts for B2 (from its matrix, or explicit for a
-    nonlinear B2), the metric condition, non-strict at rho/(1+inflate) for
-    the variable metric, and, once per solve and preconditioner, the check
-    that K came from this B2: a K computed from a matrix must come from
-    ``spec.B2.matrix``, an explicit K must bound ``||B2.matrix - S||`` (sampled
-    for a nonlinear B2), and with B2 absent any K must bound ``||S||``."""
+def _check_preconditioner(spec: ProblemSpec, pre: Preconditioner,
+                          strict: bool = True, inflate: float = 0.0) -> None:
+    """Admit ``pre`` for ``spec``, once per solve: matching dimensions, a K
+    that accounts for B2 (from its matrix, or explicit for a nonlinear B2),
+    the metric condition, non-strict at rho/(1+inflate) for the variable
+    metric, and the check that K came from this B2: a K computed from a
+    matrix must come from ``spec.B2.matrix``, an explicit K must bound
+    ``||B2.matrix - S||`` (sampled for a nonlinear B2), and with B2 absent ``||S||``."""
     if pre.dim != spec.dimension:
-        raise ConfigurationError(f"{label}preconditioner dimension does not match the problem")
+        raise ConfigurationError("preconditioner dimension does not match the problem")
     if spec.B2 is not None:
         if spec.B2.matrix is None:
             if pre.k_source != "user":
                 raise ConfigurationError(
-                    f"{label}B2 is nonlinear: build the preconditioner with an explicit K")
+                    "B2 is nonlinear: build the preconditioner with an explicit K")
         elif pre.k_source == "skew_only":
             raise ConfigurationError(
-                f"{label}preconditioner was built without the B2 matrix; K is wrong")
+                "preconditioner was built without the B2 matrix; K is wrong")
     why = metric_violation(pre.rho / (1.0 + inflate), pre.K, spec.beta, strict)
     if why is not None:
-        raise ConfigurationError(f"{label}metric condition violated: {why} (rho = "
+        raise ConfigurationError(f"metric condition violated: {why} (rho = "
                                  f"{pre.rho:.6g}, K = {pre.K:.6g}, beta = {spec.beta:.6g})")
-    if pre._admitted_in is solve:
-        return
     M = None if spec.B2 is None else spec.B2.matrix
     if spec.B2 is None:
-        norm_S = operator_norm(pre.S) if np.any(pre.S) else 0.0   # B2 - S = -S
+        norm_S = operator_norm(pre.S)   # B2 - S = -S
         if not at_most(norm_S, pre.K):
-            raise ConfigurationError(f"{label}K = {pre.K:.6g} is below ||S|| = {norm_S:.6g}, "
+            raise ConfigurationError(f"K = {pre.K:.6g} is below ||S|| = {norm_S:.6g}, "
                                      "the Lipschitz constant of B2 - S with B2 absent")
     elif M is None:
-        _validate_sampled_K(spec, pre, label)
+        _validate_sampled_K(spec, pre)
     elif pre.k_source == "b2_matrix" and not (pre.b2_matrix is M
                                               or np.array_equal(pre.b2_matrix, M)):
         raise ConfigurationError(
-            f"{label}preconditioner's K was computed from another B2 matrix; K is wrong")
+            "preconditioner's K was computed from another B2 matrix; K is wrong")
     elif pre.k_source == "user":
-        C = M - pre.S
-        true_K = operator_norm(C) if np.any(C) else 0.0
+        true_K = operator_norm(M - pre.S)
         if not at_most(true_K, pre.K):
             raise ConfigurationError(
-                f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
+                f"supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
                 f"(||B2 - S|| = {true_K:.6g})")
-    pre._admitted_in = solve
 
 
 # Relative and absolute slack of the sampled Lipschitz check of a supplied K,
 # for the rounding of both sides on random pairs: a sampling and rounding
-# tolerance, not a condition margin (linalg.CONDITION_MARGIN).
+# tolerance, not a condition margin (linalg.CONDITION_MARGIN), and its pairs.
 K_SAMPLE_RTOL = 1e-8
 K_SAMPLE_ATOL = 1e-12
+K_SAMPLE_PAIRS = 1000
 
 
-def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, label: str = "",
-                        n_pairs: int = 1000) -> None:
+def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner) -> None:
     """Spot-check a user-supplied K by sampling ||(B2-S)u - (B2-S)v|| on
-    ``n_pairs`` standard-normal pairs drawn from a fixed seed, so every solve
-    samples the same pairs."""
+    K_SAMPLE_PAIRS standard-normal pairs drawn from a fixed seed, so every
+    solve samples the same pairs."""
     rng = np.random.default_rng(0)
     tested = 0
-    for _ in range(n_pairs):
+    for _ in range(K_SAMPLE_PAIRS):
         u = rng.standard_normal(spec.dimension)
         v = rng.standard_normal(spec.dimension)
         dom = spec.B2.domain
@@ -293,9 +283,9 @@ def _validate_sampled_K(spec: ProblemSpec, pre: Preconditioner, label: str = "",
         tested += 1
         if np.linalg.norm(cu - cv) > pre.K * gap * (1.0 + K_SAMPLE_RTOL) + K_SAMPLE_ATOL:
             raise ConfigurationError(
-                f"{label}supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
+                f"supplied K = {pre.K:.6g} is not a Lipschitz constant of B2 - S "
                 f"(violated on a sampled pair)")
-    if tested < n_pairs // 20:
+    if tested < K_SAMPLE_PAIRS // 20:
         warnings.warn("K validation sampled too few in-domain pairs to be meaningful",
                       stacklevel=2)
 
@@ -339,8 +329,8 @@ def solve_precond_fbhf(spec: ProblemSpec, pre: Preconditioner, cfg: SolveConfig,
     subject to K^2 < rho (rho - 1/(2 beta)).  With P = Id/gamma this is the
     constant-stepsize main iteration and the run delegates to it step by step.
     """
+    _check_preconditioner(spec, pre)
     counters = _Counters()
-    _check_preconditioner(spec, pre, counters)
 
     z_start = _default_start(spec.dimension, z0)
     gamma = pre.scalar_step
@@ -374,8 +364,7 @@ class MetricSchedule:
     lambdas: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if not 0 < self.norm_sup < math.inf:
-            raise ValueError("norm_sup must be positive and finite")
+        _positive("norm_sup", self.norm_sup)
         cap = 1.0 / (2.0 * self.norm_sup)
         if self.epsilon is None:
             self.epsilon = min(0.01, cap / 2.0)
@@ -414,8 +403,9 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
 
     Needs X = H and B2 with full domain; each P_k is admitted as
     ``solve_precond_fbhf`` admits its preconditioner, but under the inflated
-    metric condition K_k^2 <= r_k (r_k - 1/(2 beta)), r_k = rho_k/(1+eps).
-    The sampled check of a user K runs once per solve for each distinct P_k.
+    metric condition K_k^2 <= r_k (r_k - 1/(2 beta)), r_k = rho_k/(1+eps),
+    and with ||U_k|| <= M; the first iteration k that meets a P_k admits it,
+    once per solve, and a rejection names that k.
     """
     if not spec.X.is_whole_space:
         raise ConfigurationError("the no-inversion iteration requires X = H")
@@ -425,15 +415,21 @@ def solve_variable_metric(spec: ProblemSpec, sched: MetricSchedule,
     z_start = _default_start(spec.dimension, z0)
     counters = _Counters()
     backward = _counted_backward(spec, counters)
+    # the P_k this solve admitted, by identity; weak, so none is kept alive
+    admitted = weakref.WeakValueDictionary()
 
     def step(k, z):
         pre = sched.at(k)
-        _check_preconditioner(spec, pre, counters, strict=False,
-                              inflate=sched.epsilon, label=f"P_{k}: ")
-        if not at_most(pre.norm_U, sched.norm_sup):
-            raise ConfigurationError(
-                f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
-                f"M = {sched.norm_sup:.6g}")
+        if admitted.get(id(pre)) is not pre:
+            try:
+                _check_preconditioner(spec, pre, strict=False, inflate=sched.epsilon)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"P_{k}: {exc}") from None
+            if not at_most(pre.norm_U, sched.norm_sup):
+                raise ConfigurationError(
+                    f"||U_{k}|| = {pre.norm_U:.6g} exceeds the declared bound "
+                    f"M = {sched.norm_sup:.6g}")
+            admitted[id(pre)] = pre
         lam = sched.lambda_at(k, pre)
 
         x, b2_diff = backward(pre, z)

@@ -26,7 +26,8 @@ from .linalg import (BlockLayout, aligned_empty, as_matrix, as_vector, at_most,
 from .operators import (CocoerciveMap, MaximalMonotone, MonotoneMap,
                         stacked_scalar_resolvent)
 from .fbhf import (ConfigurationError, SolveConfig, SolveReport, _Counters,
-                   _default_start, _run, half_inverse, metric_violation)
+                   _default_start, _positive, _run, _steps, half_inverse,
+                   metric_violation)
 
 
 @dataclass(frozen=True)
@@ -153,22 +154,18 @@ class PrimalDualProblem:
 class BlockPreconditioner:
     """Lower block triangle (P_ij)_{0<=j<=i<=m} with scalar diagonal blocks
     P_ii = diag_scalars[i] * Id, so every dual resolvent stays prox-friendly.
-    The off-diagonal blocks are stored through ``as_matrix``, in C or Fortran
-    order, so ``.dot`` applies them with the same bits as ``@``."""
+    The off-diagonal blocks are stored through ``as_matrix``, finite and in C
+    or Fortran order, so ``.dot`` applies them with the same bits as ``@``."""
 
     diag_scalars: tuple[float, ...]
     off_diag: dict  # (i, j), i > j  ->  matrix G_j -> G_i
 
     def __post_init__(self):
         object.__setattr__(self, "diag_scalars",
-                           tuple(float(c) for c in self.diag_scalars))
-        if not all(0 < c < math.inf for c in self.diag_scalars):
-            raise ValueError("diagonal scalars must be positive and finite")
-        for (i, j), blk in self.off_diag.items():
+                           tuple(_steps("diagonal scalars", self.diag_scalars)))
+        for i, j in self.off_diag:
             if not (0 <= j < i <= self.m):
                 raise ValueError("off-diagonal blocks must sit strictly below the diagonal")
-            if not np.all(np.isfinite(blk)):
-                raise ValueError(f"off-diagonal block {(i, j)} has non-finite entries")
         object.__setattr__(self, "off_diag",
                            {key: as_matrix(blk) for key, blk in self.off_diag.items()})
 
@@ -182,12 +179,9 @@ class BlockPreconditioner:
     @classmethod
     def corollary_pattern(cls, theta: float, sigmas,
                           pdp: PrimalDualProblem) -> "BlockPreconditioner":
-        """P_ii = Id/sigma_i, P_i0 = -(1+theta) L_i, interior blocks zero."""
-        sig = [float(s) for s in sigmas]
-        if len(sig) != pdp.m + 1:
-            raise ConfigurationError("need exactly m+1 stepsizes")
-        if not all(0 < s < math.inf for s in sig):
-            raise ValueError("stepsizes must be positive and finite")
+        """P_ii = Id/sigma_i, P_i0 = -(1+theta) L_i, interior blocks zero;
+        one uniform sigma is repeated m+1 times."""
+        sig = _steps("m+1 stepsizes", sigmas, pdp.m + 1)
         off = {}
         for i, blk in enumerate(pdp.blocks, start=1):
             Pi0 = -(1.0 + theta) * blk.L
@@ -220,14 +214,14 @@ def build_upsilon_sigma_delta(bp: BlockPreconditioner, L_mats):
         if np.shape(blk) != expected:
             raise ValueError(f"off-diagonal block {(i, j)} must have shape "
                              f"{expected}, got {np.shape(blk)}")
-        half = operator_norm(blk) / 2.0 if np.any(blk) else 0.0
+        half = operator_norm(blk) / 2.0
         ups[i, j] = ups[j, i] = half
         if j > 0:
             sig[i, j] = sig[j, i] = half
     for i, L in enumerate(Ls, start=1):
         blk = bp.block(i, 0)
         comb = L + (blk / 2.0 if blk is not None else 0.0)
-        sig[i, 0] = sig[0, i] = operator_norm(comb) if np.any(comb) else 0.0
+        sig[i, 0] = sig[0, i] = operator_norm(comb)
     delta = np.diag(np.asarray(bp.diag_scalars, dtype=float))
     return ups, sig, delta
 
@@ -252,10 +246,8 @@ def check_pd_conditions(bp: BlockPreconditioner, L_mats, delta: float,
     """
     ups, sig, dlt = build_upsilon_sigma_delta(bp, L_mats)
     rho = symmetric_min_eig(dlt - ups)
-    norm_ups = operator_norm(ups) if np.any(ups) else 0.0
-    M = max(bp.diag_scalars) + norm_ups
-    norm_sig = operator_norm(sig) if np.any(sig) else 0.0
-    why = metric_violation(rho, norm_sig + delta, beta, lhs_name="(||Sigma|| + delta)")
+    M = max(bp.diag_scalars) + operator_norm(ups)
+    why = metric_violation(rho, operator_norm(sig) + delta, beta, lhs_name="(||Sigma|| + delta)")
     if why is not None:
         return PdCheck(rho, M, False, f"{why} (rho = lambda_min(Delta - Upsilon))")
     return PdCheck(rho, M, True, "ok")
@@ -268,9 +260,7 @@ def rho_v(theta: float, sigmas, L_norms) -> float:
 
     The scalar-diagonal pattern always achieves rho >= rho_v.
     """
-    sig = [float(s) for s in sigmas]
-    if not all(0 < s < math.inf for s in sig):
-        raise ValueError("stepsizes must be positive and finite")
+    sig = _steps("stepsizes", sigmas)
     nl = [float(v) for v in L_norms]
     if len(nl) != len(sig) - 1:
         raise ValueError("need one ||L_i|| per dual stepsize")
@@ -291,9 +281,7 @@ class CorollaryParams:
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if not all(0 < s < math.inf for s in self.sigmas):
-            raise ValueError("stepsizes must be positive and finite")
+        object.__setattr__(self, "sigmas", tuple(_steps("stepsizes", self.sigmas)))
 
     def omega(self, L_norms) -> np.ndarray:
         """The (m+1)x(m+1) comparison matrix of the pattern: 1/sigma_i on the
@@ -477,12 +465,8 @@ def check_condat_vu(pdp: PrimalDualProblem, tau: float, sigmas) -> list[float]:
     if pdp.C2 is not None:
         raise ConfigurationError(
             "the Condat-Vu baseline does not handle a nonlinear/Lipschitz C2 term")
-    sig = [float(s) for s in np.atleast_1d(sigmas)]
-    if len(sig) == 1:
-        sig = sig * pdp.m
-    if len(sig) != pdp.m or not all(0 < s < math.inf for s in [tau, *sig]):
-        raise ConfigurationError("tau and the sigma_i must be positive and finite, "
-                                 "one per block")
+    _positive("tau", tau)
+    sig = _steps("m dual stepsizes", sigmas, pdp.m)
     load = tau * (half_inverse(pdp.beta)
                   + sum(s * n * n for s, n in zip(sig, pdp.norms_L())))
     if not at_most(load, 1.0):

@@ -257,8 +257,33 @@ r_fractions =
         _, diags = validate_config(write(tmp_path, text))
         assert any("not usable for kind" in d for d in diags)
 
+    @pytest.mark.parametrize("text, diag", [
+        ("[solver fbhf]\ndelta = 1.0\n", r"^missing \[experiment\] section$"),
+        (LIN_INEQ_SMALL + "\n[extra]\nkey = 1\n", r"^unknown section \[extra\]$"),
+        (LIN_INEQ_SMALL.replace("seeds = 0", "seeds ="), r"^seeds list is empty$"),
+        (LIN_INEQ_SMALL.replace("tolerance = 1e-6", "tolerance = 0"), r"tolerance.*positive"),
+        (LIN_INEQ_SMALL[:LIN_INEQ_SMALL.index("[solver")], r"^no \[solver \.\.\.\] sections"),
+        (LIN_INEQ_SMALL.replace("n = 20", "n = 0"), r"^n must be >= 1 \(got 0\)$"),
+        (DEMO_CONFIGS["distributed"].replace("graphs = random", "graphs = ring"),
+         r"^graphs must be fixed \| alternating \| random \(got ring\)$"),
+    ], ids=["no-experiment", "unknown-section", "empty-seeds", "zero-tolerance",
+            "no-solver", "zero-n", "ring-graphs"])
+    def test_config_rejected_before_any_cell(self, tmp_path, text, diag):
+        _, diags = validate_config(write(tmp_path, text))
+        assert len(diags) == 1 and re.search(diag, diags[0]), diags
+
 
 class TestRun:
+    def test_alternating_distributed_run(self, tmp_path):
+        text = DEMO_CONFIGS["distributed"].replace("graphs = random", "graphs = alternating")
+        cfg, diags = validate_config(write(tmp_path, text.replace("seeds = 0,1", "seeds = 0")))
+        assert not diags
+        assert run_experiment(cfg, tmp_path / "out") == 0
+        with (tmp_path / "out" / "report.csv").open(newline="") as fh:
+            (rec,) = csv.DictReader(fh)
+        assert json.loads(rec["params-json"])["graphs"] == "alternating"
+        assert (rec["status"], rec["iterations"]) == ("tolerance", "312")
+
     def test_row_count_and_header(self, tmp_path):
         cfg, diags = validate_config(write(tmp_path, LIN_INEQ_SMALL))
         assert not diags

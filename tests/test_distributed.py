@@ -201,6 +201,16 @@ class TestGraph:
         assert Graph(3, ((np.int64(0), np.intp(1)), (1, 2))).edges == ((0, 1), (1, 2))
         with pytest.raises(ValueError, match="agent"):
             Graph.random_connected(0, np.random.default_rng(0))
+        # so must the agent count, which range() reads
+        for n in (3.0, 2.5, np.float64(3)):
+            with pytest.raises(ValueError, match="agent"):
+                Graph(n, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="agent"):
+            Graph.random_connected(2.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="agent"):
+            GraphSequence(at=lambda t: Graph.path(3), n=2.5)
+        assert type(Graph(np.int64(3), ((0, 1), (1, 2))).n) is int
+        assert type(GraphSequence(at=lambda t: Graph.path(3), n=np.int64(3)).n) is int
 
 
 class TestLocality:

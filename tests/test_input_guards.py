@@ -1,8 +1,10 @@
 """Every step, relaxation and metric parameter of the public entry points,
 and every label of a scalar prox, rejects NaN, +inf and -inf with a
-ValueError (ConfigurationError is one) before any iteration.  A guard written ``x <= 0`` lets NaN through, so a new
-one fails here.  The solves below run on oracles that fail the test when
-called, so a value that slipped past its check cannot pass as a run."""
+ValueError (ConfigurationError is one) before any iteration, and every
+solver but the distributed simulator rejects a NaN or infinite start.  A
+guard written ``x <= 0`` lets NaN through, so a new one fails here.  The
+solves below run on oracles that fail the test when called, so a value that
+slipped past its check cannot pass as a run."""
 
 import math
 
@@ -10,14 +12,19 @@ import numpy as np
 import pytest
 
 from splitmono import distributed
-from splitmono.applications import check_erm_steps, erm_uniform_sigma_bound, gen_erm_hinge
+from splitmono.applications import (ErmProblem, NlpProblem, check_erm_steps,
+                                    erm_uniform_sigma_bound, gen_erm_hinge,
+                                    solve_erm_incremental, solve_nlp)
 from splitmono.fbhf import (ConfigurationError, ConstantStep, LineSearch, SolveConfig,
-                            check_step, fbhf_step, phi_z_profile)
+                            check_step, fbhf_step, phi_z_profile, solve_fbhf,
+                            solve_forward_backward, solve_tseng_fbf)
 from splitmono.operators import (ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec,
-                                 prox_abs_deviation, prox_hinge)
-from splitmono.precond import MetricSchedule, Preconditioner, solve_variable_metric
+                                 affine_constraints, prox_abs_deviation, prox_hinge)
+from splitmono.precond import (MetricSchedule, Preconditioner, solve_precond_fbhf,
+                               solve_variable_metric)
 from splitmono.primal_dual import (BlockPreconditioner, CorollaryParams, DualBlock,
-                                   PrimalDualProblem, check_condat_vu, solve_corollary)
+                                   PrimalDualProblem, check_condat_vu, solve_block_triangular,
+                                   solve_condat_vu, solve_corollary)
 
 
 def never(*args):
@@ -167,3 +174,45 @@ def test_distributed_block_dim_below_one_rejected(value):
 def test_distributed_start_of_wrong_dimension_rejected(x0, block_dim):
     with pytest.raises(ValueError, match="starting point has the wrong dimension"):
         run_distributed(x0=x0, block_dim=block_dim)
+
+
+# every oracle fails the test when called; B1 = never with beta = 1 gives
+# every constant-step method a bound, and an accepted start would call it
+NEVER_B1_SPEC = ProblemSpec(A=MaximalMonotone(resolvent=never),
+                            B1=CocoerciveMap(evaluate=never, beta=1.0), B2=None,
+                            X=ClosedConvexSet.whole_space(), dimension=2)
+NEVER_ERM = ErmProblem(a=ERM.a, proxes=(never,) * ERM.m, values=ERM.values)
+NEVER_NLP = NlpProblem(f=MaximalMonotone(resolvent=never),
+                       h=CocoerciveMap(evaluate=never, beta=1.0),
+                       constraints=affine_constraints(np.ones((1, 1))),
+                       Y=ClosedConvexSet.whole_space(), dim=1)
+
+# (dimension of the start, solve from that start)
+STARTS = {
+    "fbhf": (2, lambda z0: solve_fbhf(NEVER_B1_SPEC, ConstantStep(), ONE_STEP, z0)),
+    "tseng": (2, lambda z0: solve_tseng_fbf(NEVER_B1_SPEC, ConstantStep(), ONE_STEP, z0)),
+    "forward-backward": (2, lambda z0: solve_forward_backward(NEVER_B1_SPEC, 1.0, ONE_STEP,
+                                                              z0)),
+    "precond": (2, lambda z0: solve_precond_fbhf(NEVER_SPEC, PRE, ONE_STEP, z0)),
+    "variable-metric": (2, lambda z0: solve_variable_metric(
+        NEVER_SPEC, MetricSchedule.constant(PRE), ONE_STEP, z0)),
+    "block-triangular": (2, lambda z0: solve_block_triangular(
+        PDP, BlockPreconditioner.corollary_pattern(0.0, 0.4, PDP), None, ONE_STEP, z0)),
+    "corollary": (2, lambda z0: solve_corollary(
+        PDP, CorollaryParams(theta=0.0, sigmas=(0.4, 0.4)), ONE_STEP, z0)),
+    "condat-vu": (2, lambda z0: solve_condat_vu(PDP, 0.5, 0.5, ONE_STEP, z0)),
+    "erm": (ERM.d + ERM.m, lambda z0: solve_erm_incremental(NEVER_ERM, [SIGMA], None,
+                                                            ONE_STEP, z0)),
+    "nlp": (2, lambda z0: solve_nlp(NEVER_NLP, ConstantStep(), ONE_STEP, z0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver", sorted(STARTS))
+def test_non_finite_start_rejected_before_iterating(solver, value):
+    # solve_fbhf used to run one iteration from a NaN start and stop diverged
+    dim, solve = STARTS[solver]
+    z0 = np.zeros(dim)
+    z0[-1] = value
+    with pytest.raises(ValueError, match="starting point has non-finite entries"):
+        solve(z0)
