@@ -210,7 +210,7 @@ class NlpProblem:
         B1 = (grad h, 0), B2 = the constraint saddle map, X = Y x R^p_+.
 
         Built on the first call (the saddle map of affine constraints takes
-        an SVD for its Lipschitz constant) and returned as is afterwards;
+        an eigensolve for its Lipschitz constant) and returned as is afterwards;
         its oracles keep no state between calls.  ``solve_nlp`` reaches it
         through the instance, so a caller may rebind it there to wrap it."""
         return self._saddle_spec

@@ -144,23 +144,27 @@ class Graph:
 
     def norm_laplacian(self) -> float:
         """||L|| = lambda_max(L), the largest eigenvalue of the symmetric
-        positive semidefinite Laplacian."""
+        positive semidefinite Laplacian: ``operator_norm``'s symmetric route
+        returns max(-lambda_min, lambda_max), and lambda_min is 0."""
         if "norm_laplacian" not in self._cache:
-            self._cache["norm_laplacian"] = float(np.linalg.eigvalsh(self.laplacian())[-1])
+            self._cache["norm_laplacian"] = operator_norm(self.laplacian())
         return self._cache["norm_laplacian"]
 
     @classmethod
     def path(cls, n: int) -> "Graph":
+        n = _count("agents", n)
         return cls(n, tuple((i, i + 1) for i in range(n - 1)))
 
     @classmethod
     def ring(cls, n: int) -> "Graph":
+        n = _count("agents", n)
         if n < 3:
             return cls.path(n)
         return cls(n, tuple((i, (i + 1) % n) for i in range(n)))
 
     @classmethod
     def star(cls, n: int) -> "Graph":
+        n = _count("agents", n)
         return cls(n, tuple((0, i) for i in range(1, n)))
 
     @classmethod

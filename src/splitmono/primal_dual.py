@@ -132,7 +132,8 @@ class PrimalDualProblem:
         return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     def norms_L(self) -> list[float]:
-        """||L_i|| per dual block, from one SVD each on the first call."""
+        """||L_i|| per dual block, each from ``operator_norm`` on the first
+        call (a 1-row block takes its vector norm)."""
         return list(self._norms_L)
 
     @cached_property

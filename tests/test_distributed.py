@@ -6,7 +6,7 @@ import pytest
 from splitmono import distributed
 from splitmono.distributed import Graph, GraphSequence, _check_round, _spread, run_distributed
 from splitmono.fbhf import ConfigurationError, SolveConfig
-from splitmono.linalg import operator_norm, strictly_below
+from splitmono.linalg import strictly_below
 from splitmono.operators import ClosedConvexSet, CocoerciveMap, MaximalMonotone, ProblemSpec
 from splitmono.fbhf import ConstantStep, solve_fbhf
 
@@ -143,8 +143,21 @@ class TestGraph:
         graphs += [Graph.random_connected(n, rng) for n in (3, 5, 8)]
         for g in graphs:
             lam = g.norm_laplacian()
-            assert lam == pytest.approx(operator_norm(g.laplacian()), rel=1e-9)
+            assert lam == pytest.approx(np.linalg.svd(g.laplacian(), compute_uv=False)[0],
+                                        rel=1e-9)
         assert Graph(1, ()).norm_laplacian() == 0.0
+
+    def test_norm_laplacian_is_the_largest_eigenvalue_bitwise(self):
+        # operator_norm's symmetric route returns max(-lambda_min, lambda_max):
+        # lambda_max >= 2 > |lambda_min| (about 0) once an edge exists, and a
+        # single agent's zero Laplacian takes the zero route
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            graphs = [Graph.path(n), Graph.ring(n), Graph.star(n)]
+            graphs += [Graph.random_connected(n, rng) for _ in range(3)]
+            for g in graphs:
+                expected = np.linalg.eigvalsh(g.laplacian())[-1]
+                assert bitwise_equal(g.norm_laplacian(), expected)
 
     def test_random_sequence_keeps_latest_graph_only(self):
         gs = GraphSequence.random(5, seed=3)
@@ -211,6 +224,12 @@ class TestGraph:
             GraphSequence(at=lambda t: Graph.path(3), n=2.5)
         assert type(Graph(np.int64(3), ((0, 1), (1, 2))).n) is int
         assert type(GraphSequence(at=lambda t: Graph.path(3), n=np.int64(3)).n) is int
+        # the named graphs read the count before range() does
+        for build in (Graph.path, Graph.ring, Graph.star):
+            with pytest.raises(ValueError, match="agent"):
+                build(2.5)
+            g = build(np.int64(4))
+            assert type(g.n) is int and g.n == 4 and len(g.neighbors) == 4
 
 
 class TestLocality:

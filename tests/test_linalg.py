@@ -50,8 +50,9 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (5, 3)],
                              ids=["1x1", "2x2", "3x5", "5x3"])
     def test_zero_matrix_has_norm_zero(self, shape, monkeypatch):
-        # a zero matrix takes no SVD
-        monkeypatch.setattr(np.linalg, "norm", None)
+        # a zero matrix takes no LAPACK call
+        for name in ("norm", "svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
         assert operator_norm(np.zeros(shape)) == 0.0
 
     def test_dominates_random_directions(self):
@@ -69,6 +70,89 @@ class TestOperatorNorm:
             M = rng.standard_normal((5, 4))
             ref = np.linalg.svd(M, compute_uv=False)[0]
             assert operator_norm(M) == pytest.approx(ref, rel=1e-9)
+
+
+def _symmetric_indefinite(rng):
+    # eigenvalues of the symmetric Gaussian part lie in about +-14: shifted
+    # by -5 they straddle zero with |lambda_min| > lambda_max
+    G = rng.standard_normal((100, 100))
+    return (G + G.T) / 2.0 - 5.0 * np.eye(100)
+
+
+ROUTE_CASES = {
+    "gaussian-100x200": lambda rng: rng.standard_normal((100, 200)),
+    "gaussian-200x100": lambda rng: rng.standard_normal((200, 100)),
+    "skew-200": lambda rng: (lambda G: G - G.T)(rng.standard_normal((200, 200))),
+    "orthogonal-200": lambda rng: np.linalg.qr(rng.standard_normal((200, 200)))[0],
+    "rows-scaled-1e+-8": lambda rng: (rng.standard_normal((60, 80))
+                                      * np.logspace(-8, 8, 60)[:, None]),
+    "rank1-plus-noise": lambda rng: (np.outer(rng.standard_normal(50), rng.standard_normal(70))
+                                     + 1e-10 * rng.standard_normal((50, 70))),
+    "integer": lambda rng: rng.integers(-9, 10, (40, 60)).astype(float),
+    "symmetric-indefinite": _symmetric_indefinite,
+    "row": lambda rng: rng.standard_normal((1, 300)),
+    "column": lambda rng: rng.standard_normal((300, 1)),
+    # the routes that square the entries rescale first: no overflow or underflow
+    "entries-1e200": lambda rng: 1e200 * rng.standard_normal((30, 40)),
+    "entries-1e-200": lambda rng: 1e-200 * rng.standard_normal((40, 30)),
+}
+
+
+class TestOperatorNormRoutes:
+    @pytest.mark.parametrize("case", list(ROUTE_CASES))
+    def test_agrees_with_the_svd(self, case):
+        A = ROUTE_CASES[case](np.random.default_rng(31))
+        ref = np.linalg.svd(A, compute_uv=False)[0]
+        assert abs(operator_norm(A) - ref) <= 1e-13 * ref
+
+    def test_symmetric_case_is_indefinite_with_dominant_negative_end(self):
+        lam = np.linalg.eigvalsh(_symmetric_indefinite(np.random.default_rng(31)))
+        assert lam[0] < 0.0 < lam[-1] and -lam[0] > lam[-1]
+
+    @staticmethod
+    def _record_eigvalsh(monkeypatch):
+        inputs = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return inputs
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("this route runs no such routine")
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def test_symmetric_input_takes_one_eigensolve_of_itself(self, monkeypatch):
+        A = _symmetric_indefinite(np.random.default_rng(2))[:40, :40]
+        ref = np.linalg.svd(A, compute_uv=False)[0]
+        self._forbid(monkeypatch, "svd", "norm")
+        inputs = self._record_eigvalsh(monkeypatch)
+        assert operator_norm(A) == pytest.approx(ref, rel=1e-13)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], A)
+
+    def test_wide_input_takes_the_eigenvalues_of_its_small_gram_matrix(self, monkeypatch):
+        for A in (np.random.default_rng(3).standard_normal((3, 500)),
+                  np.random.default_rng(3).standard_normal((500, 3))):
+            ref = np.linalg.svd(A, compute_uv=False)[0]
+            self._forbid(monkeypatch, "svd", "norm")
+            inputs = self._record_eigvalsh(monkeypatch)
+            assert operator_norm(A) == pytest.approx(ref, rel=1e-13)
+            assert [a.shape for a in inputs] == [(3, 3)]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)], ids=["row", "column", "1x1"])
+    def test_vector_takes_no_lapack_call(self, shape, monkeypatch):
+        A = -np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        ref = math.sqrt(float(np.sum(A * A)))
+        self._forbid(monkeypatch, "svd", "norm", "eigvalsh", "eigh", "eigvals")
+        assert operator_norm(A) == pytest.approx(ref, rel=1e-15)
 
 
 class TestSymmetricMinEig:
